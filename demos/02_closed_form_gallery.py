@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Every closed-form spectrum cross-checked against the Jacobi eigensolver.
+"""Every closed-form spectrum cross-checked against the LAPACK eigensolver.
 
 Complete graphs, complete bipartite/split graphs, wheels, complete
 multipartite graphs, joins of regular graphs, regular diameter-2 graphs

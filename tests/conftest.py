@@ -3,10 +3,12 @@
 The oracles here deliberately avoid the library's own algorithms:
 connectivity-style invariants are recomputed by plain subset
 enumeration over explicit edge sets, isomorphism classes are counted by
-minimizing edge bitmasks over all n! permutations with numpy, and
-reference spectra come from numpy's eigensolver.  Whatever the library
-computes with refinement, branch-and-bound or Jacobi sweeps is checked
-against these slower, simpler routes.
+minimizing edge bitmasks over all n! permutations with numpy.  Whatever
+the library computes with refinement or branch-and-bound is checked
+against these slower, simpler routes.  Spectra come from the library's
+LAPACK solver (numpy.linalg.eigh), whose reported residual
+||A V - V Lambda||_F the solver tests recompute, and are checked against
+values derived without an eigensolver.
 """
 
 from itertools import combinations, permutations, product

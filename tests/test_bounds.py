@@ -150,6 +150,12 @@ def test_bipartite_bound_tight_only_for_complete_bipartite():
     assert rec.value == pytest.approx((1.0 + math.sqrt(13.0)) / 2.0, abs=1e-12)
     assert rec.tight
     assert rec.value == pytest.approx(spectral_radius(star(4), 0.0), abs=1e-9)
+    rec = bipartite_bound(complete_bipartite(5, 7), 0.0)
+    assert rec.tight
+    assert rec.value == pytest.approx(spectral_radius(complete_bipartite(5, 7), 0.0), abs=1e-9)
+    rec = bipartite_bound(path(12), 0.0)
+    assert not rec.tight
+    assert rec.value > spectral_radius(path(12), 0.0)
 
 
 def test_bipartite_bound_rejects_odd_cycles():

@@ -64,6 +64,14 @@ def test_bounds_path3(capsys):
     assert "bipartite_upper" in records  # P3 is bipartite
 
 
+def test_bounds_bipartite_beyond_labelling_budget(capsys):
+    # tightness of the bipartite bound needs no canonical labelling
+    code, out, err = run(capsys, "bounds", "--construct", "path:12", "--format", "json")
+    assert code == 0, err
+    records = {rec["name"]: rec for rec in json.loads(out)[0]["records"]}
+    assert records["bipartite_upper"]["tight"] is False
+
+
 def test_psd_wheel5(capsys):
     code, out, _ = run(capsys, "psd", "--construct", "wheel:5", "--format", "json")
     assert code == 0

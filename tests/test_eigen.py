@@ -1,15 +1,21 @@
-"""Jacobi eigensolver and spectral quantities of the blends.
+"""LAPACK eigensolver and spectral quantities of the blends.
 
-The solver is cross-checked against numpy's eigensolver on random
-symmetric matrices, and against values derived independently: the
+The solver is ``numpy.linalg.eigh``, so it is checked by what it reports
+rather than against numpy itself: the residual ||A V - V diag(lambda)||_F
+is recomputed, the vectors must be orthonormal and the values descending.
+Independent checks are values derived without any eigensolver: the
 spectral radius of the reciprocal-distance matrix of the 3-path is the
-largest root of x^3 - 2.25x - 1, isolated by bisection and frozen here.
+largest root of x^3 - 2.25x - 1, isolated by bisection and frozen here,
+the closed-form families, and the trace identity.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hararyspec import (
+    Graph,
     build_bundle,
     complete,
     cycle,
@@ -46,20 +52,24 @@ def test_p3_rho_matches_cubic_root():
     assert spectral_radius(path(3), 0.0) == pytest.approx(P3_RHO, abs=1e-12)
 
 
-def test_random_matrices_match_numpy():
+def test_random_matrices_residual_orthonormal_descending():
     rng = np.random.default_rng(3)
     for _ in range(40):
         n = int(rng.integers(1, 35))
         m = rng.normal(size=(n, n))
         m = m + m.T
-        spec = sym_eigen(m, want_vectors=True)
-        ref = np.linalg.eigvalsh(m)[::-1]
         scale = max(1.0, float(np.abs(m).max()))
-        assert np.abs(spec.values - ref).max() <= 1e-10 * scale
-        # residual and orthonormality of the returned vectors
-        assert np.abs(m @ spec.vectors - spec.vectors * spec.values).max() <= 1e-8 * scale
+        spec = sym_eigen(m, want_vectors=True)
+        recomputed = float(np.linalg.norm(m @ spec.vectors - spec.vectors * spec.values))
+        assert spec.residual == pytest.approx(recomputed, rel=1e-6, abs=1e-15)
+        assert spec.residual <= 1e-12 * n * scale
         gram = spec.vectors.T @ spec.vectors
-        assert np.abs(gram - np.eye(n)).max() <= 1e-10
+        assert np.abs(gram - np.eye(n)).max() <= 1e-12 * n
+        assert np.all(np.diff(spec.values) <= 0.0)
+        bare = sym_eigen(m)
+        assert bare.vectors is None
+        assert np.array_equal(bare.values, spec.values)
+        assert bare.residual == spec.residual
 
 
 def test_trace_identity(catalog):
@@ -77,6 +87,12 @@ def test_descending_order(catalog):
         for alpha in (0.0, 0.5, 1.0):
             values = entry.eigenvalues(alpha)
             assert np.all(np.diff(values) <= 1e-15)
+
+
+def test_non_finite_input_rejected():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            sym_eigen(np.array([[1.0, bad], [bad, 2.0]]))
 
 
 def test_asymmetric_input_rejected():
@@ -154,6 +170,36 @@ def test_monotone_in_alpha(catalog):
                 assert hi_vals[0] == pytest.approx(lo_vals[0], abs=1e-9)
             else:
                 assert hi_vals[0] > lo_vals[0] + 1e-10
+
+
+@st.composite
+def connected_graphs(draw, min_n=8, max_n=16):
+    """A random spanning tree plus random extra edges."""
+    n = draw(st.integers(min_n, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=2 * n))
+    return Graph(n, sorted(edges | set(extra)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    g=connected_graphs(),
+    lo_a=st.floats(0.0, 1.0),
+    hi_a=st.floats(0.0, 1.0),
+)
+def test_monotone_in_alpha_random_graphs(g, lo_a, hi_a):
+    # blend(beta) - blend(alpha) = (beta - alpha) * RL with RL PSD, so no
+    # eigenvalue decreases as alpha grows
+    lo_a, hi_a = sorted((lo_a, hi_a))
+    bundle = build_bundle(g)
+    step = rd_alpha(bundle, hi_a) - rd_alpha(bundle, lo_a)
+    scale = max(1.0, float(bundle.transmissions.max()))
+    assert np.abs(step - (hi_a - lo_a) * bundle.rl).max() <= 1e-12 * scale
+    assert sym_eigen(bundle.rl).values[-1] >= -1e-12 * g.n * scale
+    lo_vals = sym_eigen(rd_alpha(bundle, lo_a)).values
+    hi_vals = sym_eigen(rd_alpha(bundle, hi_a)).values
+    assert np.all(hi_vals >= lo_vals - 1e-12 * g.n * scale)
 
 
 def test_pendant_multiplicity_rule():

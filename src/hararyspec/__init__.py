@@ -86,7 +86,7 @@ from .invariants import (
     independence_number,
     vertex_connectivity,
 )
-from .matrices import MatrixBundle, a_alpha, build_bundle, check_alpha, format_matrix, rd_alpha
+from .matrices import MatrixBundle, build_bundle, check_alpha, format_matrix, rd_alpha
 from .psd import (
     PsdThreshold,
     alpha0_bisection,

@@ -1,21 +1,26 @@
 """Canonical labelling and isomorphism-free enumeration of small connected graphs.
 
 The canonical form is exact: equitable colour refinement narrows the
-candidate orderings, a backtracking search tries every ordering the
+candidate orderings, a backtracking search tries the orderings the
 refinement leaves open, and the certificate is the lexicographically
 smallest relabelled edge bitstring (equivalently, the smallest graph6
 encoding).  Refinement keys depend only on the partition itself, never
 on vertex labels, so isomorphic graphs explore label-equivalent search
 trees and end up with identical certificates.
 
-Enumeration follows two regimes:
+The search skips twins: vertices u and v with the same neighbours apart
+from each other.  The transposition (u v) is then an automorphism fixing
+every cell of the current partition, so individualising v yields the
+same leaf masks as individualising u, and the certificate, the minimum
+over the leaves, is unchanged when v is skipped.  This is the standard
+automorphism pruning of individualisation-refinement (McKay & Piperno,
+"Practical graph isomorphism, II", 2014); a cell of k mutual twins, as
+in cliques and complete multipartite graphs, costs one path, not k!.
 
-* n <= 6: iterate every edge bitmask, keep the connected ones, and
-  deduplicate by canonical form.
-* n = 7, 8: extend each (n-1)-vertex class by one new vertex attached to
-  every nonempty neighbourhood subset, again deduplicating canonically.
-  Every connected graph has a non-cut vertex, so each class on n
-  vertices is reached from some class on n-1 vertices.
+Enumeration has one regime: starting from the single vertex, each class
+on n-1 vertices gets a new vertex attached to every nonempty
+neighbourhood subset, deduplicated canonically.  Every connected graph
+has a non-cut vertex, so each class on n vertices is reached.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from functools import lru_cache
 
 from .errors import BudgetError
 from .graph6 import to_graph6
-from .graphs import Graph, triangle_pairs
+from .graphs import Graph, _bit_indices, triangle_pairs
 
 __all__ = [
     "CANONICAL_BUDGET",
@@ -77,6 +82,12 @@ def _canonical_mask(g):
     n = g.n
     adj = g.adj_bits
     pairs = triangle_pairs(n)
+    twins = [0] * n
+    for u in range(n):
+        for v in range(u):
+            if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+                twins[u] |= 1 << v
+                twins[v] |= 1 << u
     best = None
 
     def leaf(order):
@@ -91,7 +102,11 @@ def _canonical_mask(g):
         cells = _refine(adj, cells)
         for idx, cell in enumerate(cells):
             if len(cell) > 1:
+                tried = 0
                 for v in cell:
+                    if twins[v] & tried:
+                        continue  # (u v) is an automorphism: same leaves as u's subtree
+                    tried |= 1 << v
                     rest = [u for u in cell if u != v]
                     search(cells[:idx] + [[v], rest] + cells[idx + 1 :])
                 return
@@ -125,57 +140,19 @@ def canonical_form(g):
     return to_graph6(canonical_graph(g)).encode("ascii")
 
 
-def _masked_connected(adj, n):
-    full = (1 << n) - 1
-    seen = 1
-    frontier = 1
-    while frontier:
-        reach = 0
-        m = frontier
-        while m:
-            low = m & -m
-            reach |= adj[low.bit_length() - 1]
-            m ^= low
-        frontier = reach & ~seen
-        seen |= frontier
-    return seen == full
-
-
 @lru_cache(maxsize=None)
 def _connected_classes(n):
     if n == 1:
         return (Graph(1),)
-    found = {}
-    if n <= 6:
-        pairs = triangle_pairs(n)
-        for mask in range(1 << len(pairs)):
-            adj = [0] * n
-            for k, (i, j) in enumerate(pairs):
-                if mask >> k & 1:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-            if not _masked_connected(adj, n):
-                continue
-            g = Graph._from_adj(n, adj)
-            canon = _canonical_mask(g)
-            if canon not in found:
-                found[canon] = None
-    else:
-        # Incremental extension keeps memory bounded at n = 7, 8.
-        for parent in _connected_classes(n - 1):
-            base = list(parent.adj_bits) + [0]
-            for nbrs in range(1, 1 << (n - 1)):
-                adj = list(base)
-                adj[n - 1] = nbrs
-                m = nbrs
-                while m:
-                    low = m & -m
-                    adj[low.bit_length() - 1] |= 1 << (n - 1)
-                    m ^= low
-                g = Graph._from_adj(n, adj)
-                canon = _canonical_mask(g)
-                if canon not in found:
-                    found[canon] = None
+    found = set()
+    for parent in _connected_classes(n - 1):
+        base = list(parent.adj_bits) + [0]
+        for nbrs in range(1, 1 << (n - 1)):
+            adj = list(base)
+            adj[n - 1] = nbrs
+            for v in _bit_indices(nbrs):
+                adj[v] |= 1 << (n - 1)
+            found.add(_canonical_mask(Graph._from_adj(n, adj)))
     ordered = sorted(found, key=lambda mask: (mask.bit_count(), mask))
     return tuple(_graph_from_mask(n, mask) for mask in ordered)
 

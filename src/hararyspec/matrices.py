@@ -24,7 +24,6 @@ __all__ = [
     "MatrixBundle",
     "build_bundle",
     "rd_alpha",
-    "a_alpha",
     "format_matrix",
 ]
 
@@ -42,11 +41,8 @@ class MatrixBundle:
     """Immutable matrices derived from one graph (arrays are write-locked)."""
 
     n: int
-    distances: np.ndarray
     rd: np.ndarray
     transmissions: np.ndarray
-    adjacency: np.ndarray
-    degrees: np.ndarray
 
     @property
     def rt(self):
@@ -71,22 +67,13 @@ def _lock(a):
 
 
 def build_bundle(g):
-    """Distances, reciprocal distances, transmissions, adjacency and degrees of g."""
+    """Reciprocal distances and reciprocal transmissions of g."""
     d = all_pairs_distances(g)
     rd = np.zeros(d.shape)
     off = d > 0
     rd[off] = 1.0 / d[off]
     tr = rd.sum(axis=1)
-    a = g.adjacency()
-    deg = a.sum(axis=1)
-    return MatrixBundle(
-        n=g.n,
-        distances=_lock(d),
-        rd=_lock(rd),
-        transmissions=_lock(tr),
-        adjacency=_lock(a),
-        degrees=_lock(deg),
-    )
+    return MatrixBundle(n=g.n, rd=_lock(rd), transmissions=_lock(tr))
 
 
 def rd_alpha(bundle, alpha):
@@ -94,15 +81,6 @@ def rd_alpha(bundle, alpha):
     a = check_alpha(alpha)
     m = (1.0 - a) * bundle.rd
     m[np.diag_indices(bundle.n)] = a * bundle.transmissions
-    return m
-
-
-def a_alpha(g, alpha):
-    """Adjacency blend alpha*D + (1-alpha)*A with D the degree diagonal."""
-    a = check_alpha(alpha)
-    adj = g.adjacency()
-    m = (1.0 - a) * adj
-    m[np.diag_indices(g.n)] = a * adj.sum(axis=1)
     return m
 
 

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's own algorithms:
 connectivity-style invariants are recomputed by plain subset
-enumeration over explicit edge sets, isomorphism classes are counted by
-minimizing edge bitmasks over all n! permutations with numpy.  Whatever
+enumeration over explicit edge sets, isomorphism classes are counted and
+canonical forms of twin-heavy graphs checked by minimizing edge bitmasks
+over all n! permutations with numpy.  Whatever
 the library computes with refinement or branch-and-bound is checked
 against these slower, simpler routes.  Spectra come from the library's
 LAPACK solver (numpy.linalg.eigh), whose reported residual
@@ -16,7 +17,7 @@ from itertools import combinations, permutations, product
 import numpy as np
 import pytest
 
-from hararyspec import Graph, build_bundle, rd_alpha, sym_eigen
+from hararyspec import Graph, build_bundle, rd_alpha, sym_eigen, to_graph6
 from hararyspec.enumeration import enumerate_connected_graphs
 from hararyspec.graphs import triangle_pairs
 
@@ -213,6 +214,33 @@ def connected_class_count_bruteforce(n):
             out |= ((masks >> k) & 1) << target
         np.minimum(best, out, out=best)
     return len(set(best.tolist()))
+
+
+def brute_canonical_mask(g):
+    """Smallest relabelled edge bitmask over all n! vertex orderings.
+
+    Bits follow the graph6 pair order (0,1),(0,2),(1,2),(0,3),... with
+    the first pair most significant.  No refinement and no pruning: every
+    permutation is tried, vectorized with numpy.
+    """
+    n = g.n
+    adj = np.zeros((n, n), dtype=np.int64)
+    for u, v in g.edges():
+        adj[u, v] = adj[v, u] = 1
+    perms = np.array(list(permutations(range(n))))
+    masks = np.zeros(len(perms), dtype=np.int64)
+    for j in range(1, n):
+        for i in range(j):
+            masks = (masks << 1) | adj[perms[:, i], perms[:, j]]
+    return int(masks.min())
+
+
+def graph6_of_mask(n, mask):
+    """graph6 bytes of the n-vertex graph with the given edge bitmask."""
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    m = len(pairs)
+    edges = [pair for k, pair in enumerate(pairs) if mask >> (m - 1 - k) & 1]
+    return to_graph6(Graph(n, edges)).encode("ascii")
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,49 @@ def test_random_matrices_residual_orthonormal_descending():
         assert bare.residual == spec.residual
 
 
+def test_stacked_solve_matches_separate_calls():
+    rng = np.random.default_rng(5)
+    for k, n in ((1, 1), (7, 4), (30, 9)):
+        m = rng.normal(size=(k, n, n))
+        m = m + m.swapaxes(1, 2)
+        spec = sym_eigen(m, want_vectors=True)
+        assert spec.values.shape == (k, n) and spec.vectors.shape == (k, n, n)
+        assert np.all(np.diff(spec.values, axis=-1) <= 0.0)
+        singles = [sym_eigen(s) for s in m]
+        assert np.abs(spec.values - np.array([s.values for s in singles])).max() <= 1e-12
+        recomputed = max(
+            float(np.linalg.norm(m[i] @ spec.vectors[i] - spec.vectors[i] * spec.values[i]))
+            for i in range(k)
+        )
+        assert spec.residual == pytest.approx(recomputed, rel=1e-6, abs=1e-15)
+        scale = max(1.0, float(np.abs(m).max()))
+        assert spec.residual <= 1e-12 * n * scale
+        assert sym_eigen(m).vectors is None
+
+
+def test_stacked_solve_rejects_one_bad_slice():
+    stack = np.stack([np.eye(3)] * 4)
+    for bad in (np.nan, np.inf):
+        broken = stack.copy()
+        broken[2, 0, 1] = broken[2, 1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            sym_eigen(broken)
+    broken = stack.copy()
+    broken[3, 0, 2] = 0.5
+    with pytest.raises(ValueError, match="symmetric"):
+        sym_eigen(broken)
+    # the tolerance is relative to each matrix's own scale
+    scaled = stack.copy()
+    scaled[0] *= 1e6
+    scaled[0, 0, 1] += 1e-8
+    assert sym_eigen(scaled).values.shape == (4, 3)
+    scaled[1, 0, 1] += 1e-8
+    with pytest.raises(ValueError, match="symmetric"):
+        sym_eigen(scaled)
+    with pytest.raises(ValueError, match="square"):
+        sym_eigen(np.zeros((2, 3, 4)))
+
+
 def test_trace_identity(catalog):
     for entry in catalog.up_to(5, start=2):
         for alpha in ALPHA_GRID:

@@ -1,22 +1,35 @@
 """Canonical forms and isomorphism-free enumeration."""
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hararyspec import (
     BudgetError,
     Graph,
+    build_kite,
     canonical_form,
     canonical_graph,
     complete,
     complete_bipartite,
+    complete_split,
     cycle,
+    edgeless,
     enumerate_connected_graphs,
+    join,
     path,
     star,
+    turan,
 )
 
-from conftest import connected_class_count_bruteforce, make_petersen
+from conftest import (
+    brute_canonical_mask,
+    connected_class_count_bruteforce,
+    graph6_of_mask,
+    make_petersen,
+)
 
 # Connected graph classes by order (matches the brute-force oracle below).
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -33,6 +46,7 @@ def test_different_graphs_have_different_forms():
 
 def test_canonical_form_invariant_under_random_permutations():
     rng = np.random.default_rng(11)
+    triangle_and_square = {(0, 1), (0, 2), (1, 2), (3, 4), (4, 5), (5, 6), (3, 6)}
     graphs = [
         path(5),
         cycle(6),
@@ -40,12 +54,74 @@ def test_canonical_form_invariant_under_random_permutations():
         complete_bipartite(2, 3),
         make_petersen(),
         Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 4), (2, 5)]),
+        # complement of a triangle plus a 4-cycle: 4-regular but not
+        # vertex-transitive, so refinement leaves a cell that is not an
+        # orbit, and pruning anything but twins makes the form label-dependent
+        Graph(7, [e for e in complete(7).edges() if e not in triangle_and_square]),
     ]
     for g in graphs:
         reference = canonical_form(g)
         for _ in range(50):
             perm = list(rng.permutation(g.n))
             assert canonical_form(g.permuted(perm)) == reference
+
+
+def _twin_heavy_families(n):
+    yield complete(n)
+    yield star(n)
+    for a in range(1, n):
+        yield complete_bipartite(a, n - a)
+        yield complete_split(a, n - a)
+        yield join(edgeless(a), complete(n - a))
+    for r in range(2, n + 1):
+        yield turan(n, r)
+    for r in range(1, n - 1):
+        yield build_kite(n, r)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_twin_pruned_form_matches_all_permutations(n):
+    # These graphs are mostly cells of twins, where the pruning skips the
+    # most branches; on them the certificate is also the minimum over all
+    # n! orderings, which the oracle finds without refinement or pruning.
+    for g in _twin_heavy_families(n):
+        assert canonical_form(g) == graph6_of_mask(n, brute_canonical_mask(g)), g
+
+
+@st.composite
+def blown_up_graphs(draw):
+    """A random small graph with each vertex blown up into a clique or an
+    independent set, so every blob is a class of twins."""
+    sizes = draw(
+        st.lists(st.integers(1, 4), min_size=2, max_size=5).filter(lambda s: 5 <= sum(s) <= 10)
+    )
+    k = len(sizes)
+    base = [(i, j) for j in range(k) for i in range(j) if draw(st.booleans())]
+    cliques = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    offsets = np.cumsum([0] + sizes).tolist()
+    blobs = [range(offsets[i], offsets[i + 1]) for i in range(k)]
+    edges = [(u, v) for i in range(k) if cliques[i] for u in blobs[i] for v in blobs[i] if u < v]
+    edges += [(u, v) for i, j in base for u in blobs[i] for v in blobs[j]]
+    n = offsets[-1]
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, edges), perm
+
+
+@settings(max_examples=80, deadline=None)
+@given(blown_up_graphs())
+def test_canonical_form_invariant_on_planted_twins(case):
+    g, perm = case
+    assert canonical_form(g.permuted(perm)) == canonical_form(g)
+
+
+def test_classes_match_networkx_atlas():
+    atlas = {n: set() for n in range(1, 8)}
+    for h in nx.graph_atlas_g():
+        if h.number_of_nodes() >= 1 and nx.is_connected(h):
+            g = Graph(h.number_of_nodes(), h.edges())
+            atlas[g.n].add(canonical_form(g))
+    for n, forms in atlas.items():
+        assert forms == {canonical_form(g) for g in enumerate_connected_graphs(n)}, n
 
 
 def test_canonical_graph_is_isomorphic_representative():

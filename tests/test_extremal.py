@@ -13,6 +13,7 @@ from hararyspec import (
     complete_multipartite,
     complete_split,
     edgeless,
+    enumerate_connected_graphs,
     graph_invariants,
     independence_rho_bound,
     join,
@@ -22,6 +23,7 @@ from hararyspec import (
     verify_independence_extremal,
     verify_vertex_connectivity_extremal,
 )
+from hararyspec.extremal import _rho_table
 
 from conftest import make_paw
 
@@ -161,3 +163,23 @@ def test_parameter_validation():
         verify_independence_extremal(5, 5, 0.0)
     with pytest.raises(BudgetError):
         verify_vertex_connectivity_extremal(9, 2, 0.0)
+
+
+def test_stacked_rho_table_matches_single_solves():
+    graphs = enumerate_connected_graphs(6)
+    for alpha in (0.0, 0.3, 0.9):
+        table = _rho_table(6, alpha)
+        assert len(table) == len(graphs)
+        for rho, g in zip(table, graphs):
+            assert abs(rho - spectral_radius(g, alpha)) <= 1e-12
+
+
+@pytest.mark.slow
+def test_full_sweep_at_eight():
+    n = 8
+    reports = [verify_vertex_connectivity_extremal(n, r, 0.0) for r in range(1, n - 1)]
+    reports += [verify_edge_connectivity_extremal(n, r, 0.0) for r in range(1, n - 1)]
+    reports += [verify_chromatic_extremal(n, chi, 0.0) for chi in range(2, n + 1)]
+    reports += [verify_independence_extremal(n, k, 0.0) for k in range(1, n)]
+    assert len(reports) == 26
+    assert [r for r in reports if r.verdict != "confirmed"] == []

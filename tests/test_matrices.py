@@ -5,7 +5,6 @@ import pytest
 
 from hararyspec import (
     NotConnectedError,
-    a_alpha,
     build_bundle,
     check_alpha,
     complete,
@@ -80,14 +79,6 @@ def test_rl_is_psd_with_all_ones_kernel(catalog):
         assert np.linalg.norm(rl @ ones) <= 1e-9
         lam_min = sym_eigen(rl).values[-1]
         assert -1e-9 <= lam_min <= 1e-9
-
-
-def test_a_alpha_endpoints_and_row_sums():
-    g = cycle(4)
-    assert np.array_equal(a_alpha(g, 0.0), g.adjacency())
-    assert np.array_equal(a_alpha(g, 1.0), 2.0 * np.eye(4))
-    for alpha in ALPHA_GRID:
-        assert np.allclose(a_alpha(g, alpha).sum(axis=1), 2.0)
 
 
 def test_check_alpha_rejects_out_of_range():

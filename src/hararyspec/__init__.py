@@ -70,7 +70,6 @@ from .graphs import (
     join,
     path,
     pendant_counts,
-    reciprocal_matrix,
     reciprocal_transmissions,
     star,
     turan,

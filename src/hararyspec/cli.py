@@ -2,7 +2,9 @@
 
 Subcommands: spectrum, bounds, psd, closed-form, verify-extremal.
 Graphs come from a graph6 string or file, an edge-list file, or a named
-constructor like ``complete:4`` / ``bipartite:2,3`` / ``multipartite:2,2,2``.
+constructor like ``complete:4`` / ``bipartite:2,3`` / ``multipartite:2,2,2``;
+verify-extremal takes no graph, and only psd reads ``--tol``.  One table,
+``_COMMANDS``, registers each subcommand's options and dispatches to it.
 
 Exit codes: 0 success or confirmed, 1 usage/parse error, 2 refuted,
 3 tie, 4 budget exceeded.  All floats print with 12 significant digits
@@ -14,29 +16,27 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import closed_forms, extremal, psd
 from .bounds import bipartite_bound, bound_report, rq_relation_bounds
-from .eigen import rd_alpha_energy, rd_alpha_spectrum
+from .eigen import _energy, sym_eigen
 from .errors import BudgetError, Graph6Error, NotConnectedError
-from .graph6 import parse_edge_list, parse_graph6, to_graph6
+from .graph6 import load_graph6, parse_edge_list, parse_graph6, to_graph6
 from .graphs import (
-    Graph,
     complete,
     complete_bipartite,
     complete_multipartite,
     complete_split,
     cycle,
     edgeless,
+    is_transmission_regular,
     path,
-    reciprocal_transmissions,
     star,
     turan,
     wheel,
 )
 from .invariants import bipartition
-from .matrices import build_bundle
+from .matrices import build_bundle, check_alpha, rd_alpha
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,17 +57,6 @@ _CONSTRUCTORS = {
     "kite": (extremal.build_kite, 2),
     "multipartite": (lambda *parts: complete_multipartite(parts), None),
 }
-
-
-@dataclass
-class RunConfig:
-    command: str
-    graph: Graph | None
-    construct: tuple[str, tuple[int, ...]] | None
-    alphas: list[float]
-    fmt: str
-    output: str | None
-    tol: float
 
 
 def _fmt(x):
@@ -100,149 +89,109 @@ def _parse_construct(spec):
     return name, args, builder(*args)
 
 
-def _load_config(args):
-    sources = [
-        args.graph6 is not None,
-        args.graph6_file is not None,
-        args.edge_list is not None,
-        getattr(args, "construct", None) is not None,
-    ]
-    needs_graph = args.command != "verify-extremal"
-    if needs_graph and sum(sources) != 1:
+def _load_graph(args):
+    """The input graph, and (name, params) when it came from --construct."""
+    sources = (args.graph6, args.graph6_file, args.edge_list, args.construct)
+    if sum(s is not None for s in sources) != 1:
         raise ValueError("exactly one input source is required "
                          "(--graph6, --graph6-file, --edge-list or --construct)")
-    graph = None
-    construct = None
     if args.graph6 is not None:
-        graph = parse_graph6(args.graph6)
-    elif args.graph6_file is not None:
-        with open(args.graph6_file, "r", encoding="ascii") as handle:
-            line = next((ln.strip() for ln in handle if ln.strip()), None)
-        if line is None:
-            raise ValueError(f"no graph6 line found in {args.graph6_file}")
-        graph = parse_graph6(line)
-    elif args.edge_list is not None:
+        return parse_graph6(args.graph6), None
+    if args.graph6_file is not None:
+        graphs = load_graph6(args.graph6_file)
+        if len(graphs) != 1:
+            raise ValueError(f"{args.graph6_file} holds {len(graphs)} graph6 lines; "
+                             "--graph6-file takes a file holding one")
+        return graphs[0], None
+    if args.edge_list is not None:
         with open(args.edge_list, "r", encoding="ascii") as handle:
-            graph = parse_edge_list(handle.read())
-    elif getattr(args, "construct", None) is not None:
-        name, params, graph = _parse_construct(args.construct)
-        construct = (name, params)
-    alphas = [float(tok) for tok in args.alpha.split(",") if tok != ""]
+            return parse_edge_list(handle.read()), None
+    name, params, graph = _parse_construct(args.construct)
+    return graph, (name, params)
+
+
+def _parse_alphas(text):
+    alphas = [check_alpha(float(tok)) for tok in text.split(",") if tok != ""]
     if not alphas:
         raise ValueError("at least one alpha value is required")
-    for a in alphas:
-        if not 0.0 <= a <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {a}")
-    return RunConfig(
-        command=args.command,
-        graph=graph,
-        construct=construct,
-        alphas=alphas,
-        fmt=args.format,
-        output=args.output,
-        tol=args.tol,
-    )
+    return alphas
 
 
-def _emit(config, text):
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+def _emit(args, payload, lines):
+    """Write the report: ``payload`` as JSON or ``lines`` as a table."""
+    if args.format == "json":
+        text = json.dumps(_round12(payload), indent=2, sort_keys=True)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        text = "\n".join(lines)
+    if not text.endswith("\n"):
+        text += "\n"
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
 
 
-def _emit_json(config, payload):
-    _emit(config, json.dumps(_round12(payload), indent=2, sort_keys=True))
-
-
-def cmd_spectrum(config):
-    g = config.graph
+def cmd_spectrum(args):
+    g = args.graph
     bundle = build_bundle(g)
-    harary = bundle.harary
     reports = []
-    lines = [f"n = {g.n}, graph6 = {to_graph6(g)}"]
-    lines.append("transmissions: " + " ".join(_fmt(t) for t in bundle.transmissions))
-    lines.append(f"harary index: {_fmt(harary)}")
-    for a in config.alphas:
-        values = rd_alpha_spectrum(g, a).values
-        energy = rd_alpha_energy(g, a)
+    lines = [
+        f"n = {g.n}, graph6 = {to_graph6(g)}",
+        "transmissions: " + " ".join(_fmt(t) for t in bundle.transmissions),
+        f"harary index: {_fmt(bundle.harary)}",
+    ]
+    for a in args.alphas:
+        values = sym_eigen(rd_alpha(bundle, a)).values
+        energy = _energy(bundle, a, values)
         reports.append(
-            {
-                "n": g.n,
-                "alpha": a,
-                "eigenvalues": [float(v) for v in values],
-                "harary": harary,
-                "energy": energy,
-            }
+            {"n": g.n, "alpha": a, "eigenvalues": values.tolist(), "harary": bundle.harary, "energy": energy}
         )
         lines.append(
             f"alpha = {_fmt(a)}: eigenvalues ["
             + ", ".join(_fmt(v) for v in values)
             + f"], energy {_fmt(energy)}"
         )
-    if config.fmt == "json":
-        _emit_json(config, reports)
-    else:
-        _emit(config, "\n".join(lines))
+    _emit(args, reports, lines)
     return EXIT_OK
 
 
-def _record_payload(rec):
-    return {
-        "name": rec.name,
-        "kind": rec.kind,
-        "value": rec.value,
-        "applicable": rec.applicable,
-        "reason": rec.reason,
-        "tight": rec.tight,
-    }
-
-
-def cmd_bounds(config):
-    g = config.graph
+def cmd_bounds(args):
+    g = args.graph
+    bundle = build_bundle(g)
+    is_bipartite = bipartition(g)[0]
     reports = []
     lines = []
-    for a in config.alphas:
-        rho = float(rd_alpha_spectrum(g, a).values[0])
+    for a in args.alphas:
+        rho = float(sym_eigen(rd_alpha(bundle, a)).values[0])
         records = bound_report(g, a) + rq_relation_bounds(g, a)
-        if bipartition(g)[0]:
+        if is_bipartite:
             records.append(bipartite_bound(g, a))
-        reports.append(
-            {
-                "n": g.n,
-                "alpha": a,
-                "rho": rho,
-                "records": [_record_payload(r) for r in records],
-            }
-        )
+        # vars: a record's fields, without asdict's deep copy (about 12 us a record)
+        reports.append({"n": g.n, "alpha": a, "rho": rho, "records": [vars(r) for r in records]})
         lines.append(f"alpha = {_fmt(a)}: rho = {_fmt(rho)}")
         for rec in records:
             status = "" if rec.applicable else f"  [not applicable: {rec.reason}]"
             tight = "  [tight]" if rec.tight else ""
             lines.append(f"  {rec.name:<32} {rec.kind:<5} {_fmt(rec.value):>18}{tight}{status}")
-    if config.fmt == "json":
-        _emit_json(config, reports)
-    else:
-        _emit(config, "\n".join(lines))
+    _emit(args, reports, lines)
     return EXIT_OK
 
 
-def cmd_psd(config):
-    g = config.graph
-    result = psd.alpha0_bisection(g, tol=config.tol)
+def cmd_psd(args):
+    g = args.graph
+    result = psd.alpha0_bisection(g, tol=args.tol)
     payload = {
         "n": g.n,
         "alpha0": result.alpha0,
         "method": result.method,
         "residual": result.residual,
     }
-    tr = reciprocal_transmissions(g)
-    if tr.max() - tr.min() <= 1e-8:
+    if is_transmission_regular(g):
         closed = psd.alpha0_transmission_regular(g)
         payload["closed_form"] = {"alpha0": closed.alpha0, "method": "transmission_regular"}
-    if config.construct:
-        name, params = config.construct
+    if args.family:
+        name, params = args.family
         if name == "wheel":
             closed = psd.alpha0_wheel(params[0])
             payload["closed_form"] = {"alpha0": closed.alpha0, "method": "wheel"}
@@ -252,19 +201,16 @@ def cmd_psd(config):
             if n >= 4:
                 closed = psd.alpha0_complete_bipartite(a_part, n)
                 payload["closed_form"] = {"alpha0": closed.alpha0, "method": "complete_bipartite"}
-    if config.fmt == "json":
-        _emit_json(config, payload)
-    else:
-        lines = [f"alpha0 = {_fmt(result.alpha0)} ({result.method}), residual {_fmt(result.residual)}"]
-        if "closed_form" in payload:
-            cf = payload["closed_form"]
-            lines.append(f"closed form ({cf['method']}): alpha0 = {_fmt(cf['alpha0'])}")
-        _emit(config, "\n".join(lines))
+    lines = [f"alpha0 = {_fmt(result.alpha0)} ({result.method}), residual {_fmt(result.residual)}"]
+    if "closed_form" in payload:
+        cf = payload["closed_form"]
+        lines.append(f"closed form ({cf['method']}): alpha0 = {_fmt(cf['alpha0'])}")
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
-def _closed_form_for(config, alpha):
-    name, params = config.construct
+def _closed_form_for(family, alpha):
+    name, params = family
     if name == "complete":
         return closed_forms.spectrum_complete(params[0], alpha)
     if name == "bipartite":
@@ -282,15 +228,16 @@ def _closed_form_for(config, alpha):
     raise ValueError(f"no closed-form spectrum for constructor {name!r}")
 
 
-def cmd_closed_form(config):
-    if config.construct is None:
+def cmd_closed_form(args):
+    if args.family is None:
         raise ValueError("closed-form requires --construct with a supported family")
-    g = config.graph
+    g = args.graph
+    bundle = build_bundle(g)
     reports = []
     lines = []
-    for a in config.alphas:
-        spec = _closed_form_for(config, a)
-        numeric = rd_alpha_spectrum(g, a).values
+    for a in args.alphas:
+        spec = _closed_form_for(args.family, a)
+        numeric = sym_eigen(rd_alpha(bundle, a)).values
         deviation = float(abs(spec.eigenvalues() - numeric).max())
         reports.append(
             {
@@ -305,10 +252,7 @@ def cmd_closed_form(config):
         for v, m in sorted(spec.pairs, reverse=True):
             lines.append(f"  {_fmt(v):>18}  (multiplicity {m})")
         lines.append(f"  max deviation vs numeric eigensolver: {_fmt(deviation)}")
-    if config.fmt == "json":
-        _emit_json(config, reports)
-    else:
-        _emit(config, "\n".join(lines))
+    _emit(args, reports, lines)
     return EXIT_OK
 
 
@@ -320,28 +264,55 @@ _VERIFIERS = {
 }
 
 
-def cmd_verify_extremal(config, n, constraint, value):
-    verifier = _VERIFIERS[constraint]
-    reports = [verifier(n, value, a) for a in config.alphas]
-    payload = [r.to_json() for r in reports]
-    if config.fmt == "json":
-        _emit_json(config, payload)
-    else:
-        lines = []
-        for r in reports:
-            tag = " (exploratory)" if r.exploratory else ""
-            lines.append(
-                f"n={r.n} {r.constraint}={r.value} alpha={_fmt(r.alpha)}: "
-                f"{r.verdict}{tag}, rho_max={_fmt(r.rho_max)}, "
-                f"maximizers={list(r.maximizers)}, predicted={r.predicted}"
-            )
-        _emit(config, "\n".join(lines))
+def cmd_verify_extremal(args):
+    verifier = _VERIFIERS[args.constraint]
+    reports = [verifier(args.n, args.value, a) for a in args.alphas]
+    lines = [
+        f"n={r.n} {r.constraint}={r.value} alpha={_fmt(r.alpha)}: "
+        f"{r.verdict}{' (exploratory)' if r.exploratory else ''}, rho_max={_fmt(r.rho_max)}, "
+        f"maximizers={list(r.maximizers)}, predicted={r.predicted}"
+        for r in reports
+    ]
+    _emit(args, [r.to_json() for r in reports], lines)
     verdicts = {r.verdict for r in reports}
     if "refuted" in verdicts:
         return EXIT_REFUTED
     if "tie" in verdicts:
         return EXIT_TIE
     return EXIT_OK
+
+
+_GRAPH_INPUT = (
+    ("--graph6", dict(help="graph6 string (optionally with the >>graph6<< header)")),
+    ("--graph6-file", dict(help="file holding one graph6 line (optionally with the >>graph6<< header)")),
+    ("--edge-list", dict(help="file in 'n m' + 'u v' edge-list format")),
+    ("--construct", dict(help="named graph, e.g. complete:4, cycle:5, bipartite:2,3, "
+                              "split:2,3, wheel:6, turan:6,3, multipartite:2,2,2, kite:5,2")),
+)
+_REPORT = (
+    ("--alpha", dict(default="0", help="comma-separated blend weights in [0,1]")),
+    ("--format", dict(choices=("table", "json"), default="table")),
+    ("--output", dict(help="write the report to this path instead of stdout")),
+)
+_CLASS = (
+    ("--n", dict(type=int, required=True)),
+    ("--constraint", dict(choices=sorted(_VERIFIERS), required=True)),
+    ("--value", dict(type=int, required=True)),
+)
+_TOL = (("--tol", dict(type=float, default=1e-9, help="bisection tolerance of the threshold")),)
+
+# subcommand -> (handler, help, options)
+_COMMANDS = {
+    "spectrum": (cmd_spectrum, "blend eigenvalues, transmissions, Harary index, energy",
+                 _GRAPH_INPUT + _REPORT),
+    "bounds": (cmd_bounds, "evaluate every spectral-radius bound record", _GRAPH_INPUT + _REPORT),
+    "psd": (cmd_psd, "smallest alpha making the blend positive semidefinite",
+            _GRAPH_INPUT + _REPORT + _TOL),
+    "closed-form": (cmd_closed_form, "closed-form family spectrum with numeric cross-check",
+                    _GRAPH_INPUT + _REPORT),
+    "verify-extremal": (cmd_verify_extremal, "exhaustive maximizer verification for one class",
+                        _CLASS + _REPORT),
+}
 
 
 def _build_parser():
@@ -351,32 +322,10 @@ def _build_parser():
         "for reciprocal-distance matrix blends of connected graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_construct=True):
-        p.add_argument("--graph6", help="graph6 string (optionally with the >>graph6<< header)")
-        p.add_argument("--graph6-file", help="file with one graph6 line (first non-empty line is used)")
-        p.add_argument("--edge-list", help="file in 'n m' + 'u v' edge-list format")
-        if with_construct:
-            p.add_argument(
-                "--construct",
-                help="named graph, e.g. complete:4, cycle:5, bipartite:2,3, "
-                "split:2,3, wheel:6, turan:6,3, multipartite:2,2,2, kite:5,2",
-            )
-        p.add_argument("--alpha", default="0", help="comma-separated blend weights in [0,1]")
-        p.add_argument("--format", choices=("table", "json"), default="table")
-        p.add_argument("--output", help="write the report to this path instead of stdout")
-        p.add_argument("--tol", type=float, default=1e-9, help="tolerance override where applicable")
-
-    add_common(sub.add_parser("spectrum", help="blend eigenvalues, transmissions, Harary index, energy"))
-    add_common(sub.add_parser("bounds", help="evaluate every spectral-radius bound record"))
-    add_common(sub.add_parser("psd", help="smallest alpha making the blend positive semidefinite"))
-    add_common(sub.add_parser("closed-form", help="closed-form family spectrum with numeric cross-check"))
-
-    ver = sub.add_parser("verify-extremal", help="exhaustive maximizer verification for one class")
-    ver.add_argument("--n", type=int, required=True)
-    ver.add_argument("--constraint", choices=sorted(_VERIFIERS), required=True)
-    ver.add_argument("--value", type=int, required=True)
-    add_common(ver, with_construct=False)
+    for name, (_, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -387,16 +336,10 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        config = _load_config(args)
-        if args.command == "spectrum":
-            return cmd_spectrum(config)
-        if args.command == "bounds":
-            return cmd_bounds(config)
-        if args.command == "psd":
-            return cmd_psd(config)
-        if args.command == "closed-form":
-            return cmd_closed_form(config)
-        return cmd_verify_extremal(config, args.n, args.constraint, args.value)
+        if "construct" in vars(args):  # every subcommand but verify-extremal reads a graph
+            args.graph, args.family = _load_graph(args)
+        args.alphas = _parse_alphas(args.alpha)
+        return _COMMANDS[args.command][0](args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -22,7 +22,7 @@ import numpy as np
 
 from .eigen import sym_eigen
 from .graphs import all_pairs_distances, reciprocal_transmissions
-from .matrices import check_alpha
+from .matrices import build_bundle, check_alpha, rd_alpha
 
 __all__ = [
     "ClosedFormSpectrum",
@@ -335,15 +335,10 @@ def cluster_quotient(g, cluster, variant, alpha):
     outside = [v for v in range(g.n) if v not in set(c_verts)]
     if not outside:
         raise ValueError("cluster covers the whole graph; no quotient to build")
-    d = all_pairs_distances(g)
-    tr = reciprocal_transmissions(g)
-    rep = c_verts[0]
-    x = (1.0 - a) / d[rep, outside]
+    blend = rd_alpha(build_bundle(g), a)
+    x = blend[c_verts[0], outside]
+    z = blend[np.ix_(outside, outside)]
     k = len(outside)
-    z = np.empty((k, k))
-    for i, u in enumerate(outside):
-        for j, v in enumerate(outside):
-            z[i, j] = a * tr[u] if u == v else (1.0 - a) / d[u, v]
     if variant == "independent":
         repeated = a * t + 0.5 * (a - 1.0)
         corner = a * (t + 0.5) - 0.5 + 0.5 * c * (1.0 - a)

@@ -105,7 +105,11 @@ def rd_alpha_energy(g, alpha):
     """Sum of |lambda_i - 2*alpha*H/n| over the blend spectrum, H the Harary index."""
     a = check_alpha(alpha)
     bundle = build_bundle(g)
-    values = sym_eigen(rd_alpha(bundle, a)).values
+    return _energy(bundle, a, sym_eigen(rd_alpha(bundle, a)).values)
+
+
+def _energy(bundle, a, values):
+    """Energy from blend eigenvalues already computed at weight ``a``."""
     center = a * float(bundle.transmissions.sum()) / bundle.n
     return float(np.abs(values - center).sum())
 

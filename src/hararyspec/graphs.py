@@ -28,7 +28,6 @@ __all__ = [
     "join",
     "disjoint_union",
     "all_pairs_distances",
-    "reciprocal_matrix",
     "reciprocal_transmissions",
     "harary_index",
     "is_transmission_regular",
@@ -42,6 +41,25 @@ def _bit_indices(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _connected_within(adj, mask):
+    """Connectivity of the subgraph induced by the vertex bitmask ``mask``."""
+    if mask == 0:
+        return True
+    start = mask & -mask
+    seen = start
+    frontier = start
+    while frontier:
+        reach = 0
+        m = frontier
+        while m:
+            low = m & -m
+            reach |= adj[low.bit_length() - 1]
+            m ^= low
+        frontier = reach & mask & ~seen
+        seen |= frontier
+    return seen == mask
 
 
 def triangle_pairs(n):
@@ -130,16 +148,7 @@ class Graph:
         return Graph._from_adj(self.n, adj)
 
     def is_connected(self):
-        full = (1 << self.n) - 1
-        seen = 1
-        frontier = 1
-        while frontier:
-            reach = 0
-            for v in _bit_indices(frontier):
-                reach |= self.adj_bits[v]
-            frontier = reach & ~seen
-            seen |= frontier
-        return seen == full
+        return _connected_within(self.adj_bits, (1 << self.n) - 1)
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj_bits == other.adj_bits
@@ -282,8 +291,9 @@ def all_pairs_distances(g):
     return d
 
 
-def reciprocal_matrix(g):
-    """Matrix of reciprocal distances 1/d_ij with zero diagonal."""
+def _reciprocal_matrix(g):
+    """Matrix of reciprocal distances 1/d_ij with zero diagonal: the one
+    conversion from distances to RD."""
     d = all_pairs_distances(g)
     rd = np.zeros(d.shape)
     off = d > 0
@@ -293,7 +303,7 @@ def reciprocal_matrix(g):
 
 def reciprocal_transmissions(g):
     """Per-vertex sums of reciprocal distances to all other vertices."""
-    return reciprocal_matrix(g).sum(axis=1)
+    return _reciprocal_matrix(g).sum(axis=1)
 
 
 def harary_index(g):

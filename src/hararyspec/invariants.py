@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BudgetError
-from .graphs import Graph
+from .graphs import Graph, _connected_within
 
 __all__ = [
     "INVARIANT_BUDGET",
@@ -44,25 +44,6 @@ def _check_budget(g, what):
         raise BudgetError(
             f"budget exceeded: exact {what} limited to n <= {INVARIANT_BUDGET}, got n={g.n}"
         )
-
-
-def _connected_within(adj, mask):
-    """Connectivity of the subgraph induced by the vertex bitmask ``mask``."""
-    if mask == 0:
-        return True
-    start = mask & -mask
-    seen = start
-    frontier = start
-    while frontier:
-        reach = 0
-        m = frontier
-        while m:
-            low = m & -m
-            reach |= adj[low.bit_length() - 1]
-            m ^= low
-        frontier = reach & mask & ~seen
-        seen |= frontier
-    return seen == mask
 
 
 def vertex_connectivity(g: Graph):

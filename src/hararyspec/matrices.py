@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import all_pairs_distances
+from .graphs import _reciprocal_matrix
 
 __all__ = [
     "check_alpha",
@@ -68,10 +68,7 @@ def _lock(a):
 
 def build_bundle(g):
     """Reciprocal distances and reciprocal transmissions of g."""
-    d = all_pairs_distances(g)
-    rd = np.zeros(d.shape)
-    off = d > 0
-    rd[off] = 1.0 / d[off]
+    rd = _reciprocal_matrix(g)
     tr = rd.sum(axis=1)
     return MatrixBundle(n=g.n, rd=_lock(rd), transmissions=_lock(tr))
 

@@ -38,6 +38,12 @@ class PsdThreshold:
     residual: float
 
 
+def _closed_form(bundle, alpha0):
+    """A closed-form threshold with |lambda_min| of the blend there as its residual."""
+    residual = abs(float(sym_eigen(rd_alpha(bundle, alpha0)).values[-1]))
+    return PsdThreshold(alpha0, "closed_form", residual)
+
+
 def alpha0_bisection(g, tol=1e-9):
     """Bisect lambda_min(blend) = 0 on [0, 1/2].
 
@@ -85,9 +91,7 @@ def alpha0_transmission_regular(g):
     bundle = build_bundle(g)
     k = float(bundle.transmissions.mean())
     lam_min = float(sym_eigen(bundle.rd).values[-1])
-    alpha0 = -lam_min / (k - lam_min)
-    residual = abs(float(sym_eigen(rd_alpha(bundle, alpha0)).values[-1]))
-    return PsdThreshold(alpha0, "closed_form", residual)
+    return _closed_form(bundle, -lam_min / (k - lam_min))
 
 
 def alpha0_complete_bipartite(a_part, n):
@@ -96,9 +100,7 @@ def alpha0_complete_bipartite(a_part, n):
         raise ValueError(f"need n >= 4 and 1 <= a <= n/2, got a={a_part}, n={n}")
     prod = a_part * (n - a_part)
     alpha0 = (n - 1.0 + 3.0 * prod) / (2.0 * n * (n - 1.0) + 4.0 * prod)
-    bundle = build_bundle(complete_bipartite(a_part, n - a_part))
-    residual = abs(float(sym_eigen(rd_alpha(bundle, alpha0)).values[-1]))
-    return PsdThreshold(alpha0, "closed_form", residual)
+    return _closed_form(build_bundle(complete_bipartite(a_part, n - a_part)), alpha0)
 
 
 def alpha0_wheel(n):
@@ -111,6 +113,4 @@ def alpha0_wheel(n):
         k = (n - 2) // 2
         c = math.cos(2.0 * math.pi * k / (2 * k + 1))
         alpha0 = (1.0 - 2.0 * c) / (n + 3.0 - 2.0 * c)
-    bundle = build_bundle(wheel(n))
-    residual = abs(float(sym_eigen(rd_alpha(bundle, alpha0)).values[-1]))
-    return PsdThreshold(alpha0, "closed_form", residual)
+    return _closed_form(build_bundle(wheel(n)), alpha0)

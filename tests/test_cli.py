@@ -89,6 +89,51 @@ def test_psd_transmission_regular_closed_form(capsys):
     assert payload["closed_form"]["alpha0"] == pytest.approx(0.375, abs=1e-10)
 
 
+def test_bounds_table(capsys):
+    code, out, err = run(capsys, "bounds", "--construct", "path:3", "--alpha", "0,1")
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[0] == "alpha = 0: rho = 1.68614066163"
+    assert lines[1].split() == ["row_norm_upper", "upper", "2"]
+    assert "alpha = 1: rho = 2" in lines
+    assert lines[-1].split() == ["bipartite_upper", "upper", "2", "[tight]"]
+    assert "  [not applicable: blend is diagonal (reducible) at alpha = 1]" in out
+    assert len(lines) == 2 * 15  # a rho line and 14 records per alpha
+
+
+def test_psd_table(capsys):
+    code, out, err = run(capsys, "psd", "--construct", "wheel:5")
+    assert code == 0, err
+    first, second = out.splitlines()
+    assert first.startswith("alpha0 = 0.300000000") and "(bisection), residual " in first
+    assert second == "closed form (wheel): alpha0 = 0.3"
+
+
+def test_psd_tolerance_option(capsys):
+    code, out, _ = run(capsys, "psd", "--construct", "cycle:4", "--tol", "1e-6", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["alpha0"] == pytest.approx(0.375, abs=1e-6)
+    assert run(capsys, "psd", "--construct", "cycle:4", "--tol", "1e-13")[0] == 1
+
+
+def test_closed_form_table(capsys):
+    code, out, err = run(capsys, "closed-form", "--construct", "complete:4", "--alpha", "0,0.5")
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[:3] == [
+        "alpha = 0 [complete]",
+        "                   3  (multiplicity 1)",
+        "                  -1  (multiplicity 3)",
+    ]
+    assert lines[3].startswith("  max deviation vs numeric eigensolver: ")
+    assert lines[4:7] == [
+        "alpha = 0.5 [complete]",
+        "                   3  (multiplicity 1)",
+        "                   1  (multiplicity 3)",
+    ]
+    assert len(lines) == 8
+
+
 def test_closed_form_complete(capsys):
     code, out, _ = run(
         capsys, "closed-form", "--construct", "complete:4", "--alpha", "0,0.5", "--format", "json"
@@ -119,6 +164,35 @@ def test_verify_extremal_confirmed_exit_zero(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload[0]["verdict"] == "confirmed"
+
+
+def test_verify_extremal_table(capsys):
+    code, out, err = run(
+        capsys,
+        "verify-extremal",
+        "--n", "6",
+        "--constraint", "chromatic-number",
+        "--value", "3",
+        "--alpha", "0,0.5",
+    )
+    assert code == 0, err
+    first, second = out.splitlines()
+    assert first.startswith("n=6 chromatic-number=3 alpha=0: confirmed, rho_max=")
+    assert first.endswith(", maximizers=['E]~o'], predicted=E]~o")
+    assert second == (
+        "n=6 chromatic-number=3 alpha=0.5: confirmed (exploratory), rho_max=4.5, "
+        "maximizers=['E]~o'], predicted=E]~o"
+    )
+
+
+def test_options_a_subcommand_does_not_read_exit_one(capsys):
+    # verify-extremal takes no graph input; only psd reads --tol
+    verify = ("verify-extremal", "--n", "5", "--constraint", "vertex-connectivity", "--value", "2")
+    assert run(capsys, *verify, "--graph6", "Bg")[0] == 1
+    assert run(capsys, *verify, "--tol", "1e-9")[0] == 1
+    assert run(capsys, "spectrum", "--graph6", "Bg", "--tol", "1e-9")[0] == 1
+    assert run(capsys, "bounds", "--graph6", "Bg", "--tol", "1e-9")[0] == 1
+    assert run(capsys, "closed-form", "--construct", "complete:4", "--tol", "1e-9")[0] == 1
 
 
 def test_verify_extremal_budget_exit_four(capsys):
@@ -198,6 +272,16 @@ def test_graph6_file_input(capsys, tmp_path):
     code, out, _ = run(capsys, "spectrum", "--graph6-file", str(p), "--alpha", "0.5", "--format", "json")
     assert code == 0
     assert json.loads(out)[0]["eigenvalues"] == [3.0, 1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("text, count", [("Bg\nC~\n", 2), ("\n\n", 0)])
+def test_graph6_file_must_hold_one_graph(capsys, tmp_path, text, count):
+    p = tmp_path / "g.g6"
+    p.write_text(text)
+    code, out, err = run(capsys, "spectrum", "--graph6-file", str(p))
+    assert code == 1
+    assert out == ""
+    assert f"holds {count} graph6 lines" in err
 
 
 def test_output_to_file(capsys, tmp_path):

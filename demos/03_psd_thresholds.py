@@ -1,16 +1,20 @@
 #!/usr/bin/env python3
 """The smallest alpha making the blend positive semidefinite.
 
-The blend at alpha=0 always has a negative eigenvalue (n >= 2), the
-blend at alpha=1/2 is half of the PSD matrix RQ, and the smallest
-eigenvalue is monotone in alpha, so the threshold alpha0 sits in
-(0, 1/2].  Bisection works for every connected graph; transmission-
-regular graphs, complete bipartite graphs and wheels have closed forms.
+The blend is congruent to RT^{1/2} (alpha*I + (1-alpha)*S) RT^{1/2} with
+S = RT^{-1/2} RD RT^{-1/2}, so by Sylvester's law of inertia it is PSD
+exactly from alpha0 = -nu_min / (1 - nu_min), nu_min the smallest
+eigenvalue of S: one eigensolve per graph.  Bisection on lambda_min
+over [0, 1/2] (the blend at 0 has a negative eigenvalue, the blend at
+1/2 is half of the PSD matrix RQ, and lambda_min is monotone in alpha)
+is the reference; transmission-regular graphs, complete bipartite
+graphs and wheels have closed forms.
 """
 
 from hararyspec import (
     alpha0_bisection,
     alpha0_complete_bipartite,
+    alpha0_inertia,
     alpha0_transmission_regular,
     alpha0_wheel,
     complete,
@@ -24,7 +28,7 @@ from hararyspec import (
     wheel,
 )
 
-print("bisection thresholds:")
+print("inertia thresholds vs bisection:")
 for g, name in [
     (star(4), "K_{1,3}"),
     (wheel(5), "W(5)"),
@@ -33,21 +37,23 @@ for g, name in [
     (path(5), "P_5"),
     (complete(6), "K_6"),
 ]:
-    got = alpha0_bisection(g, tol=1e-10)
-    print(f"  {name:<8} alpha0 = {got.alpha0:.9f}   |lambda_min| there = {got.residual:.2e}")
+    got = alpha0_inertia(g)
+    reference = alpha0_bisection(g, tol=1e-10).alpha0
+    print(f"  {name:<8} alpha0 = {got.alpha0:.12f}  bisection {reference:.12f}"
+          f"   |lambda_min| there = {got.residual:.2e}")
 
-print("\nclosed forms vs bisection:")
-print(f"  K_{{1,3}}: formula {alpha0_complete_bipartite(1, 4).alpha0:.9f}"
-      f"  bisection {alpha0_bisection(star(4)).alpha0:.9f}")
-print(f"  K_{{3,3}}: formula {alpha0_complete_bipartite(3, 6).alpha0:.9f}"
-      f"  bisection {alpha0_bisection(complete_bipartite(3, 3)).alpha0:.9f}")
-for n in range(4, 9):
-    print(f"  W({n}):   formula {alpha0_wheel(n).alpha0:.9f}"
-          f"  bisection {alpha0_bisection(wheel(n)).alpha0:.9f}")
+print("\nclosed forms vs inertia vs bisection:")
+for label, closed, g in [
+    ("K_{1,3}", alpha0_complete_bipartite(1, 4), star(4)),
+    ("K_{3,3}", alpha0_complete_bipartite(3, 6), complete_bipartite(3, 3)),
+] + [(f"W({n})", alpha0_wheel(n), wheel(n)) for n in range(4, 9)]:
+    print(f"  {label:<8} formula {closed.alpha0:.12f}  inertia {alpha0_inertia(g).alpha0:.12f}"
+          f"  bisection {alpha0_bisection(g).alpha0:.12f}")
 
 print("\ntransmission-regular graphs on up to 6 vertices:")
 for n in range(2, 7):
     for g in enumerate_connected_graphs(n):
         if is_transmission_regular(g):
             closed = alpha0_transmission_regular(g).alpha0
-            print(f"  n={n} {to_graph6(g):<8} alpha0 = {closed:.9f}")
+            inertia = alpha0_inertia(g).alpha0
+            print(f"  n={n} {to_graph6(g):<8} formula {closed:.12f}  inertia {inertia:.12f}")

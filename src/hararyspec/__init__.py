@@ -4,7 +4,8 @@ The package builds the convex blend alpha*RT + (1-alpha)*RD of the
 reciprocal-distance matrix RD and its transmission diagonal RT, computes
 blend spectra with LAPACK via numpy.linalg.eigh, evaluates the known
 closed forms and spectral-radius bounds against the numeric values,
-solves for the smallest alpha making the blend positive semidefinite,
+solves for the smallest alpha making the blend positive semidefinite
+(one eigensolve, by Sylvester's law of inertia),
 and verifies the predicted extremal graphs by exhaustive search over
 all connected graphs of small order.
 """
@@ -90,6 +91,7 @@ from .psd import (
     PsdThreshold,
     alpha0_bisection,
     alpha0_complete_bipartite,
+    alpha0_inertia,
     alpha0_transmission_regular,
     alpha0_wheel,
 )

@@ -49,8 +49,11 @@ def bound_report(g, alpha):
     transmission alpha*RTr_max; and the plain maximum transmission
     upper bound.
     """
-    a = check_alpha(alpha)
-    bundle = build_bundle(g)
+    return _bound_records(build_bundle(g), check_alpha(alpha))
+
+
+def _bound_records(bundle, a):
+    """``bound_report`` on a bundle already built, at a checked weight ``a``."""
     n = bundle.n
     tr = bundle.transmissions
     rd = bundle.rd
@@ -99,10 +102,14 @@ def rq_relation_bounds(g, alpha):
     """
     a = check_alpha(alpha)
     bundle = build_bundle(g)
-    tr_max = float(bundle.transmissions.max())
-    rho_rd = float(sym_eigen(bundle.rd).values[0])
-    rho_rq = float(sym_eigen(bundle.rq).values[0])
-    rho_mirror = float(sym_eigen(rd_alpha(bundle, 1.0 - a)).values[0])
+    rho_rd, rho_rq, rho_mirror = (
+        float(sym_eigen(m).values[0]) for m in (bundle.rd, bundle.rq, rd_alpha(bundle, 1.0 - a))
+    )
+    return _rq_records(a, float(bundle.transmissions.max()), rho_rd, rho_rq, rho_mirror)
+
+
+def _rq_records(a, tr_max, rho_rd, rho_rq, rho_mirror):
+    """``rq_relation_bounds`` from the radii of RD, RQ and the blend at 1 - ``a``."""
     small = a <= 0.5
     large = a >= 0.5
     blend_small_lower = (1.0 - a) * rho_rq + (2.0 * a - 1.0) * tr_max
@@ -146,6 +153,11 @@ def bipartite_bound(g, alpha):
     is_bip, sizes = bipartition(g)
     if not is_bip:
         raise ValueError("graph is not bipartite")
+    return _bipartite_record(g, sizes, a)
+
+
+def _bipartite_record(g, sizes, a):
+    """``bipartite_bound`` for a bipartite g with part sizes ``sizes``."""
     small, large = sizes
     n = g.n
     lin = (a + 0.5) * n - 1.0

@@ -3,8 +3,9 @@
 Subcommands: spectrum, bounds, psd, closed-form, verify-extremal.
 Graphs come from a graph6 string or file, an edge-list file, or a named
 constructor like ``complete:4`` / ``bipartite:2,3`` / ``multipartite:2,2,2``;
-verify-extremal takes no graph, and only psd reads ``--tol``.  One table,
-``_COMMANDS``, registers each subcommand's options and dispatches to it.
+verify-extremal takes no graph.  One table, ``_COMMANDS``, registers each
+subcommand's options and dispatches to it; the parser is built once per
+process, on first use.
 
 Exit codes: 0 success or confirmed, 1 usage/parse error, 2 refuted,
 3 tie, 4 budget exceeded.  All floats print with 12 significant digits
@@ -14,11 +15,14 @@ so outputs diff cleanly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
+import numpy as np
+
 from . import closed_forms, extremal, psd
-from .bounds import bipartite_bound, bound_report, rq_relation_bounds
+from .bounds import _bipartite_record, _bound_records, _rq_records
 from .eigen import _energy, sym_eigen
 from .errors import BudgetError, Graph6Error, NotConnectedError
 from .graph6 import load_graph6, parse_edge_list, parse_graph6, to_graph6
@@ -29,7 +33,6 @@ from .graphs import (
     complete_split,
     cycle,
     edgeless,
-    is_transmission_regular,
     path,
     star,
     turan,
@@ -158,15 +161,22 @@ def cmd_spectrum(args):
 
 def cmd_bounds(args):
     g = args.graph
+    alphas = args.alphas
     bundle = build_bundle(g)
-    is_bipartite = bipartition(g)[0]
+    is_bipartite, sizes = bipartition(g)
+    # One solve for every radius: the blends at each alpha, their mirrors
+    # at 1 - alpha, then RD and RQ.
+    stack = [rd_alpha(bundle, a) for a in alphas] + [rd_alpha(bundle, 1.0 - a) for a in alphas]
+    radii = sym_eigen(np.stack(stack + [bundle.rd, bundle.rq])).values[:, 0].tolist()
+    k = len(alphas)
+    rho_rd, rho_rq = radii[-2:]
+    tr_max = float(bundle.transmissions.max())
     reports = []
     lines = []
-    for a in args.alphas:
-        rho = float(sym_eigen(rd_alpha(bundle, a)).values[0])
-        records = bound_report(g, a) + rq_relation_bounds(g, a)
+    for a, rho, rho_mirror in zip(alphas, radii[:k], radii[k:2 * k]):
+        records = _bound_records(bundle, a) + _rq_records(a, tr_max, rho_rd, rho_rq, rho_mirror)
         if is_bipartite:
-            records.append(bipartite_bound(g, a))
+            records.append(_bipartite_record(g, sizes, a))
         # vars: a record's fields, without asdict's deep copy (about 12 us a record)
         reports.append({"n": g.n, "alpha": a, "rho": rho, "records": [vars(r) for r in records]})
         lines.append(f"alpha = {_fmt(a)}: rho = {_fmt(rho)}")
@@ -180,27 +190,27 @@ def cmd_bounds(args):
 
 def cmd_psd(args):
     g = args.graph
-    result = psd.alpha0_bisection(g, tol=args.tol)
+    bundle = build_bundle(g)
+    result = psd._inertia(bundle)
     payload = {
         "n": g.n,
         "alpha0": result.alpha0,
         "method": result.method,
         "residual": result.residual,
     }
-    if is_transmission_regular(g):
-        closed = psd.alpha0_transmission_regular(g)
-        payload["closed_form"] = {"alpha0": closed.alpha0, "method": "transmission_regular"}
+    regular = psd._transmission_regular_formula(bundle)
+    if regular is not None:
+        payload["closed_form"] = {"alpha0": regular, "method": "transmission_regular"}
     if args.family:
         name, params = args.family
         if name == "wheel":
-            closed = psd.alpha0_wheel(params[0])
-            payload["closed_form"] = {"alpha0": closed.alpha0, "method": "wheel"}
+            payload["closed_form"] = {"alpha0": psd._wheel_formula(params[0]), "method": "wheel"}
         elif name == "bipartite":
             a_part, b_part = sorted(params)
             n = a_part + b_part
             if n >= 4:
-                closed = psd.alpha0_complete_bipartite(a_part, n)
-                payload["closed_form"] = {"alpha0": closed.alpha0, "method": "complete_bipartite"}
+                alpha0 = psd._complete_bipartite_formula(a_part, n)
+                payload["closed_form"] = {"alpha0": alpha0, "method": "complete_bipartite"}
     lines = [f"alpha0 = {_fmt(result.alpha0)} ({result.method}), residual {_fmt(result.residual)}"]
     if "closed_form" in payload:
         cf = payload["closed_form"]
@@ -299,7 +309,6 @@ _CLASS = (
     ("--constraint", dict(choices=sorted(_VERIFIERS), required=True)),
     ("--value", dict(type=int, required=True)),
 )
-_TOL = (("--tol", dict(type=float, default=1e-9, help="bisection tolerance of the threshold")),)
 
 # subcommand -> (handler, help, options)
 _COMMANDS = {
@@ -307,7 +316,7 @@ _COMMANDS = {
                  _GRAPH_INPUT + _REPORT),
     "bounds": (cmd_bounds, "evaluate every spectral-radius bound record", _GRAPH_INPUT + _REPORT),
     "psd": (cmd_psd, "smallest alpha making the blend positive semidefinite",
-            _GRAPH_INPUT + _REPORT + _TOL),
+            _GRAPH_INPUT + _REPORT),
     "closed-form": (cmd_closed_form, "closed-form family spectrum with numeric cross-check",
                     _GRAPH_INPUT + _REPORT),
     "verify-extremal": (cmd_verify_extremal, "exhaustive maximizer verification for one class",
@@ -315,6 +324,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="hararyspec",

@@ -1,11 +1,17 @@
 """Smallest blend weight making the reciprocal-distance blend positive semidefinite.
 
-The key monotonicity fact: every blend eigenvalue is nondecreasing in
-alpha, the blend at 0 has negative smallest eigenvalue for n >= 2 (zero
-trace, nonzero matrix) and the blend at 1/2 is half of RQ, which is PSD.
-The threshold alpha0 therefore lives in (0, 1/2] and bisection needs
-nothing beyond continuity, which matters because the smallest
-eigenvalue is non-smooth at eigenvalue crossings.
+With S = RT^{-1/2} RD RT^{-1/2}, the blend alpha*RT + (1-alpha)*RD is
+congruent to RT^{1/2} (alpha*I + (1-alpha)*S) RT^{1/2}, so by Sylvester's
+law of inertia it is PSD exactly when alpha*I + (1-alpha)*S is, that is
+when alpha >= alpha0 = -nu_min / (1 - nu_min) with nu_min the smallest
+eigenvalue of S.  S has zero trace, so nu_min < 0 for n >= 2, and
+I + S is congruent to the PSD matrix RQ, so nu_min >= -1: alpha0 lies
+in (0, 1/2].  One eigensolve of S gives the threshold and one solve of
+the blend there gives its residual |lambda_min|.
+
+Bisection on lambda_min over [0, 1/2] is kept as an independent
+reference; transmission-regular graphs, complete bipartite graphs and
+wheels have closed forms.
 """
 
 from __future__ import annotations
@@ -13,13 +19,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .eigen import sym_eigen
-from .graphs import complete_bipartite, is_transmission_regular, wheel
+from .graphs import complete_bipartite, wheel
 from .matrices import build_bundle, rd_alpha
 
 __all__ = [
     "BISECTION_LIMIT",
     "PsdThreshold",
+    "alpha0_inertia",
     "alpha0_bisection",
     "alpha0_transmission_regular",
     "alpha0_complete_bipartite",
@@ -38,17 +47,35 @@ class PsdThreshold:
     residual: float
 
 
-def _closed_form(bundle, alpha0):
-    """A closed-form threshold with |lambda_min| of the blend there as its residual."""
+def _threshold(bundle, alpha0, method="closed_form"):
+    """A threshold with |lambda_min| of the blend there as its residual."""
     residual = abs(float(sym_eigen(rd_alpha(bundle, alpha0)).values[-1]))
-    return PsdThreshold(alpha0, "closed_form", residual)
+    return PsdThreshold(alpha0, method, residual)
+
+
+def _inertia(bundle):
+    """The threshold -nu_min / (1 - nu_min), nu_min the smallest eigenvalue of S."""
+    if bundle.n == 1:
+        return _threshold(bundle, 0.0, "already PSD at 0")
+    tr = bundle.transmissions
+    nu_min = float(sym_eigen(bundle.rd / np.sqrt(np.outer(tr, tr))).values[-1])
+    return _threshold(bundle, -nu_min / (1.0 - nu_min), "inertia")
+
+
+def alpha0_inertia(g):
+    """The PSD threshold from one eigensolve of RT^{-1/2} RD RT^{-1/2}."""
+    return _inertia(build_bundle(g))
 
 
 def alpha0_bisection(g, tol=1e-9):
-    """Bisect lambda_min(blend) = 0 on [0, 1/2].
+    """Bisect lambda_min(blend) = 0 on [0, 1/2]; the reference for the inertia threshold.
 
-    Returns the PSD side of the final bracket, so the reported alpha0
-    overshoots the true threshold by at most ``tol``.
+    Every blend eigenvalue is nondecreasing in alpha (the step is a
+    multiple of the PSD matrix RL), the blend at 0 has negative smallest
+    eigenvalue for n >= 2 and the blend at 1/2 is half of the PSD matrix
+    RQ, so bisection needs nothing beyond continuity.  Returns the PSD
+    side of the final bracket, so the reported alpha0 overshoots the
+    true threshold by at most ``tol``.
     """
     if tol < 1e-12:
         raise ValueError("tol must be at least 1e-12")
@@ -80,37 +107,55 @@ def alpha0_bisection(g, tol=1e-9):
     return PsdThreshold(hi, "bisection", abs(lam_min(hi)))
 
 
+def _transmission_regular_formula(bundle):
+    """-lambda_min(RD) / (k - lambda_min(RD)) when every reciprocal
+    transmission is k (within 1e-8), else None."""
+    tr = bundle.transmissions
+    if tr.max() - tr.min() > 1e-8:
+        return None
+    if bundle.n == 1:  # the 1x1 zero blend is PSD at every alpha
+        return 0.0
+    k = float(tr.mean())
+    lam_min = float(sym_eigen(bundle.rd).values[-1])
+    return -lam_min / (k - lam_min)
+
+
 def alpha0_transmission_regular(g):
     """Closed form for transmission-regular graphs.
 
     With common transmission k the blend is alpha*k*I + (1-alpha)*RD,
     so lambda_min crosses zero at -lambda_min(RD) / (k - lambda_min(RD)).
     """
-    if not is_transmission_regular(g, tol=1e-8):
-        raise ValueError("graph is not transmission regular")
     bundle = build_bundle(g)
-    k = float(bundle.transmissions.mean())
-    lam_min = float(sym_eigen(bundle.rd).values[-1])
-    return _closed_form(bundle, -lam_min / (k - lam_min))
+    alpha0 = _transmission_regular_formula(bundle)
+    if alpha0 is None:
+        raise ValueError("graph is not transmission regular")
+    return _threshold(bundle, alpha0)
+
+
+def _complete_bipartite_formula(a_part, n):
+    prod = a_part * (n - a_part)
+    return (n - 1.0 + 3.0 * prod) / (2.0 * n * (n - 1.0) + 4.0 * prod)
 
 
 def alpha0_complete_bipartite(a_part, n):
     """Closed form for K_{a,n-a}: (n - 1 + 3a(n-a)) / (2n(n-1) + 4a(n-a))."""
     if n < 4 or not 1 <= a_part <= n // 2:
         raise ValueError(f"need n >= 4 and 1 <= a <= n/2, got a={a_part}, n={n}")
-    prod = a_part * (n - a_part)
-    alpha0 = (n - 1.0 + 3.0 * prod) / (2.0 * n * (n - 1.0) + 4.0 * prod)
-    return _closed_form(build_bundle(complete_bipartite(a_part, n - a_part)), alpha0)
+    graph = complete_bipartite(a_part, n - a_part)
+    return _threshold(build_bundle(graph), _complete_bipartite_formula(a_part, n))
+
+
+def _wheel_formula(n):
+    if n % 2 == 1:
+        return 3.0 / (n + 5.0)
+    k = (n - 2) // 2
+    c = math.cos(2.0 * math.pi * k / (2 * k + 1))
+    return (1.0 - 2.0 * c) / (n + 3.0 - 2.0 * c)
 
 
 def alpha0_wheel(n):
     """Closed form for wheels: 3/(n+5) for odd n, a rim-cosine ratio for even n."""
     if n < 4:
         raise ValueError("wheel needs at least 4 vertices")
-    if n % 2 == 1:
-        alpha0 = 3.0 / (n + 5.0)
-    else:
-        k = (n - 2) // 2
-        c = math.cos(2.0 * math.pi * k / (2 * k + 1))
-        alpha0 = (1.0 - 2.0 * c) / (n + 3.0 - 2.0 * c)
-    return _closed_form(build_bundle(wheel(n)), alpha0)
+    return _threshold(build_bundle(wheel(n)), _wheel_formula(n))

@@ -16,6 +16,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from hararyspec import Graph, build_bundle, rd_alpha, sym_eigen, to_graph6
 from hararyspec.enumeration import enumerate_connected_graphs
@@ -56,6 +57,16 @@ def paw():
 @pytest.fixture
 def petersen():
     return make_petersen()
+
+
+@st.composite
+def connected_graphs(draw, min_n=8, max_n=16):
+    """A random spanning tree plus random extra edges."""
+    n = draw(st.integers(min_n, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=2 * n))
+    return Graph(n, sorted(edges | set(extra)))
 
 
 # ---------------------------------------------------------------------------

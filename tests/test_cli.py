@@ -4,7 +4,18 @@ import json
 
 import pytest
 
-from hararyspec import cli
+from hararyspec import (
+    bipartite_bound,
+    bipartition,
+    bound_report,
+    bounds,
+    cli,
+    eigen,
+    graphs,
+    parse_graph6,
+    psd,
+    rq_relation_bounds,
+)
 from hararyspec.extremal import ExtremalReport
 
 
@@ -101,19 +112,111 @@ def test_bounds_table(capsys):
     assert len(lines) == 2 * 15  # a rho line and 14 records per alpha
 
 
+@pytest.mark.parametrize("graph6", ["ExSG", "FiCOG"])  # a graph with triangles, a tree
+def test_bounds_json_matches_library_records(capsys, graph6):
+    g = parse_graph6(graph6)
+    code, out, err = run(capsys, "bounds", "--graph6", graph6, "--alpha", "0,0.5,1", "--format", "json")
+    assert code == 0, err
+    reports = json.loads(out)
+    is_bipartite = bipartition(g)[0]
+    assert is_bipartite == (graph6 == "FiCOG")
+    for report, a in zip(reports, (0.0, 0.5, 1.0), strict=True):
+        records = bound_report(g, a) + rq_relation_bounds(g, a)
+        if is_bipartite:
+            records.append(bipartite_bound(g, a))
+        expected = json.loads(json.dumps(cli._round12([vars(r) for r in records])))
+        assert report["alpha"] == a
+        assert report["records"] == expected
+
+
+def _count_work(monkeypatch):
+    """Wrap the BFS and every module's eigensolver binding; return the call counts."""
+    counts = {"bfs": 0, "solve": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(graphs, "all_pairs_distances", counted("bfs", graphs.all_pairs_distances))
+    solver = counted("solve", eigen.sym_eigen)
+    for module in (cli, bounds, eigen, psd):
+        monkeypatch.setattr(module, "sym_eigen", solver)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "argv, solves",
+    [
+        (("spectrum", "--graph6", "ExSG", "--alpha", "0,0.5,1"), 3),  # one solve per alpha
+        (("bounds", "--graph6", "ExSG", "--alpha", "0,0.5,1"), 1),
+        (("bounds", "--construct", "path:6", "--alpha", "0.25,0.75"), 1),
+        (("psd", "--graph6", "FiCOG"), 2),  # the threshold and its residual
+        (("psd", "--construct", "cycle:9"), 3),  # plus lambda_min(RD) for the regular closed form
+        (("psd", "--construct", "wheel:6"), 2),  # the wheel closed form is a formula
+    ],
+)
+def test_each_report_does_its_work_once(capsys, monkeypatch, argv, solves):
+    counts = _count_work(monkeypatch)
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    assert counts == {"bfs": 1, "solve": solves}
+
+
+def test_interleaved_calls_match_calls_alone(capsys, tmp_path):
+    target = tmp_path / "bounds.txt"
+    calls = [
+        ("psd", "--graph6", "ExSG", "--format", "json"),
+        ("bounds", "--construct", "wheel:6", "--alpha", "0,0.5", "--output", str(target)),
+        ("psd", "--construct", "cycle:4", "--tol", "1e-9"),  # a usage error in between
+        ("spectrum", "--construct", "cycle:5", "--alpha", "0.25,1"),
+    ]
+
+    def outcome(argv):
+        code, out, _ = run(capsys, *argv)
+        written = target.read_text() if target.exists() else None
+        if target.exists():
+            target.unlink()
+        return code, out, written
+
+    alone = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        alone.append(outcome(argv))
+    assert [code for code, _, _ in alone] == [0, 0, 1, 0]
+    assert alone[1][1] == "" and alone[1][2].startswith("alpha = 0: rho = ")
+    interleaved = [outcome(argv) for argv in calls + calls[::-1] + calls]
+    assert interleaved == alone + alone[::-1] + alone
+
+
 def test_psd_table(capsys):
     code, out, err = run(capsys, "psd", "--construct", "wheel:5")
     assert code == 0, err
     first, second = out.splitlines()
-    assert first.startswith("alpha0 = 0.300000000") and "(bisection), residual " in first
+    assert first.startswith("alpha0 = ") and " (inertia), residual " in first
+    assert float(first.split()[2]) == pytest.approx(0.3, abs=1e-12)
     assert second == "closed form (wheel): alpha0 = 0.3"
 
 
-def test_psd_tolerance_option(capsys):
-    code, out, _ = run(capsys, "psd", "--construct", "cycle:4", "--tol", "1e-6", "--format", "json")
+def test_psd_threshold_is_exact(capsys):  # cycle:4 is transmission regular
+    code, out, _ = run(capsys, "psd", "--construct", "cycle:4", "--format", "json")
     assert code == 0
-    assert json.loads(out)["alpha0"] == pytest.approx(0.375, abs=1e-6)
-    assert run(capsys, "psd", "--construct", "cycle:4", "--tol", "1e-13")[0] == 1
+    payload = json.loads(out)
+    assert payload["method"] == "inertia"
+    assert payload["alpha0"] == pytest.approx(0.375, abs=1e-12)
+
+
+def test_psd_single_vertex(capsys):
+    code, out, err = run(capsys, "psd", "--graph6", "@", "--format", "json")
+    assert code == 0, err
+    assert json.loads(out) == {
+        "n": 1,
+        "alpha0": 0.0,
+        "method": "already PSD at 0",
+        "residual": 0.0,
+        "closed_form": {"alpha0": 0.0, "method": "transmission_regular"},
+    }
 
 
 def test_closed_form_table(capsys):
@@ -186,12 +289,13 @@ def test_verify_extremal_table(capsys):
 
 
 def test_options_a_subcommand_does_not_read_exit_one(capsys):
-    # verify-extremal takes no graph input; only psd reads --tol
+    # verify-extremal takes no graph input; no subcommand reads --tol
     verify = ("verify-extremal", "--n", "5", "--constraint", "vertex-connectivity", "--value", "2")
     assert run(capsys, *verify, "--graph6", "Bg")[0] == 1
     assert run(capsys, *verify, "--tol", "1e-9")[0] == 1
     assert run(capsys, "spectrum", "--graph6", "Bg", "--tol", "1e-9")[0] == 1
     assert run(capsys, "bounds", "--graph6", "Bg", "--tol", "1e-9")[0] == 1
+    assert run(capsys, "psd", "--graph6", "Bg", "--tol", "1e-9")[0] == 1
     assert run(capsys, "closed-form", "--construct", "complete:4", "--tol", "1e-9")[0] == 1
 
 

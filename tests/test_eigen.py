@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hararyspec import (
-    Graph,
     build_bundle,
     complete,
     cycle,
@@ -33,7 +32,7 @@ from hararyspec import (
     sym_eigen,
 )
 
-from conftest import ALPHA_GRID, assert_spectra_close
+from conftest import ALPHA_GRID, assert_spectra_close, connected_graphs
 
 P3_RHO = 1.6861406616345072  # bisection on the cubic, 200 halvings
 
@@ -215,16 +214,6 @@ def test_monotone_in_alpha(catalog):
                 assert hi_vals[0] > lo_vals[0] + 1e-10
 
 
-@st.composite
-def connected_graphs(draw, min_n=8, max_n=16):
-    """A random spanning tree plus random extra edges."""
-    n = draw(st.integers(min_n, max_n))
-    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
-    pairs = [(u, v) for v in range(n) for u in range(v)]
-    extra = draw(st.lists(st.sampled_from(pairs), max_size=2 * n))
-    return Graph(n, sorted(edges | set(extra)))
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     g=connected_graphs(),
@@ -257,3 +246,13 @@ def test_multiplicity_counting():
     assert eigenvalue_multiplicity(values, 1.0, tol=1e-7) == 3
     assert eigenvalue_multiplicity(values, -0.5, tol=1e-7) == 1
     assert eigenvalue_multiplicity(values, 0.0, tol=1e-7) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=connected_graphs(), alpha=st.floats(0.0, 1.0))
+def test_trace_identity_random_graphs(g, alpha):
+    # RD has zero diagonal, so the blend's trace is alpha * sum_i RT_i
+    bundle = build_bundle(g)
+    values = sym_eigen(rd_alpha(bundle, alpha)).values
+    scale = max(1.0, float(bundle.transmissions.max()))
+    assert abs(values.sum() - alpha * bundle.transmissions.sum()) <= 1e-9 * scale

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hararyspec import (
     Graph,
@@ -133,3 +135,31 @@ def test_edge_list_errors():
         parse_edge_list("3\n0 1\n")
     with pytest.raises(ValueError, match="announces"):
         parse_edge_list("3 2\n0 1\n")
+
+
+@st.composite
+def graphs(draw):
+    """Any graph on 1..62 vertices (the short graph6 form), not only connected ones."""
+    n = draw(st.integers(1, 62))
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=3 * n)) if pairs else []
+    return Graph(n, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs())
+def test_round_trip_random_graphs(g):
+    text = to_graph6(g)
+    assert text == reference_encode(g.n, g.edges())
+    assert parse_graph6(text) == g
+    assert parse_graph6(">>graph6<<" + text + "\n") == g
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(), st.text(alphabet=st.characters(min_codepoint=0, max_codepoint=130))))
+def test_parse_arbitrary_text_raises_only_graph6_error(text):
+    try:
+        g = parse_graph6(text)
+    except Graph6Error:
+        return
+    assert to_graph6(g) == text.rstrip("\r\n").removeprefix(">>graph6<<")

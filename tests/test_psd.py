@@ -1,16 +1,20 @@
-"""Positive-semidefiniteness thresholds: bisection vs closed forms."""
+"""Positive-semidefiniteness thresholds: inertia vs bisection vs closed forms."""
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from hararyspec import (
     Graph,
     alpha0_bisection,
     alpha0_complete_bipartite,
+    alpha0_inertia,
     alpha0_transmission_regular,
     alpha0_wheel,
     complete,
+    build_bundle,
     complete_bipartite,
     cycle,
     is_transmission_regular,
@@ -20,6 +24,8 @@ from hararyspec import (
     sym_eigen,
     wheel,
 )
+
+from conftest import connected_graphs
 
 
 def test_star_threshold_is_one_third():
@@ -128,3 +134,57 @@ def test_range_validation():
         alpha0_complete_bipartite(1, 3)  # n < 4
     with pytest.raises(ValueError):
         alpha0_wheel(3)
+
+
+def test_inertia_matches_bisection_on_every_class(catalog):
+    entries = catalog.up_to(7, start=2)
+    assert len(entries) == 995
+    for entry in entries:
+        got = alpha0_inertia(entry.graph)
+        assert got.method == "inertia"
+        reference = alpha0_bisection(entry.graph, tol=1e-11).alpha0
+        assert got.alpha0 == pytest.approx(reference, abs=1e-10), entry.graph.edges()
+
+
+def test_inertia_matches_closed_forms(catalog):
+    for n in range(4, 11):
+        assert alpha0_inertia(wheel(n)).alpha0 == pytest.approx(alpha0_wheel(n).alpha0, abs=1e-12)
+        for a in range(1, n // 2 + 1):
+            closed = alpha0_complete_bipartite(a, n).alpha0
+            got = alpha0_inertia(complete_bipartite(a, n - a)).alpha0
+            assert got == pytest.approx(closed, abs=1e-12), (a, n)
+    checked = 0
+    for entry in catalog.up_to(6, start=2):
+        if is_transmission_regular(entry.graph, tol=1e-8):
+            closed = alpha0_transmission_regular(entry.graph).alpha0
+            assert alpha0_inertia(entry.graph).alpha0 == pytest.approx(closed, abs=1e-12)
+            checked += 1
+    assert checked >= 5
+
+
+def test_inertia_smallest_graphs():
+    single = alpha0_inertia(Graph(1))
+    assert (single.alpha0, single.method, single.residual) == (0.0, "already PSD at 0", 0.0)
+    edge = alpha0_inertia(complete(2))
+    assert edge.alpha0 == pytest.approx(0.5, abs=1e-15)
+    assert edge.residual <= 1e-15
+
+
+def test_transmission_regular_single_vertex():
+    got = alpha0_transmission_regular(Graph(1))
+    assert (got.alpha0, got.residual) == (0.0, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=connected_graphs())
+def test_inertia_threshold_is_sharp(g):
+    got = alpha0_inertia(g)
+    bundle = build_bundle(g)
+    scale = max(1.0, float(bundle.transmissions.max()))
+
+    def lam_min(a):
+        return float(np.linalg.eigvalsh(rd_alpha(bundle, a))[0])
+
+    assert lam_min(got.alpha0) >= -1e-12 * scale
+    assert lam_min(got.alpha0 - 1e-9) < 0.0
+    assert got.residual == pytest.approx(abs(lam_min(got.alpha0)), abs=1e-12 * scale)

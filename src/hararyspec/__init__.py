@@ -80,7 +80,6 @@ from .invariants import (
     GraphInvariants,
     bipartition,
     chromatic_number,
-    clique_number,
     edge_connectivity,
     graph_invariants,
     independence_number,

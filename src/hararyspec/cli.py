@@ -25,7 +25,7 @@ from . import closed_forms, extremal, psd
 from .bounds import _bipartite_record, _bound_records, _rq_records
 from .eigen import _energy, sym_eigen
 from .errors import BudgetError, Graph6Error, NotConnectedError
-from .graph6 import load_graph6, parse_edge_list, parse_graph6, to_graph6
+from .graph6 import _MAX_SHORT_N, load_graph6, parse_edge_list, parse_graph6, to_graph6
 from .graphs import (
     complete,
     complete_bipartite,
@@ -139,8 +139,9 @@ def cmd_spectrum(args):
     g = args.graph
     bundle = build_bundle(g)
     reports = []
+    # graph6's short form stops at n = 62; past that the header names n alone.
     lines = [
-        f"n = {g.n}, graph6 = {to_graph6(g)}",
+        f"n = {g.n}, graph6 = {to_graph6(g)}" if g.n <= _MAX_SHORT_N else f"n = {g.n}",
         "transmissions: " + " ".join(_fmt(t) for t in bundle.transmissions),
         f"harary index: {_fmt(bundle.harary)}",
     ]

@@ -16,12 +16,12 @@ root is recovered from the product of the roots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .eigen import sym_eigen
-from .graphs import all_pairs_distances, reciprocal_transmissions
+from .graphs import _bit_indices, all_pairs_distances, reciprocal_transmissions
 from .matrices import build_bundle, check_alpha, rd_alpha
 
 __all__ = [
@@ -48,11 +48,10 @@ _SYMMETRIZE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ClosedFormSpectrum:
-    """Eigenvalues with multiplicities, plus the family and parameters that produced them."""
+    """Eigenvalues with multiplicities, plus the family that produced them."""
 
     pairs: tuple[tuple[float, int], ...]
     source: str
-    params: dict = field(default_factory=dict)
 
     @property
     def n(self):
@@ -104,12 +103,8 @@ def spectrum_complete(n, alpha):
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
     if n == 1:
-        return ClosedFormSpectrum(_pairs([(0.0, 1)]), "complete", {"n": 1, "alpha": a})
-    return ClosedFormSpectrum(
-        _pairs([(n - 1.0, 1), (a * n - 1.0, n - 1)]),
-        "complete",
-        {"n": n, "alpha": a},
-    )
+        return ClosedFormSpectrum(_pairs([(0.0, 1)]), "complete")
+    return ClosedFormSpectrum(_pairs([(n - 1.0, 1), (a * n - 1.0, n - 1)]), "complete")
 
 
 def spectrum_regular_diam2(g, alpha):
@@ -130,9 +125,7 @@ def spectrum_regular_diam2(g, alpha):
     adj_vals = sym_eigen(g.adjacency()).values
     entries = [(0.5 * (n + r - 1.0), 1)]
     entries += [(0.5 * ((a * (n + r) - 1.0) + (1.0 - a) * lam), 1) for lam in adj_vals[1:]]
-    return ClosedFormSpectrum(
-        _pairs(entries), "regular_diameter_2", {"n": n, "r": r, "alpha": a}
-    )
+    return ClosedFormSpectrum(_pairs(entries), "regular_diameter_2")
 
 
 def _join_quadratic(n1, r1, n2, r2, a):
@@ -172,11 +165,7 @@ def spectrum_join_regular(n1, r1, adj_spectrum1, n2, r2, adj_spectrum2, alpha):
     ]
     hi, lo = _join_quadratic(n1, r1, n2, r2, a)
     entries += [(hi, 1), (lo, 1)]
-    return ClosedFormSpectrum(
-        _pairs(entries),
-        "join_regular",
-        {"n1": n1, "r1": r1, "n2": n2, "r2": r2, "alpha": a},
-    )
+    return ClosedFormSpectrum(_pairs(entries), "join_regular")
 
 
 def spectrum_complete_bipartite(a_part, b_part, alpha):
@@ -191,11 +180,7 @@ def spectrum_complete_bipartite(a_part, b_part, alpha):
     ]
     hi, lo = _join_quadratic(a_part, 0, b_part, 0, a)
     entries += [(hi, 1), (lo, 1)]
-    return ClosedFormSpectrum(
-        _pairs(entries),
-        "complete_bipartite",
-        {"a": a_part, "b": b_part, "alpha": a},
-    )
+    return ClosedFormSpectrum(_pairs(entries), "complete_bipartite")
 
 
 def spectrum_complete_split(a_part, b_part, alpha):
@@ -210,11 +195,7 @@ def spectrum_complete_split(a_part, b_part, alpha):
     ]
     hi, lo = _join_quadratic(a_part, a_part - 1, b_part, 0, a)
     entries += [(hi, 1), (lo, 1)]
-    return ClosedFormSpectrum(
-        _pairs(entries),
-        "complete_split",
-        {"a": a_part, "b": b_part, "alpha": a},
-    )
+    return ClosedFormSpectrum(_pairs(entries), "complete_split")
 
 
 def spectrum_wheel(n, alpha):
@@ -228,7 +209,7 @@ def spectrum_wheel(n, alpha):
     ]
     hi, lo = _join_quadratic(1, 0, n - 1, 2, a)
     entries += [(hi, 1), (lo, 1)]
-    return ClosedFormSpectrum(_pairs(entries), "wheel", {"n": n, "alpha": a})
+    return ClosedFormSpectrum(_pairs(entries), "wheel")
 
 
 def multipartite_quotient(parts, alpha):
@@ -259,9 +240,7 @@ def spectrum_multipartite(parts, alpha):
     entries = [(a * (n - 0.5 * p) - 0.5, p - 1) for p in parts]
     quotient = multipartite_quotient(parts, a)
     entries += [(lam, 1) for lam in quotient.eigenvalues()]
-    return ClosedFormSpectrum(
-        _pairs(entries), "complete_multipartite", {"parts": parts, "alpha": a}
-    )
+    return ClosedFormSpectrum(_pairs(entries), "complete_multipartite")
 
 
 # ---------------------------------------------------------------------------
@@ -305,18 +284,12 @@ def cluster_spec(g, vertices, variant="independent"):
     if variant == "clique" and inside_degrees != {c - 1}:
         raise ValueError("variant mismatch: cluster does not induce a clique")
     shared = outside_sets.pop()
-    s_verts = []
-    m = shared
-    while m:
-        low = m & -m
-        s_verts.append(low.bit_length() - 1)
-        m ^= low
     tr = reciprocal_transmissions(g)
     t_here = float(tr[c_verts[0]])
     # Transmission in the independent form: completing C into a clique
     # moves the c-1 in-cluster distances from 2 to 1.
     t = t_here - 0.5 * (c - 1) if variant == "clique" else t_here
-    return ClusterSpec(c_verts, tuple(s_verts), t)
+    return ClusterSpec(c_verts, tuple(_bit_indices(shared)), t)
 
 
 def cluster_quotient(g, cluster, variant, alpha):

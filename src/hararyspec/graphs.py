@@ -8,6 +8,8 @@ tests and the isomorphism machinery both simple and fast.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from .errors import NotConnectedError
@@ -43,21 +45,24 @@ def _bit_indices(mask):
         mask ^= low
 
 
+def _reach(adj, mask):
+    """Union of the neighbourhoods of the vertices in the bitmask ``mask``:
+    the one breadth-first step every traversal in the package takes."""
+    reach = 0
+    while mask:
+        low = mask & -mask
+        reach |= adj[low.bit_length() - 1]
+        mask ^= low
+    return reach
+
+
 def _connected_within(adj, mask):
     """Connectivity of the subgraph induced by the vertex bitmask ``mask``."""
     if mask == 0:
         return True
-    start = mask & -mask
-    seen = start
-    frontier = start
+    seen = frontier = mask & -mask
     while frontier:
-        reach = 0
-        m = frontier
-        while m:
-            low = m & -m
-            reach |= adj[low.bit_length() - 1]
-            m ^= low
-        frontier = reach & mask & ~seen
+        frontier = _reach(adj, frontier) & mask & ~seen
         seen |= frontier
     return seen == mask
 
@@ -195,15 +200,14 @@ def complete_bipartite(a, b):
     """Complete bipartite graph with parts of size a and b."""
     if a < 1 or b < 1:
         raise ValueError("both parts must be nonempty")
-    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    return join(edgeless(a), edgeless(b))
 
 
 def complete_split(a, b):
     """Complete split graph: an a-clique fully joined to b independent vertices."""
     if a < 1 or b < 1:
         raise ValueError("complete split graph needs a >= 1 and b >= 1")
-    edges = triangle_pairs(a) + [(i, a + j) for i in range(a) for j in range(b)]
-    return Graph(a + b, edges)
+    return join(complete(a), edgeless(b))
 
 
 def complete_multipartite(parts):
@@ -211,19 +215,7 @@ def complete_multipartite(parts):
     parts = tuple(int(p) for p in parts)
     if not parts or any(p < 1 for p in parts):
         raise ValueError("part sizes must be positive")
-    offsets = [0]
-    for p in parts:
-        offsets.append(offsets[-1] + p)
-    n = offsets[-1]
-    edges = []
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            edges.extend(
-                (u, v)
-                for u in range(offsets[i], offsets[i + 1])
-                for v in range(offsets[j], offsets[j + 1])
-            )
-    return Graph(n, edges)
+    return reduce(join, map(edgeless, parts))
 
 
 def turan(n, r):
@@ -244,18 +236,16 @@ def wheel(n):
 
 def join(g1, g2):
     """Join: disjoint union of g1 and g2 plus all cross edges."""
-    n1 = g1.n
-    edges = g1.edges()
-    edges += [(n1 + u, n1 + v) for u, v in g2.edges()]
-    edges += [(u, n1 + v) for u in range(n1) for v in range(g2.n)]
-    return Graph(n1 + g2.n, edges)
+    n1, n2 = g1.n, g2.n
+    first, second = (1 << n1) - 1, ((1 << n2) - 1) << n1
+    adj = [a | second for a in g1.adj_bits] + [a << n1 | first for a in g2.adj_bits]
+    return Graph._from_adj(n1 + n2, adj)
 
 
 def disjoint_union(g1, g2):
     """Disjoint union with g2's vertices shifted past g1's."""
     n1 = g1.n
-    edges = g1.edges() + [(n1 + u, n1 + v) for u, v in g2.edges()]
-    return Graph(n1 + g2.n, edges)
+    return Graph._from_adj(n1 + g2.n, g1.adj_bits + tuple(a << n1 for a in g2.adj_bits))
 
 
 # ---------------------------------------------------------------------------
@@ -272,23 +262,21 @@ def all_pairs_distances(g):
     n = g.n
     adj = g.adj_bits
     full = (1 << n) - 1
-    d = np.zeros((n, n), dtype=np.int64)
+    rows = []
     for s in range(n):
-        seen = 1 << s
-        frontier = seen
+        row = [0] * n
+        seen = frontier = 1 << s
         dist = 0
         while frontier:
-            reach = 0
-            for v in _bit_indices(frontier):
-                reach |= adj[v]
-            frontier = reach & ~seen
+            frontier = _reach(adj, frontier) & ~seen
+            seen |= frontier
             dist += 1
             for v in _bit_indices(frontier):
-                d[s, v] = dist
-            seen |= frontier
+                row[v] = dist
         if seen != full:
             raise NotConnectedError("graph not connected")
-    return d
+        rows.append(row)
+    return np.array(rows, dtype=np.int64)
 
 
 def _reciprocal_matrix(g):

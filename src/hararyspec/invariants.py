@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BudgetError
-from .graphs import Graph, _connected_within
+from .graphs import Graph, _connected_within, _reach
 
 __all__ = [
     "INVARIANT_BUDGET",
@@ -21,7 +21,6 @@ __all__ = [
     "edge_connectivity",
     "chromatic_number",
     "independence_number",
-    "clique_number",
     "bipartition",
 ]
 
@@ -35,8 +34,6 @@ class GraphInvariants:
     chromatic_number: int
     independence_number: int
     min_degree: int
-    is_bipartite: bool
-    bipartition_sizes: tuple[int, int] | None
 
 
 def _check_budget(g, what):
@@ -110,12 +107,6 @@ def _max_clique(adj, n):
     return best
 
 
-def clique_number(g: Graph):
-    """Size of a maximum clique."""
-    _check_budget(g, "clique number")
-    return _max_clique(g.adj_bits, g.n)
-
-
 def independence_number(g: Graph):
     """Size of a maximum independent set (clique search on the complement)."""
     _check_budget(g, "independence number")
@@ -161,7 +152,7 @@ def chromatic_number(g: Graph):
     if g.edge_count == 0:
         return 1
     order = sorted(range(g.n), key=lambda v: -g.degree(v))
-    for k in range(clique_number(g), g.n + 1):
+    for k in range(_max_clique(g.adj_bits, g.n), g.n + 1):
         if _k_colorable(g, k, order):
             return k
     return g.n
@@ -173,21 +164,23 @@ def bipartition(g: Graph):
     Part sizes are only canonical for connected graphs, where the
     2-colouring is unique up to swapping the sides.
     """
-    colors = [-1] * g.n
-    for s in range(g.n):
-        if colors[s] >= 0:
-            continue
-        colors[s] = 0
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in g.neighbors(u):
-                if colors[v] < 0:
-                    colors[v] = 1 - colors[u]
-                    stack.append(v)
-                elif colors[v] == colors[u]:
-                    return False, None
-    a = colors.count(0)
+    adj = g.adj_bits
+    unseen = (1 << g.n) - 1
+    even = 0
+    # Breadth-first layers from each component's lowest vertex: the
+    # component is bipartite exactly when no edge joins two vertices of
+    # one layer, and then layer parity is its 2-colouring.
+    while unseen:
+        layer, odd = unseen & -unseen, False
+        while layer:
+            reach = _reach(adj, layer)
+            if reach & layer:
+                return False, None
+            if not odd:
+                even |= layer
+            unseen &= ~layer
+            layer, odd = reach & unseen, not odd
+    a = even.bit_count()
     sizes = (min(a, g.n - a), max(a, g.n - a))
     return True, sizes
 
@@ -195,13 +188,10 @@ def bipartition(g: Graph):
 def graph_invariants(g: Graph):
     """All exact invariants in one record."""
     _check_budget(g, "invariants")
-    bip, sizes = bipartition(g)
     return GraphInvariants(
         vertex_connectivity=vertex_connectivity(g),
         edge_connectivity=edge_connectivity(g),
         chromatic_number=chromatic_number(g),
         independence_number=independence_number(g),
         min_degree=min(g.degrees()),
-        is_bipartite=bip,
-        bipartition_sizes=sizes,
     )

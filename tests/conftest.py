@@ -14,6 +14,7 @@ values derived without an eigensolver.
 
 from itertools import combinations, permutations, product
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -252,6 +253,57 @@ def graph6_of_mask(n, mask):
     m = len(pairs)
     edges = [pair for k, pair in enumerate(pairs) if mask >> (m - 1 - k) & 1]
     return to_graph6(Graph(n, edges)).encode("ascii")
+
+
+# ---------------------------------------------------------------------------
+# Random edge lists and explicit edge-list constructions (no bitmasks)
+# ---------------------------------------------------------------------------
+
+def random_edges(rng, n, connected=False):
+    """Edge list of a random graph on 0..n-1.
+
+    Sparse densities are drawn often, so many graphs are disconnected;
+    one graph in three is bipartite by construction (edges only between
+    two random sides).  ``connected=True`` adds a random spanning tree.
+    """
+    p = rng.choice((0.5 / n, 1.5 / n, 3.0 / n, 0.5))
+    side = [rng.random() < 0.5 for _ in range(n)]
+    bipartite = rng.random() < 1 / 3
+    edges = {
+        (u, v)
+        for v in range(n)
+        for u in range(v)
+        if rng.random() < p and not (bipartite and side[u] == side[v])
+    }
+    if connected:
+        edges |= {(rng.randrange(v), v) for v in range(1, n)}
+    return sorted(edges)
+
+
+def nx_graph(n, edges):
+    """The same graph as a networkx graph, isolated vertices included."""
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(edges)
+    return h
+
+
+def multipartite_edges(parts):
+    """Every pair of vertices in different parts, parts numbered in order."""
+    part_of = [i for i, size in enumerate(parts) for _ in range(size)]
+    n = len(part_of)
+    return sorted((u, v) for v in range(n) for u in range(v) if part_of[u] != part_of[v])
+
+
+def union_edges(n1, edges1, edges2):
+    """Disjoint union: the second graph's vertices shifted past the first's."""
+    return sorted(list(edges1) + [(u + n1, v + n1) for u, v in edges2])
+
+
+def join_edges(n1, edges1, n2, edges2):
+    """Join: the disjoint union plus every pair across the two sides."""
+    cross = [(u, n1 + v) for u in range(n1) for v in range(n2)]
+    return sorted(union_edges(n1, edges1, edges2) + cross)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from hararyspec import (
@@ -54,6 +55,27 @@ def test_spectrum_multiple_alphas_table(capsys):
     assert code == 0
     assert out.count("alpha =") == 3
     assert "2.5" in out
+
+
+def test_spectrum_past_graph6_short_form(capsys):
+    # graph6's short form ends at n = 62; the report does not need it.
+    code, out, err = run(
+        capsys, "spectrum", "--construct", "path:70", "--alpha", "0,0.5", "--format", "json"
+    )
+    assert code == 0, err
+    offsets = np.abs(np.subtract.outer(np.arange(70), np.arange(70))).astype(float)
+    rd = np.divide(1.0, offsets, out=np.zeros_like(offsets), where=offsets > 0)
+    for report in json.loads(out):
+        a = report["alpha"]
+        blend = a * np.diag(rd.sum(axis=1)) + (1.0 - a) * rd
+        expected = np.linalg.eigvalsh(blend)[::-1]
+        assert np.allclose(report["eigenvalues"], expected, rtol=1e-10, atol=1e-10)
+    code, out, err = run(capsys, "spectrum", "--construct", "path:70")
+    assert code == 0, err
+    assert out.splitlines()[0] == "n = 70"
+    code, out, _ = run(capsys, "spectrum", "--construct", "path:62")
+    assert code == 0
+    assert out.splitlines()[0].startswith("n = 62, graph6 = }")
 
 
 def test_twelve_significant_digits(capsys):

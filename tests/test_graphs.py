@@ -1,5 +1,8 @@
 """Graph type, constructors, distances and transmission quantities."""
 
+import random
+
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -26,7 +29,14 @@ from hararyspec import (
 )
 from hararyspec.enumeration import canonical_form
 
-from conftest import make_paw
+from conftest import (
+    join_edges,
+    make_paw,
+    multipartite_edges,
+    nx_graph,
+    random_edges,
+    union_edges,
+)
 
 
 def test_graph_rejects_self_loops_and_bad_edges():
@@ -92,6 +102,81 @@ def test_complete_bipartite_is_join_of_edgeless():
 def test_turan_balanced_parts():
     assert canonical_form(turan(4, 2)) == canonical_form(complete_bipartite(2, 2))
     assert canonical_form(turan(7, 3)) == canonical_form(complete_multipartite((3, 2, 2)))
+
+
+def test_join_and_union_match_edge_list_oracle():
+    rng = random.Random(11)
+    for _ in range(60):
+        n1, n2 = rng.randint(1, 40), rng.randint(1, 40)
+        e1, e2 = random_edges(rng, n1), random_edges(rng, n2)
+        g1, g2 = Graph(n1, e1), Graph(n2, e2)
+        assert join(g1, g2).n == disjoint_union(g1, g2).n == n1 + n2
+        assert join(g1, g2).edges() == join_edges(n1, e1, n2, e2)
+        assert disjoint_union(g1, g2).edges() == union_edges(n1, e1, e2)
+
+
+def test_multipartite_constructors_match_edge_list_oracle():
+    for a in range(1, 7):
+        for b in range(1, 7):
+            assert complete_bipartite(a, b).edges() == multipartite_edges((a, b))
+            split = sorted((u, v) for v in range(a + b) for u in range(min(v, a)))
+            assert complete_split(a, b).edges() == split
+    for parts in [(1,), (4,), (1, 1), (3, 1, 2), (2, 2, 2), (1, 4, 1, 3), (1,) * 7]:
+        assert complete_multipartite(parts).edges() == multipartite_edges(parts)
+    for n in range(1, 13):
+        for r in range(1, n + 1):
+            sizes = [n // r + (i < n % r) for i in range(r)]
+            assert turan(n, r).edges() == multipartite_edges(sizes)
+    for n in range(4, 13):
+        rim = [(i, i + 1) for i in range(1, n - 1)] + [(1, n - 1)]
+        assert wheel(n).edges() == sorted([(0, i) for i in range(1, n)] + rim)
+
+
+def test_multipartite_constructors_keep_their_guards():
+    with pytest.raises(ValueError, match="both parts must be nonempty"):
+        complete_bipartite(0, 3)
+    with pytest.raises(ValueError, match="needs a >= 1 and b >= 1"):
+        complete_split(2, 0)
+    with pytest.raises(ValueError, match="part sizes must be positive"):
+        complete_multipartite((2, 0, 1))
+    with pytest.raises(ValueError, match="part sizes must be positive"):
+        complete_multipartite(())
+
+
+def test_distances_match_networkx_past_64_bits():
+    rng = random.Random(3)
+    for n in list(range(1, 21)) + [63, 64, 65, 66, 70, 70]:
+        edges = random_edges(rng, n, connected=True)
+        d = all_pairs_distances(Graph(n, edges))
+        expected = np.zeros((n, n), dtype=np.int64)
+        for s, row in nx.all_pairs_shortest_path_length(nx_graph(n, edges)):
+            for v, dist in row.items():
+                expected[s, v] = dist
+        assert d.dtype == np.int64
+        assert np.array_equal(d, expected)
+
+
+def test_disconnected_distances_raise_past_64_bits():
+    rng = random.Random(4)
+    for n1, n2 in [(1, 1), (3, 5), (30, 40), (64, 1), (1, 69)]:
+        g = disjoint_union(
+            Graph(n1, random_edges(rng, n1, connected=True)),
+            Graph(n2, random_edges(rng, n2, connected=True)),
+        )
+        with pytest.raises(NotConnectedError, match="not connected"):
+            all_pairs_distances(g)
+
+
+def test_is_connected_matches_networkx():
+    rng = random.Random(5)
+    for _ in range(400):
+        n = rng.randint(1, 20)
+        edges = random_edges(rng, n)
+        assert Graph(n, edges).is_connected() == nx.is_connected(nx_graph(n, edges))
+    for n in (65, 70):
+        edges = random_edges(rng, n, connected=True)
+        assert Graph(n, edges).is_connected()
+        assert not Graph(n, [e for e in edges if n - 1 not in e]).is_connected()
 
 
 def test_distances_complete_graph_all_ones():

@@ -1,9 +1,13 @@
 """Exact invariants against plain subset-enumeration oracles."""
 
+import random
+
+import networkx as nx
 import pytest
 
 from hararyspec import (
     BudgetError,
+    Graph,
     bipartition,
     chromatic_number,
     complete,
@@ -24,6 +28,8 @@ from conftest import (
     brute_independence_number,
     brute_vertex_connectivity,
     make_paw,
+    nx_graph,
+    random_edges,
 )
 
 
@@ -84,6 +90,30 @@ def test_bipartition_sizes():
     assert bipartition(path(5)) == (True, (2, 3))
     assert bipartition(cycle(5)) == (False, None)
     assert bipartition(complete(3)) == (False, None)
+
+
+def test_bipartition_matches_networkx_and_layer_parity():
+    rng = random.Random(9)
+    bipartite_seen = non_bipartite_seen = disconnected_bipartite = 0
+    for _ in range(600):
+        n = rng.randint(1, 20)
+        edges = random_edges(rng, n)
+        h = nx_graph(n, edges)
+        flag, sizes = bipartition(Graph(n, edges))
+        assert flag == nx.is_bipartite(h)
+        if not flag:
+            assert sizes is None
+            non_bipartite_seen += 1
+            continue
+        # Side 0: vertices at even distance from their component's lowest vertex.
+        even = 0
+        for comp in nx.connected_components(h):
+            dist = nx.single_source_shortest_path_length(h, min(comp))
+            even += sum(1 for d in dist.values() if d % 2 == 0)
+        assert sizes == (min(even, n - even), max(even, n - even))
+        bipartite_seen += 1
+        disconnected_bipartite += not nx.is_connected(h)
+    assert bipartite_seen > 100 and non_bipartite_seen > 100 and disconnected_bipartite > 50
 
 
 def test_budget_error_over_ten_vertices():

@@ -18,18 +18,32 @@ automorphism pruning of individualisation-refinement (McKay & Piperno,
 in cliques and complete multipartite graphs, costs one path, not k!.
 
 Enumeration has one regime: starting from the single vertex, each class
-on n-1 vertices gets a new vertex attached to every nonempty
-neighbourhood subset, deduplicated canonically.  Every connected graph
-has a non-cut vertex, so each class on n vertices is reached.
+on n-1 vertices gets a new vertex w attached to nonempty neighbourhood
+subsets S, deduplicated canonically.  Two prunings decide which
+extensions are labelled at all (McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 1998):
+
+* Deletion key.  A child is rejected unless w has the largest key
+  (degree, sum of neighbour degrees) among its non-cut vertices.  Every
+  connected class C has a non-cut vertex x of largest key; deleting x
+  leaves a connected graph isomorphic to some parent representative P,
+  and the extension of P that recreates C puts w where x was, so it
+  passes.  The key and the cut test are invariants of the child with w
+  fixed, so isomorphic extensions of P pass or fail together.
+* Twin orbits.  Twins of P form classes (cliques or independent sets)
+  that P's automorphisms permute freely, so any S can be moved onto one
+  that meets every twin class c1 < c2 < ... in a prefix: S holds a twin
+  only together with its nearest lower twin.  Only those S are tried.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 from .errors import BudgetError
 from .graph6 import to_graph6
-from .graphs import Graph, _bit_indices, triangle_pairs
+from .graphs import Graph, _bit_indices, _connected_within, triangle_pairs
 
 __all__ = [
     "CANONICAL_BUDGET",
@@ -77,17 +91,25 @@ def _refine(adj, cells):
             return cells
 
 
-def _canonical_mask(g):
-    """Smallest relabelled upper-triangle bitmask (first pair = most significant bit)."""
-    n = g.n
-    adj = g.adj_bits
-    pairs = triangle_pairs(n)
+def _twins(adj):
+    """Per vertex, the bitmask of its twins: the vertices with the same
+    neighbours apart from each other."""
+    n = len(adj)
     twins = [0] * n
     for u in range(n):
         for v in range(u):
             if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
                 twins[u] |= 1 << v
                 twins[v] |= 1 << u
+    return twins
+
+
+def _canonical_mask(g):
+    """Smallest relabelled upper-triangle bitmask (first pair = most significant bit)."""
+    n = g.n
+    adj = g.adj_bits
+    pairs = triangle_pairs(n)
+    twins = _twins(adj)
     best = None
 
     def leaf(order):
@@ -140,19 +162,50 @@ def canonical_form(g):
     return to_graph6(canonical_graph(g)).encode("ascii")
 
 
+def _twin_prefixes(adj):
+    """Per twin class c1 < c2 < ... < ck of ``adj``, the masks of its
+    prefixes: 0, c1, c1|c2, ..., the whole class."""
+    prefixes = {}
+    for v, twins in enumerate(_twins(adj)):
+        cls = twins | 1 << v
+        masks = prefixes.setdefault(cls & -cls, [0])  # keyed by the lowest member
+        masks.append(masks[-1] | 1 << v)
+    return list(prefixes.values())
+
+
+def _last_is_deletable(adj, full):
+    """No non-cut vertex outranks the last vertex by the deletion key
+    (degree, sum of neighbour degrees)."""
+    deg = [a.bit_count() for a in adj]
+    w = len(adj) - 1
+    top = (deg[w], sum(deg[v] for v in _bit_indices(adj[w])))
+    for u in range(w):
+        if deg[u] < top[0]:
+            continue
+        if (deg[u], sum(deg[v] for v in _bit_indices(adj[u]))) > top and _connected_within(
+            adj, full & ~(1 << u)
+        ):
+            return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def _connected_classes(n):
     if n == 1:
         return (Graph(1),)
+    w = n - 1
+    full = (1 << n) - 1
     found = set()
-    for parent in _connected_classes(n - 1):
-        base = list(parent.adj_bits) + [0]
-        for nbrs in range(1, 1 << (n - 1)):
-            adj = list(base)
-            adj[n - 1] = nbrs
-            for v in _bit_indices(nbrs):
-                adj[v] |= 1 << (n - 1)
-            found.add(_canonical_mask(Graph._from_adj(n, adj)))
+    for parent in _connected_classes(w):
+        base = parent.adj_bits
+        for choice in product(*_twin_prefixes(base)):
+            nbrs = sum(choice)
+            if not nbrs:
+                continue
+            adj = [a | 1 << w if nbrs >> u & 1 else a for u, a in enumerate(base)]
+            adj.append(nbrs)
+            if _last_is_deletable(adj, full):
+                found.add(_canonical_mask(Graph._from_adj(n, adj)))
     ordered = sorted(found, key=lambda mask: (mask.bit_count(), mask))
     return tuple(_graph_from_mask(n, mask) for mask in ordered)
 

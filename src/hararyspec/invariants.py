@@ -52,14 +52,17 @@ def vertex_connectivity(g: Graph):
         return 0
     if g.edge_count == n * (n - 1) // 2:
         return n - 1
-    for k in range(1, n - 1):
+    # Whitney: the neighbours of a minimum-degree vertex separate it from
+    # some non-neighbour, so only cuts smaller than the minimum degree remain.
+    delta = min(g.degrees())
+    for k in range(1, delta):
         for cut in combinations(range(n), k):
             removed = 0
             for v in cut:
                 removed |= 1 << v
             if not _connected_within(g.adj_bits, full & ~removed):
                 return k
-    return n - 1
+    return delta
 
 
 def edge_connectivity(g: Graph):

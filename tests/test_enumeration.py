@@ -1,5 +1,7 @@
 """Canonical forms and isomorphism-free enumeration."""
 
+from functools import cache
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -114,6 +116,11 @@ def test_canonical_form_invariant_on_planted_twins(case):
     assert canonical_form(g.permuted(perm)) == canonical_form(g)
 
 
+@cache
+def _class_forms(n):
+    return {canonical_form(g) for g in enumerate_connected_graphs(n)}
+
+
 def test_classes_match_networkx_atlas():
     atlas = {n: set() for n in range(1, 8)}
     for h in nx.graph_atlas_g():
@@ -121,7 +128,25 @@ def test_classes_match_networkx_atlas():
             g = Graph(h.number_of_nodes(), h.edges())
             atlas[g.n].add(canonical_form(g))
     for n, forms in atlas.items():
-        assert forms == {canonical_form(g) for g in enumerate_connected_graphs(n)}, n
+        assert forms == _class_forms(n), n
+
+
+@st.composite
+def small_connected_graphs(draw):
+    """A random spanning tree plus a uniformly random edge subset, n <= 8."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    extra = draw(st.integers(0, (1 << len(pairs)) - 1))
+    edges = {pair for k, pair in enumerate(pairs) if extra >> k & 1}
+    edges |= {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    return Graph(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_connected_graphs())
+def test_every_connected_graph_is_enumerated(g):
+    # The atlas stops at n = 7; this reaches the order-8 classes too.
+    assert canonical_form(g) in _class_forms(g.n)
 
 
 def test_canonical_graph_is_isomorphic_representative():
@@ -160,6 +185,5 @@ def test_budget_errors():
         canonical_form(path(11))
 
 
-@pytest.mark.slow
 def test_count_at_eight():
     assert len(enumerate_connected_graphs(8)) == 11117

@@ -14,6 +14,7 @@ from hararyspec import (
     complete_bipartite,
     cycle,
     edge_connectivity,
+    enumerate_connected_graphs,
     graph_invariants,
     independence_number,
     path,
@@ -75,6 +76,16 @@ def test_catalog_matches_oracles_up_to_n5(catalog):
         assert edge_connectivity(g) == brute_edge_connectivity(g)
         assert chromatic_number(g) == brute_chromatic_number(g)
         assert independence_number(g) == brute_independence_number(g)
+
+
+def test_vertex_connectivity_matches_oracle_on_every_class_and_random_graphs():
+    graphs = [g for n in range(1, 8) for g in enumerate_connected_graphs(n)]
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        graphs.append(Graph(n, random_edges(rng, n, connected=rng.random() < 0.7)))
+    for g in graphs:
+        assert vertex_connectivity(g) == brute_vertex_connectivity(g), g.edges()
 
 
 def test_connectivity_chain_on_catalog(catalog):

@@ -36,6 +36,10 @@ class BoundRecord:
     tight: bool | None = None
 
 
+# The record of every bound on K_1, where the blend is the 1x1 zero matrix.
+_TRIVIAL = dict(value=0.0, applicable=False, reason="single-vertex graph is trivial")
+
+
 def bound_report(g, alpha):
     """All row-sum and transmission-based bounds on the blend's spectral radius.
 
@@ -58,16 +62,15 @@ def _bound_records(bundle, a):
     tr = bundle.transmissions
     rd = bundle.rd
     if n == 1:
-        zero = dict(value=0.0, applicable=False, reason="single-vertex graph is trivial")
         return [
-            BoundRecord("row_norm_upper", "upper", **zero),
-            BoundRecord("weighted_transmission_lower", "lower", **zero),
-            BoundRecord("weighted_transmission_upper", "upper", **zero),
-            BoundRecord("rms_transmission_lower", "lower", **zero),
-            BoundRecord("ratio_row_sum_upper", "upper", **zero),
-            BoundRecord("harary_lower", "lower", **zero),
-            BoundRecord("scaled_transmission_lower", "lower", **zero),
-            BoundRecord("max_transmission_upper", "upper", **zero),
+            BoundRecord("row_norm_upper", "upper", **_TRIVIAL),
+            BoundRecord("weighted_transmission_lower", "lower", **_TRIVIAL),
+            BoundRecord("weighted_transmission_upper", "upper", **_TRIVIAL),
+            BoundRecord("rms_transmission_lower", "lower", **_TRIVIAL),
+            BoundRecord("ratio_row_sum_upper", "upper", **_TRIVIAL),
+            BoundRecord("harary_lower", "lower", **_TRIVIAL),
+            BoundRecord("scaled_transmission_lower", "lower", **_TRIVIAL),
+            BoundRecord("max_transmission_upper", "upper", **_TRIVIAL),
         ]
     row_norm = float(np.max(a * tr + (1.0 - a) * np.sqrt((n - 1.0) * (rd * rd).sum(axis=0))))
     weighted = a * tr + (1.0 - a) * (rd @ tr) / tr
@@ -160,6 +163,8 @@ def _bipartite_record(g, sizes, a):
     """``bipartite_bound`` for a bipartite g with part sizes ``sizes``."""
     small, large = sizes
     n = g.n
+    if n == 1:
+        return BoundRecord("bipartite_upper", "upper", **_TRIVIAL)
     lin = (a + 0.5) * n - 1.0
     disc = ((a - 0.5) * (2.0 * small - n)) ** 2 + 4.0 * (1.0 - a) ** 2 * small * large
     value = 0.5 * (lin + np.sqrt(disc))

@@ -8,11 +8,14 @@ graph.  Ties within 1e-9 are reported as a tie listing every maximizer
 rather than being broken arbitrarily; isomorphic duplicates cannot
 occur because the stream carries one representative per class.
 
-The search reuses one cached catalogue of (graph, invariants) per order
-and one cached spectral-radius table per (order, alpha), so repeated
-verification calls at the same order stay cheap.  The catalogue's RD
-matrices and transmissions are stacked once per order; each table
-solves the whole stack of blends in one eigensolver call.
+The search reuses per-order caches: one catalogue of (graph, canonical
+graph6, invariants); per invariant field, an index from each value to
+the catalogue positions holding it; and one spectral-radius table per
+(order, alpha), so a class scan gathers its members' radii with numpy.
+The catalogue's distance matrices are stacked and converted to RD in
+one step, the same conversion ``build_bundle`` makes for one graph, and
+each table solves the whole stack of blends in one eigensolver call.
+The predicted maximizer is labelled once per (order, constraint, value).
 """
 
 from __future__ import annotations
@@ -27,9 +30,10 @@ from .enumeration import ENUMERATION_BUDGET, canonical_form, enumerate_connected
 from .errors import BudgetError
 from .eigen import sym_eigen
 from .graph6 import to_graph6
-from .graphs import complete, disjoint_union, edgeless, join, turan
+from .graphs import (_reciprocal_distances, all_pairs_distances, complete, disjoint_union,
+                     edgeless, join, turan)
 from .invariants import graph_invariants
-from .matrices import build_bundle, check_alpha
+from .matrices import check_alpha
 
 __all__ = [
     "TIE_TOL",
@@ -99,27 +103,47 @@ def _catalog(n):
 
 
 @lru_cache(maxsize=None)
+def _class_index(n, field):
+    """Catalogue positions per value of the invariant ``field``."""
+    values = [getattr(inv, field) for _, _, inv in _catalog(n)]
+    column = np.array(values)
+    return {v: np.flatnonzero(column == v) for v in set(values)}
+
+
+@lru_cache(maxsize=None)
 def _stack(n):
     """Reciprocal distances and transmissions of every catalogue entry,
     stacked with shapes (k, n, n) and (k, n)."""
     graphs = enumerate_connected_graphs(n)
-    rd = np.empty((len(graphs), n, n))
-    rt = np.empty((len(graphs), n))
-    for i, g in enumerate(graphs):
-        bundle = build_bundle(g)
-        rd[i] = bundle.rd
-        rt[i] = bundle.transmissions
-    return rd, rt
+    rd = _reciprocal_distances(np.array([all_pairs_distances(g) for g in graphs]))
+    return rd, rd.sum(axis=2)
 
 
 @lru_cache(maxsize=None)
 def _rho_table(n, alpha):
-    """Blend spectral radius per catalogue entry, from one stacked solve."""
+    """Blend spectral radius per catalogue entry, from one stacked solve
+    whose residual must stay within the tie tolerance."""
     rd, rt = _stack(n)
     blend = (1.0 - alpha) * rd
     diag = np.arange(n)
     blend[:, diag, diag] = alpha * rt
-    return tuple(sym_eigen(blend).values[:, 0].tolist())
+    spectrum = sym_eigen(blend)
+    if spectrum.residual > TIE_TOL:
+        raise RuntimeError(f"stacked solve residual {spectrum.residual:.3g} exceeds the tie tolerance")
+    radii = spectrum.values[:, 0].copy()
+    radii.setflags(write=False)  # the cache hands this array to every caller
+    return radii
+
+
+@lru_cache(maxsize=None)
+def _predicted(build, n, value):
+    """Canonical graph6 of the predicted maximizer ``build(n, value)``."""
+    return canonical_form(build(n, value)).decode("ascii")
+
+
+def _clique_on_independent(n, k):
+    """k independent vertices joined to an (n-k)-clique."""
+    return join(edgeless(k), complete(n - k))
 
 
 def _check(n, alpha, symbol, value, low, slack):
@@ -138,18 +162,18 @@ def _check(n, alpha, symbol, value, low, slack):
     return a
 
 
-def _scan(n, alpha, selector, predicted, constraint, value, exploratory=False):
-    rhos = _rho_table(n, alpha)
-    picked = [
-        (rho, canon)
-        for (rho, (_, canon, inv)) in zip(rhos, _catalog(n))
-        if selector(inv)
-    ]
-    if not picked:
+def _scan(n, alpha, field, value, build, exploratory=False):
+    """The class of order-n graphs whose invariant ``field`` equals
+    ``value``, maximized and compared with the prediction ``build``."""
+    constraint = field.replace("_", "-")
+    members = _class_index(n, field).get(value)
+    if members is None:
         raise ValueError(f"empty class: no connected graph of order {n} has {constraint} = {value}")
-    rho_max = max(rho for rho, _ in picked)
-    maximizers = tuple(sorted(canon for rho, canon in picked if rho >= rho_max - TIE_TOL))
-    predicted_canon = canonical_form(predicted).decode("ascii")
+    radii = _rho_table(n, alpha)[members]
+    rho_max = float(radii.max())
+    catalog = _catalog(n)
+    maximizers = tuple(sorted(catalog[i][1] for i in members[radii >= rho_max - TIE_TOL]))
+    predicted_canon = _predicted(build, n, value)
     if len(maximizers) > 1:
         verdict = "tie"
     elif maximizers[0] == predicted_canon:
@@ -172,27 +196,13 @@ def _scan(n, alpha, selector, predicted, constraint, value, exploratory=False):
 def verify_vertex_connectivity_extremal(n, r, alpha):
     """Scan all connected graphs of order n with vertex connectivity r."""
     a = _check(n, alpha, "r", r, 1, 2)
-    return _scan(
-        n,
-        a,
-        lambda inv: inv.vertex_connectivity == r,
-        build_kite(n, r),
-        "vertex-connectivity",
-        r,
-    )
+    return _scan(n, a, "vertex_connectivity", r, build_kite)
 
 
 def verify_edge_connectivity_extremal(n, r, alpha):
     """Scan all connected graphs of order n with edge connectivity r."""
     a = _check(n, alpha, "r", r, 1, 2)
-    return _scan(
-        n,
-        a,
-        lambda inv: inv.edge_connectivity == r,
-        build_kite(n, r),
-        "edge-connectivity",
-        r,
-    )
+    return _scan(n, a, "edge_connectivity", r, build_kite)
 
 
 def verify_chromatic_extremal(n, chi, alpha):
@@ -203,15 +213,7 @@ def verify_chromatic_extremal(n, chi, alpha):
     verdict is data, not a claim.
     """
     a = _check(n, alpha, "chi", chi, 2, 0)
-    return _scan(
-        n,
-        a,
-        lambda inv: inv.chromatic_number == chi,
-        turan(n, chi),
-        "chromatic-number",
-        chi,
-        exploratory=a > CHROMATIC_GUARANTEE,
-    )
+    return _scan(n, a, "chromatic_number", chi, turan, exploratory=a > CHROMATIC_GUARANTEE)
 
 
 def verify_independence_extremal(n, k, alpha):
@@ -225,15 +227,7 @@ def verify_independence_extremal(n, k, alpha):
     """
     a = _check(n, alpha, "k", k, 1, 1)
     bound = independence_rho_bound(n, k, a)
-    predicted = join(edgeless(k), complete(n - k))
-    report = _scan(
-        n,
-        a,
-        lambda inv: inv.independence_number == k,
-        predicted,
-        "independence-number",
-        k,
-    )
+    report = _scan(n, a, "independence_number", k, _clique_on_independent)
     violated = report.rho_max > bound + TIE_TOL
     attained = abs(report.rho_max - bound) <= ATTAIN_TOL
     if violated or (report.verdict == "confirmed" and not attained):

@@ -279,14 +279,18 @@ def all_pairs_distances(g):
     return np.array(rows, dtype=np.int64)
 
 
-def _reciprocal_matrix(g):
-    """Matrix of reciprocal distances 1/d_ij with zero diagonal: the one
-    conversion from distances to RD."""
-    d = all_pairs_distances(g)
+def _reciprocal_distances(d):
+    """Reciprocal distances 1/d_ij with zero diagonal, of one distance
+    matrix or a ``(k, n, n)`` stack: the one conversion from distances to RD."""
     rd = np.zeros(d.shape)
     off = d > 0
     rd[off] = 1.0 / d[off]
     return rd
+
+
+def _reciprocal_matrix(g):
+    """Reciprocal distance matrix of a connected graph."""
+    return _reciprocal_distances(all_pairs_distances(g))
 
 
 def reciprocal_transmissions(g):

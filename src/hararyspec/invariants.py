@@ -66,12 +66,24 @@ def vertex_connectivity(g: Graph):
 
 
 def edge_connectivity(g: Graph):
-    """Minimum edge-cut size, by scanning all vertex bipartitions."""
+    """Minimum edge-cut size, by scanning vertex bipartitions.
+
+    Whitney's sandwich kappa <= lambda <= delta ("Congruent graphs and
+    the connectivity of graphs", 1932) bounds the scan: it starts from
+    the minimum degree and stops at a cut of size 1.
+    """
     _check_budget(g, "edge connectivity")
+    return _edge_connectivity(g, 1) if g.n > 1 and g.is_connected() else 0
+
+
+def _edge_connectivity(g, floor):
+    """Edge connectivity of a connected g with n >= 2, given ``floor`` <= it
+    (say the vertex connectivity): the minimum degree when they meet,
+    else the smallest bipartition cut, stopping at one of size ``floor``."""
     n = g.n
-    if n == 1 or not g.is_connected():
-        return 0
-    best = n * n
+    best = min(g.degrees())
+    if best == floor:
+        return best
     # Vertex 0 stays on the complement side, so each bipartition appears once.
     for side in range(1, 1 << (n - 1)):
         mask = side << 1
@@ -84,6 +96,8 @@ def edge_connectivity(g: Graph):
             m ^= low
         if cut < best:
             best = cut
+            if best == floor:
+                return best
     return best
 
 
@@ -191,9 +205,11 @@ def bipartition(g: Graph):
 def graph_invariants(g: Graph):
     """All exact invariants in one record."""
     _check_budget(g, "invariants")
+    kappa = vertex_connectivity(g)
     return GraphInvariants(
-        vertex_connectivity=vertex_connectivity(g),
-        edge_connectivity=edge_connectivity(g),
+        vertex_connectivity=kappa,
+        # kappa = 0 exactly when g is disconnected or K_1, where lambda = 0 too
+        edge_connectivity=kappa and _edge_connectivity(g, kappa),
         chromatic_number=chromatic_number(g),
         independence_number=independence_number(g),
         min_degree=min(g.degrees()),

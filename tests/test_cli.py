@@ -241,6 +241,30 @@ def test_psd_single_vertex(capsys):
     }
 
 
+def test_bounds_single_vertex_records_all_trivial(capsys):
+    # K_1 is bipartite; its bipartite record reads 0 like every other
+    # record, not the cancellation noise of the general formula.
+    trivial = dict(value=0.0, applicable=False, reason="single-vertex graph is trivial", tight=None)
+    argv = ("bounds", "--construct", "complete:1", "--alpha")
+    code, out, err = run(capsys, *argv, "0,0.3", "--format", "json")
+    assert code == 0, err
+    for report in json.loads(out):
+        assert report["rho"] == 0.0
+        assert report["records"][-1] == {"name": "bipartite_upper", "kind": "upper", **trivial}
+        bounds_only = [r for r in report["records"] if not r["name"].startswith("rq_")]
+        assert len(bounds_only) == 9
+        assert all({k: r[k] for k in trivial} == trivial for r in bounds_only)
+    code, out, err = run(capsys, *argv, "0.3")
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[0] == "alpha = 0.3: rho = 0"
+    assert lines[-1] == (
+        "  bipartite_upper                  upper                  0"
+        "  [not applicable: single-vertex graph is trivial]"
+    )
+    assert "tight" not in out
+
+
 def test_closed_form_table(capsys):
     code, out, err = run(capsys, "closed-form", "--construct", "complete:4", "--alpha", "0,0.5")
     assert code == 0, err

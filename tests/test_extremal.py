@@ -1,11 +1,17 @@
 """Exhaustive extremal verification against the predicted maximizers."""
 
 import json
+from dataclasses import replace
+from itertools import combinations
 
+import networkx as nx
+import numpy as np
 import pytest
 
 from hararyspec import (
     BudgetError,
+    Graph,
+    build_bundle,
     build_kite,
     canonical_form,
     complete,
@@ -14,18 +20,20 @@ from hararyspec import (
     complete_split,
     edgeless,
     enumerate_connected_graphs,
+    extremal,
     graph_invariants,
     independence_rho_bound,
     join,
     spectral_radius,
+    sym_eigen,
     verify_chromatic_extremal,
     verify_edge_connectivity_extremal,
     verify_independence_extremal,
     verify_vertex_connectivity_extremal,
 )
-from hararyspec.extremal import _rho_table
+from hararyspec.extremal import CHROMATIC_GUARANTEE, TIE_TOL, _rho_table, _stack
 
-from conftest import make_paw
+from conftest import brute_vertex_connectivity, make_paw
 
 
 def test_kite_small_cases():
@@ -174,7 +182,122 @@ def test_stacked_rho_table_matches_single_solves():
             assert abs(rho - spectral_radius(g, alpha)) <= 1e-12
 
 
-@pytest.mark.slow
+def test_stack_is_the_per_graph_bundles_bit_for_bit():
+    for n in range(1, 8):
+        bundles = [build_bundle(g) for g in enumerate_connected_graphs(n)]
+        rd, rt = _stack(n)
+        assert np.array_equal(rd, np.stack([b.rd for b in bundles]))
+        assert np.array_equal(rt, np.stack([b.transmissions for b in bundles]))
+    assert not _rho_table(5, 0.3).flags.writeable
+
+
+def test_rho_table_refuses_a_residual_above_the_tie_tolerance(monkeypatch):
+    def solver_with_residual(residual):
+        return lambda matrix: replace(sym_eigen(matrix), residual=residual)
+
+    expected = _rho_table(5, 0.3)
+    monkeypatch.setattr(extremal, "sym_eigen", solver_with_residual(TIE_TOL))
+    assert np.array_equal(_rho_table.__wrapped__(5, 0.3), expected)
+    monkeypatch.setattr(extremal, "sym_eigen", solver_with_residual(2 * TIE_TOL))
+    with pytest.raises(RuntimeError, match="exceeds the tie tolerance"):
+        _rho_table.__wrapped__(5, 0.3)
+    with pytest.raises(RuntimeError, match="exceeds the tie tolerance"):
+        verify_vertex_connectivity_extremal(5, 2, 0.3001)  # an alpha no table holds yet
+
+
+# -- an exhaustive scan that shares no code with the package -------------------
+
+SCAN_ALPHAS = (0.0, 0.3, 7.0 / 16.0, 0.9)
+
+
+def _chromatic_number(h, maximal_independent):
+    """Fewest maximal independent sets covering h: a colouring's classes
+    extend to maximal independent sets, and a cover shrinks to a colouring."""
+    for k in range(1, len(h) + 1):
+        if any(set().union(*sets) == set(h) for sets in combinations(maximal_independent, k)):
+            return k
+
+
+def _radii(graphs):
+    """Blend spectral radius of each graph (one order) at each alpha in
+    SCAN_ALPHAS, from networkx distances and numpy.linalg.eigvalsh."""
+    n = graphs[0].number_of_nodes()
+    lengths = [dict(nx.shortest_path_length(h)) for h in graphs]
+    dist = np.array([[[d[u][v] for v in range(n)] for u in range(n)] for d in lengths], dtype=float)
+    rd = np.divide(1.0, dist, out=np.zeros_like(dist), where=dist > 0)
+    diag = np.eye(n) * rd.sum(axis=2)[:, :, None]
+    return {a: np.linalg.eigvalsh(a * diag + (1.0 - a) * rd)[:, -1] for a in SCAN_ALPHAS}
+
+
+def _reference_classes():
+    """Per order 2..7: the connected networkx-atlas graphs, each one's four
+    invariants (networkx and the conftest brute oracle), and the radii."""
+    classes = {}
+    for h in nx.graph_atlas_g():
+        if h.number_of_nodes() >= 2 and nx.is_connected(h):
+            classes.setdefault(h.number_of_nodes(), []).append(h)
+    reference = {}
+    for n, graphs in classes.items():
+        invariants = []
+        for h in graphs:
+            independent = [set(c) for c in nx.find_cliques(nx.complement(h))]
+            invariants.append({
+                "vertex_connectivity": brute_vertex_connectivity(Graph(n, h.edges())),
+                "edge_connectivity": nx.edge_connectivity(h),
+                "chromatic_number": _chromatic_number(h, independent),
+                "independence_number": max(map(len, independent)),
+            })
+        reference[n] = graphs, invariants, _radii(graphs)
+    return reference
+
+
+def _kite(n, r):
+    rest = nx.disjoint_union(nx.empty_graph(1), nx.complete_graph(n - r - 1))
+    return nx.full_join(nx.complete_graph(r), rest, rename=("a", "b"))
+
+
+SCANS = (  # verifier, invariant, feasible values at order n, predicted maximizer
+    (verify_vertex_connectivity_extremal, "vertex_connectivity", lambda n: range(1, n - 1), _kite),
+    (verify_edge_connectivity_extremal, "edge_connectivity", lambda n: range(1, n - 1), _kite),
+    (verify_chromatic_extremal, "chromatic_number", lambda n: range(2, n + 1), nx.turan_graph),
+    (verify_independence_extremal, "independence_number", lambda n: range(1, n),
+     lambda n, k: nx.full_join(nx.empty_graph(k), nx.complete_graph(n - k), rename=("a", "b"))),
+)
+
+
+def test_every_scan_matches_an_independent_reference_scan():
+    seen = set()
+    for n, (graphs, invariants, radii) in _reference_classes().items():
+        for verify, field, values, build in SCANS:
+            for value in values(n):
+                members = [i for i, inv in enumerate(invariants) if inv[field] == value]
+                predicted = build(n, value)
+                for a in SCAN_ALPHAS:
+                    report = verify(n, value, a)
+                    rho = radii[a][members]
+                    rho_max = float(rho.max())
+                    assert abs(report.rho_max - rho_max) <= 1e-12, report
+                    expected = [graphs[i] for i, r in zip(members, rho) if r >= rho_max - TIE_TOL]
+                    got = [nx.from_graph6_bytes(text.encode()) for text in report.maximizers]
+                    assert len(got) == len(expected), report
+                    for g in got:
+                        match = [h for h in expected if nx.is_isomorphic(g, h)]
+                        assert len(match) == 1, report
+                        expected.remove(match[0])
+                    claimed = nx.from_graph6_bytes(report.predicted.encode())
+                    assert nx.is_isomorphic(claimed, predicted), report
+                    if len(got) > 1:
+                        verdict = "tie"
+                    else:
+                        verdict = "confirmed" if nx.is_isomorphic(got[0], predicted) else "refuted"
+                    assert report.verdict == verdict, report
+                    exploratory = field == "chromatic_number" and a > CHROMATIC_GUARANTEE
+                    assert report.exploratory == exploratory, report
+                    seen.add((verdict, exploratory))
+    # alpha = 0.9 reaches the exploratory chromatic refutations and a tie
+    assert {("confirmed", False), ("refuted", True), ("tie", True)} <= seen, seen
+
+
 def test_full_sweep_at_eight():
     n = 8
     reports = [verify_vertex_connectivity_extremal(n, r, 0.0) for r in range(1, n - 1)]

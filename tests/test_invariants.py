@@ -22,6 +22,7 @@ from hararyspec import (
     vertex_connectivity,
     wheel,
 )
+from hararyspec.extremal import _catalog
 
 from conftest import (
     brute_chromatic_number,
@@ -86,6 +87,24 @@ def test_vertex_connectivity_matches_oracle_on_every_class_and_random_graphs():
         graphs.append(Graph(n, random_edges(rng, n, connected=rng.random() < 0.7)))
     for g in graphs:
         assert vertex_connectivity(g) == brute_vertex_connectivity(g), g.edges()
+
+
+def test_edge_connectivity_matches_networkx_on_every_class_and_random_graphs():
+    graphs = [g for n in range(1, 8) for g in enumerate_connected_graphs(n)]
+    # kappa <= lambda <= delta (Whitney), so kappa < lambda or lambda < delta
+    # needs kappa < delta; the catalogue holds each class's graph_invariants.
+    eight = [g for g, _, inv in _catalog(8) if inv.vertex_connectivity < inv.min_degree]
+    assert len(eight) == 557
+    rng = random.Random(8)
+    randoms = []
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        randoms.append(Graph(n, random_edges(rng, n, connected=rng.random() < 0.5)))
+    assert sum(not g.is_connected() for g in randoms) > 50
+    for g in graphs + eight + randoms:
+        expected = nx.edge_connectivity(nx_graph(g.n, g.edges()))
+        assert edge_connectivity(g) == expected, g.edges()
+        assert graph_invariants(g).edge_connectivity == expected, g.edges()
 
 
 def test_connectivity_chain_on_catalog(catalog):

@@ -10,14 +10,19 @@ process, on first use.
 Exit codes: 0 success or confirmed, 1 usage/parse error, 2 refuted,
 3 tie, 4 budget exceeded.  All floats print with 12 significant digits
 so outputs diff cleanly.
+
+Each command builds its payload first.  ``--format json`` writes it through
+the one emitter, ``_json``, which rounds every float to 12 significant digits
+and writes the text of ``json.dumps(..., indent=2, sort_keys=True)`` in one
+pass; table lines are built only for ``--format table``.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -66,15 +71,37 @@ def _fmt(x):
     return f"{float(x):.12g}"
 
 
-def _round12(obj):
-    """Round every float in a JSON-ready structure to 12 significant digits."""
+def _json(obj, indent="\n"):
+    """JSON text of ``obj`` with floats rounded to 12 significant digits,
+    indented by two spaces per level and with sorted string keys, as
+    ``json.dumps`` writes it.  ``indent`` is the newline and indentation of
+    obj's own level."""
     if isinstance(obj, float):
-        return float(f"{obj:.12g}")
+        obj = float(f"{obj:.12g}")
+        if obj - obj == 0.0:  # finite
+            return float.__repr__(obj)
+        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
     if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json(obj[k], inner) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
     if isinstance(obj, (list, tuple)):
-        return [_round12(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in obj]) + indent + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _parse_construct(spec):
@@ -120,12 +147,10 @@ def _parse_alphas(text):
     return alphas
 
 
-def _emit(args, payload, lines):
-    """Write the report: ``payload`` as JSON or ``lines`` as a table."""
-    if args.format == "json":
-        text = json.dumps(_round12(payload), indent=2, sort_keys=True)
-    else:
-        text = "\n".join(lines)
+def _emit(args, payload, table):
+    """Write the report: ``payload`` as JSON, or the lines of the lazy
+    iterable ``table``, which JSON output never starts."""
+    text = _json(payload) if args.format == "json" else "\n".join(table)
     if not text.endswith("\n"):
         text += "\n"
     if args.output:
@@ -139,24 +164,24 @@ def cmd_spectrum(args):
     g = args.graph
     bundle = build_bundle(g)
     reports = []
-    # graph6's short form stops at n = 62; past that the header names n alone.
-    lines = [
-        f"n = {g.n}, graph6 = {to_graph6(g)}" if g.n <= _MAX_SHORT_N else f"n = {g.n}",
-        "transmissions: " + " ".join(_fmt(t) for t in bundle.transmissions),
-        f"harary index: {_fmt(bundle.harary)}",
-    ]
     for a in args.alphas:
         values = sym_eigen(rd_alpha(bundle, a)).values
         energy = _energy(bundle, a, values)
         reports.append(
             {"n": g.n, "alpha": a, "eigenvalues": values.tolist(), "harary": bundle.harary, "energy": energy}
         )
-        lines.append(
-            f"alpha = {_fmt(a)}: eigenvalues ["
-            + ", ".join(_fmt(v) for v in values)
-            + f"], energy {_fmt(energy)}"
-        )
-    _emit(args, reports, lines)
+
+    def table():
+        # graph6's short form stops at n = 62; past that the header names n alone.
+        yield f"n = {g.n}, graph6 = {to_graph6(g)}" if g.n <= _MAX_SHORT_N else f"n = {g.n}"
+        yield "transmissions: " + " ".join(_fmt(t) for t in bundle.transmissions)
+        yield f"harary index: {_fmt(bundle.harary)}"
+        for r in reports:
+            yield (f"alpha = {_fmt(r['alpha'])}: eigenvalues ["
+                   + ", ".join(_fmt(v) for v in r["eigenvalues"])
+                   + f"], energy {_fmt(r['energy'])}")
+
+    _emit(args, reports, table())
     return EXIT_OK
 
 
@@ -173,19 +198,22 @@ def cmd_bounds(args):
     rho_rd, rho_rq = radii[-2:]
     tr_max = float(bundle.transmissions.max())
     reports = []
-    lines = []
     for a, rho, rho_mirror in zip(alphas, radii[:k], radii[k:2 * k]):
         records = _bound_records(bundle, a) + _rq_records(a, tr_max, rho_rd, rho_rq, rho_mirror)
         if is_bipartite:
             records.append(_bipartite_record(g, sizes, a))
         # vars: a record's fields, without asdict's deep copy (about 12 us a record)
         reports.append({"n": g.n, "alpha": a, "rho": rho, "records": [vars(r) for r in records]})
-        lines.append(f"alpha = {_fmt(a)}: rho = {_fmt(rho)}")
-        for rec in records:
-            status = "" if rec.applicable else f"  [not applicable: {rec.reason}]"
-            tight = "  [tight]" if rec.tight else ""
-            lines.append(f"  {rec.name:<32} {rec.kind:<5} {_fmt(rec.value):>18}{tight}{status}")
-    _emit(args, reports, lines)
+
+    def table():
+        for r in reports:
+            yield f"alpha = {_fmt(r['alpha'])}: rho = {_fmt(r['rho'])}"
+            for rec in r["records"]:
+                status = "" if rec["applicable"] else f"  [not applicable: {rec['reason']}]"
+                tight = "  [tight]" if rec["tight"] else ""
+                yield f"  {rec['name']:<32} {rec['kind']:<5} {_fmt(rec['value']):>18}{tight}{status}"
+
+    _emit(args, reports, table())
     return EXIT_OK
 
 
@@ -212,11 +240,14 @@ def cmd_psd(args):
             if n >= 4:
                 alpha0 = psd._complete_bipartite_formula(a_part, n)
                 payload["closed_form"] = {"alpha0": alpha0, "method": "complete_bipartite"}
-    lines = [f"alpha0 = {_fmt(result.alpha0)} ({result.method}), residual {_fmt(result.residual)}"]
-    if "closed_form" in payload:
-        cf = payload["closed_form"]
-        lines.append(f"closed form ({cf['method']}): alpha0 = {_fmt(cf['alpha0'])}")
-    _emit(args, payload, lines)
+
+    def table():
+        yield f"alpha0 = {_fmt(result.alpha0)} ({result.method}), residual {_fmt(result.residual)}"
+        if "closed_form" in payload:
+            cf = payload["closed_form"]
+            yield f"closed form ({cf['method']}): alpha0 = {_fmt(cf['alpha0'])}"
+
+    _emit(args, payload, table())
     return EXIT_OK
 
 
@@ -245,7 +276,6 @@ def cmd_closed_form(args):
     g = args.graph
     bundle = build_bundle(g)
     reports = []
-    lines = []
     for a in args.alphas:
         spec = _closed_form_for(args.family, a)
         numeric = sym_eigen(rd_alpha(bundle, a)).values
@@ -259,11 +289,15 @@ def cmd_closed_form(args):
                 "max_deviation_vs_numeric": deviation,
             }
         )
-        lines.append(f"alpha = {_fmt(a)} [{spec.source}]")
-        for v, m in sorted(spec.pairs, reverse=True):
-            lines.append(f"  {_fmt(v):>18}  (multiplicity {m})")
-        lines.append(f"  max deviation vs numeric eigensolver: {_fmt(deviation)}")
-    _emit(args, reports, lines)
+
+    def table():
+        for r in reports:
+            yield f"alpha = {_fmt(r['alpha'])} [{r['source']}]"
+            for v, m in sorted(r["eigenvalues"], reverse=True):
+                yield f"  {_fmt(v):>18}  (multiplicity {m})"
+            yield f"  max deviation vs numeric eigensolver: {_fmt(r['max_deviation_vs_numeric'])}"
+
+    _emit(args, reports, table())
     return EXIT_OK
 
 
@@ -278,13 +312,13 @@ _VERIFIERS = {
 def cmd_verify_extremal(args):
     verifier = _VERIFIERS[args.constraint]
     reports = [verifier(args.n, args.value, a) for a in args.alphas]
-    lines = [
+    table = (
         f"n={r.n} {r.constraint}={r.value} alpha={_fmt(r.alpha)}: "
         f"{r.verdict}{' (exploratory)' if r.exploratory else ''}, rho_max={_fmt(r.rho_max)}, "
         f"maximizers={list(r.maximizers)}, predicted={r.predicted}"
         for r in reports
-    ]
-    _emit(args, [r.to_json() for r in reports], lines)
+    )
+    _emit(args, [r.to_json() for r in reports], table)
     verdicts = {r.verdict for r in reports}
     if "refuted" in verdicts:
         return EXIT_REFUTED

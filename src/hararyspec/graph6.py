@@ -50,18 +50,30 @@ def parse_graph6(text):
         )
     if len(body) > need:
         raise Graph6Error("trailing garbage after graph6 data", base + 1 + need)
-    bits = []
+    # The body read as one big-endian integer: pair bit t of the
+    # column-major order sits at position m - 1 - t, after the padding.
+    word = 0
     for k, ch in enumerate(body):
         val = ord(ch)
         if not 63 <= val <= 126:
             raise Graph6Error(f"byte {val} outside graph6 range 63..126", base + 1 + k)
-        val -= 63
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
-    for k in range(m, len(bits)):
-        if bits[k]:
-            raise Graph6Error("nonzero padding bits", base + 1 + k // 6)
-    edges = [pair for pair, bit in zip(triangle_pairs(n), bits) if bit]
-    return Graph(n, edges)
+        word = word << 6 | (val - 63)
+    pad = 6 * need - m
+    if word & ((1 << pad) - 1):
+        raise Graph6Error("nonzero padding bits", base + need)
+    word >>= pad
+    adj = [0] * n
+    for j in range(1, n):
+        # column j holds the pairs (0, j), ..., (j - 1, j), highest bit first
+        m -= j
+        col = word >> m & ((1 << j) - 1)
+        while col:
+            low = col & -col
+            i = j - low.bit_length()
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+            col ^= low
+    return Graph._from_adj(n, adj)
 
 
 def to_graph6(g):
@@ -103,12 +115,15 @@ def parse_edge_list(text):
     n, m = int(head[0]), int(head[1])
     if len(lines) - 1 != m:
         raise ValueError(f"header announces {m} edges but {len(lines) - 1} lines follow")
-    edges = []
+    edges = {}  # an insertion-ordered set
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"expected edge line 'u v', got {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        edge = (int(parts[0]), int(parts[1]))
+        if edge in edges or edge[::-1] in edges:
+            raise ValueError(f"repeated edge {edge} in edge list")
+        edges[edge] = None
     return Graph(n, edges)
 
 

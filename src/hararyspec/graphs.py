@@ -47,7 +47,8 @@ def _bit_indices(mask):
 
 def _reach(adj, mask):
     """Union of the neighbourhoods of the vertices in the bitmask ``mask``:
-    the one breadth-first step every traversal in the package takes."""
+    the breadth-first step of every traversal in the package except
+    ``all_pairs_distances``, which takes it while filling a distance row."""
     reach = 0
     while mask:
         low = mask & -mask
@@ -268,11 +269,18 @@ def all_pairs_distances(g):
         seen = frontier = 1 << s
         dist = 0
         while frontier:
-            frontier = _reach(adj, frontier) & ~seen
+            # The row needs every frontier vertex's index anyway, so the
+            # breadth-first step (``_reach``) is taken in the same pass.
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                v = low.bit_length() - 1
+                row[v] = dist
+                reach |= adj[v]
+                frontier ^= low
+            frontier = reach & ~seen
             seen |= frontier
             dist += 1
-            for v in _bit_indices(frontier):
-                row[v] = dist
         if seen != full:
             raise NotConnectedError("graph not connected")
         rows.append(row)

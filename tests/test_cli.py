@@ -1,9 +1,12 @@
 """Command-line interface: inputs, outputs, schemas and exit codes."""
 
 import json
+from http import HTTPStatus  # an int subclass with its own repr
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hararyspec import (
     bipartite_bound,
@@ -24,6 +27,54 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def round12(obj):
+    """Every float of a payload rounded to 12 significant digits, tuples as
+    lists: the rounding the CLI's JSON output promises, written here apart
+    from the emitter under test."""
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: round12(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [round12(v) for v in obj]
+    return obj
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**100), max_value=2**100),
+    st.floats(allow_subnormal=True),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1e16, 1e-5, 0.1 + 0.2,
+                     float("nan"), float("inf"), float("-inf")]),
+    st.floats().map(np.float64),
+    st.text(),
+)
+_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(), children, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_PAYLOADS)
+def test_json_emitter_matches_json_dumps(payload):
+    assert cli._json(payload) == json.dumps(round12(payload), indent=2, sort_keys=True)
+
+
+def test_json_emitter_edge_cases():
+    payload = {"\u00e9\x00\n\"": [(), [], {}, -0.0, 5e-324, 1e300, float("nan"), float("-inf"),
+                                   np.float64(1 / 3), 2**70, -(2**70), HTTPStatus.OK, True, False, None]}
+    assert cli._json(payload) == json.dumps(round12(payload), indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        cli._json(np.int64(3))  # json.dumps refuses it too
 
 
 def test_spectrum_complete_graph_json(capsys):
@@ -146,7 +197,7 @@ def test_bounds_json_matches_library_records(capsys, graph6):
         records = bound_report(g, a) + rq_relation_bounds(g, a)
         if is_bipartite:
             records.append(bipartite_bound(g, a))
-        expected = json.loads(json.dumps(cli._round12([vars(r) for r in records])))
+        expected = json.loads(json.dumps(round12([vars(r) for r in records])))
         assert report["alpha"] == a
         assert report["records"] == expected
 
@@ -184,6 +235,39 @@ def test_each_report_does_its_work_once(capsys, monkeypatch, argv, solves):
     code, _, err = run(capsys, *argv)
     assert code == 0, err
     assert counts == {"bfs": 1, "solve": solves}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--construct", "wheel:6", "--alpha", "0,0.5"),
+        ("bounds", "--construct", "bipartite:2,3", "--alpha", "0,0.5"),
+        ("psd", "--construct", "wheel:6"),
+        ("closed-form", "--construct", "wheel:6", "--alpha", "0,0.5"),
+        ("verify-extremal", "--n", "5", "--constraint", "chromatic-number", "--value", "3",
+         "--alpha", "0,0.25"),
+    ],
+)
+def test_json_reports_do_no_table_work(capsys, monkeypatch, argv):
+    counts = {"_fmt": 0, "to_graph6": 0}
+
+    def counted(name):
+        fn = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(cli, name, counted(name))
+    code, _, err = run(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    assert counts == {"_fmt": 0, "to_graph6": 0}
+    code, _, err = run(capsys, *argv, "--format", "table")
+    assert code == 0, err
+    assert counts["_fmt"] > 0
+    assert counts["to_graph6"] == (argv[0] == "spectrum")  # the spectrum table's header
 
 
 def test_interleaved_calls_match_calls_alone(capsys, tmp_path):
@@ -414,6 +498,21 @@ def test_edge_list_file_input(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)[0]["harary"] == 2.5
+
+
+@pytest.mark.parametrize("second", ["1 0", "0 1"])
+def test_edge_list_repeated_edge_exits_one(capsys, tmp_path, second):
+    # The header announces three edges; a repeat must not run as a 2-edge path.
+    p = tmp_path / "g.edges"
+    p.write_text(f"3 3\n0 1\n{second}\n1 2\n")
+    code, out, err = run(capsys, "spectrum", "--edge-list", str(p))
+    assert code == 1
+    assert out == ""
+    assert f"repeated edge ({second.replace(' ', ', ')})" in err
+    p.write_text("3 3\n0 1\n2 1\n0 2\n")  # a triangle: three distinct edges
+    code, out, err = run(capsys, "spectrum", "--edge-list", str(p), "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)[0]["harary"] == 3.0
 
 
 def test_graph6_file_input(capsys, tmp_path):

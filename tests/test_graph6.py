@@ -1,5 +1,6 @@
 """graph6 and edge-list formats against an independent reference encoder."""
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,6 +136,29 @@ def test_edge_list_errors():
         parse_edge_list("3\n0 1\n")
     with pytest.raises(ValueError, match="announces"):
         parse_edge_list("3 2\n0 1\n")
+
+
+@pytest.mark.parametrize("text, pair", [("3 3\n0 1\n1 0\n1 2\n", "(1, 0)"),
+                                        ("3 3\n0 1\n1 2\n0 1\n", "(0, 1)")])
+def test_edge_list_rejects_repeated_edge(text, pair):
+    with pytest.raises(ValueError, match=f"repeated edge {pair}".replace("(", r"\(").replace(")", r"\)")):
+        parse_edge_list(text)
+
+
+def test_edge_list_distinct_edges_in_either_orientation():
+    assert parse_edge_list("3 3\n1 0\n2 1\n0 2\n") == complete(3)
+
+
+def test_parse_matches_networkx_on_random_graphs():
+    rng = np.random.default_rng(62)
+    orders = [1, 2, 62, 62] + [int(n) for n in rng.integers(1, 63, size=120)]
+    for n in orders:
+        h = nx.gnp_random_graph(n, float(rng.uniform(0.0, 1.0)), seed=int(rng.integers(2**31)))
+        text = nx.to_graph6_bytes(h, header=False).decode("ascii").rstrip("\n")
+        decoded = nx.from_graph6_bytes(text.encode("ascii"))
+        g = parse_graph6(text)
+        assert g.n == decoded.number_of_nodes() == n
+        assert set(g.edges()) == {(min(u, v), max(u, v)) for u, v in decoded.edges()}
 
 
 @st.composite

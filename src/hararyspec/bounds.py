@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closed_forms import _join_quadratic
 from .eigen import sym_eigen
 from .invariants import bipartition
 from .matrices import build_bundle, check_alpha, rd_alpha
@@ -162,12 +163,9 @@ def bipartite_bound(g, alpha):
 def _bipartite_record(g, sizes, a):
     """``bipartite_bound`` for a bipartite g with part sizes ``sizes``."""
     small, large = sizes
-    n = g.n
-    if n == 1:
+    if g.n == 1:
         return BoundRecord("bipartite_upper", "upper", **_TRIVIAL)
-    lin = (a + 0.5) * n - 1.0
-    disc = ((a - 0.5) * (2.0 * small - n)) ** 2 + 4.0 * (1.0 - a) ** 2 * small * large
-    value = 0.5 * (lin + np.sqrt(disc))
     # A connected bipartite graph with parts a, b is K_{a,b} iff it has all a*b edges.
     tight = g.edge_count == small * large
-    return BoundRecord("bipartite_upper", "upper", float(value), tight=tight)
+    value = _join_quadratic(small, 0, large, 0, a)[0]  # the radius of K_{small,large}
+    return BoundRecord("bipartite_upper", "upper", value, tight=tight)

@@ -2,11 +2,12 @@
 
 The canonical form is exact: equitable colour refinement narrows the
 candidate orderings, a backtracking search tries the orderings the
-refinement leaves open, and the certificate is the lexicographically
-smallest relabelled edge bitstring (equivalently, the smallest graph6
-encoding).  Refinement keys depend only on the partition itself, never
-on vertex labels, so isomorphic graphs explore label-equivalent search
-trees and end up with identical certificates.
+refinement leaves open, and the certificate is the smallest relabelled
+edge mask (see ``graph6``), written as graph6.  Each cell of the
+partition is a vertex bitmask, and the search individualises its
+vertices lowest first.  Refinement keys depend only on the partition
+itself, never on vertex labels, so isomorphic graphs explore
+label-equivalent search trees and end up with identical certificates.
 
 The search skips twins: vertices u and v with the same neighbours apart
 from each other.  The transposition (u v) is then an automorphism fixing
@@ -42,8 +43,8 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import BudgetError
-from .graph6 import to_graph6
-from .graphs import Graph, _bit_indices, _connected_within, triangle_pairs
+from .graph6 import _edge_mask, _mask_graph, _pack_graph6
+from .graphs import Graph, _bit_indices, _connected_within
 
 __all__ = [
     "CANONICAL_BUDGET",
@@ -58,37 +59,28 @@ ENUMERATION_BUDGET = 8
 
 
 def _refine(adj, cells):
-    """Equitable refinement: split cells by neighbour counts into every cell.
+    """Equitable refinement: split cells (vertex bitmasks) by neighbour counts.
 
     Split groups are ordered by their count-vector keys, which keeps the
     refined partition independent of vertex labels.
     """
     while True:
-        masks = []
-        for cell in cells:
-            m = 0
-            for v in cell:
-                m |= 1 << v
-            masks.append(m)
-        changed = False
         refined = []
         for cell in cells:
-            if len(cell) == 1:
+            if not cell & (cell - 1):
                 refined.append(cell)
                 continue
             groups = {}
-            for v in cell:
-                key = tuple((adj[v] & m).bit_count() for m in masks)
-                groups.setdefault(key, []).append(v)
-            if len(groups) == 1:
-                refined.append(cell)
-            else:
-                changed = True
-                for key in sorted(groups):
-                    refined.append(groups[key])
-        cells = refined
-        if not changed:
+            rest = cell
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                key = tuple([(adj[low.bit_length() - 1] & c).bit_count() for c in cells])
+                groups[key] = groups.get(key, 0) | low
+            refined += [groups[key] for key in sorted(groups)]
+        if len(refined) == len(cells):
             return cells
+        cells = refined
 
 
 def _twins(adj):
@@ -105,61 +97,44 @@ def _twins(adj):
 
 
 def _canonical_mask(g):
-    """Smallest relabelled upper-triangle bitmask (first pair = most significant bit)."""
+    """Smallest edge mask over the relabellings the search leaves open."""
     n = g.n
+    if n > CANONICAL_BUDGET:
+        raise BudgetError(
+            f"budget exceeded: canonical labelling limited to n <= {CANONICAL_BUDGET}, got n={n}"
+        )
     adj = g.adj_bits
-    pairs = triangle_pairs(n)
     twins = _twins(adj)
     best = None
 
-    def leaf(order):
-        nonlocal best
-        mask = 0
-        for i, j in pairs:
-            mask = (mask << 1) | (adj[order[i]] >> order[j] & 1)
-        if best is None or mask < best:
-            best = mask
-
     def search(cells):
+        nonlocal best
         cells = _refine(adj, cells)
         for idx, cell in enumerate(cells):
-            if len(cell) > 1:
+            if cell & (cell - 1):
                 tried = 0
-                for v in cell:
+                for v in _bit_indices(cell):
                     if twins[v] & tried:
                         continue  # (u v) is an automorphism: same leaves as u's subtree
                     tried |= 1 << v
-                    rest = [u for u in cell if u != v]
-                    search(cells[:idx] + [[v], rest] + cells[idx + 1 :])
+                    search(cells[:idx] + [1 << v, cell ^ 1 << v] + cells[idx + 1 :])
                 return
-        leaf([cell[0] for cell in cells])
+        mask = _edge_mask(adj, [cell.bit_length() - 1 for cell in cells])
+        if best is None or mask < best:
+            best = mask
 
-    search([list(range(n))])
+    search([(1 << n) - 1])
     return best
-
-
-def _graph_from_mask(n, mask):
-    m = n * (n - 1) // 2
-    adj = [0] * n
-    for k, (i, j) in enumerate(triangle_pairs(n)):
-        if mask >> (m - 1 - k) & 1:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    return Graph._from_adj(n, adj)
 
 
 def canonical_graph(g):
     """A canonically labelled representative of g's isomorphism class."""
-    if g.n > CANONICAL_BUDGET:
-        raise BudgetError(
-            f"budget exceeded: canonical labelling limited to n <= {CANONICAL_BUDGET}, got n={g.n}"
-        )
-    return _graph_from_mask(g.n, _canonical_mask(g))
+    return _mask_graph(g.n, _canonical_mask(g))
 
 
 def canonical_form(g):
     """Canonical certificate: equal bytes iff the graphs are isomorphic."""
-    return to_graph6(canonical_graph(g)).encode("ascii")
+    return _pack_graph6(g.n, _canonical_mask(g)).encode("ascii")
 
 
 def _twin_prefixes(adj):
@@ -207,7 +182,7 @@ def _connected_classes(n):
             if _last_is_deletable(adj, full):
                 found.add(_canonical_mask(Graph._from_adj(n, adj)))
     ordered = sorted(found, key=lambda mask: (mask.bit_count(), mask))
-    return tuple(_graph_from_mask(n, mask) for mask in ordered)
+    return tuple(_mask_graph(n, mask) for mask in ordered)
 
 
 def enumerate_connected_graphs(n):

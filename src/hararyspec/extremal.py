@@ -20,12 +20,12 @@ The predicted maximizer is labelled once per (order, constraint, value).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
+from .closed_forms import _join_quadratic
 from .enumeration import ENUMERATION_BUDGET, canonical_form, enumerate_connected_graphs
 from .errors import BudgetError
 from .eigen import sym_eigen
@@ -83,15 +83,14 @@ def build_kite(n, r):
 def independence_rho_bound(n, k, alpha):
     """Closed-form radius bound for connected graphs with independence number k.
 
-    The bound is the radius of the extremal graph (k independent
-    vertices joined to an (n-k)-clique), written cancellation-free.
+    The bound is the radius of the extremal graph: k independent vertices
+    joined to an (n-k)-clique, a join of a 0-regular and an
+    (n-k-1)-regular graph.
     """
     a = check_alpha(alpha)
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    lin = (1.0 + a) * n - 0.5 * k - 1.5
-    disc = ((1.0 - a) * n + 2.0 * a * k - 1.5 * k - 0.5) ** 2 + 4.0 * (1.0 - a) ** 2 * k * (n - k)
-    return 0.5 * (lin + math.sqrt(disc))
+    return _join_quadratic(k, 0, n - k, n - k - 1, a)[0]
 
 
 @lru_cache(maxsize=None)

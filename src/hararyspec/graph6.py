@@ -1,5 +1,10 @@
 """graph6 and edge-list text formats.
 
+The edge mask of a graph holds one bit per pair i < j in column-major order
+(0,1),(0,2),(1,2),(0,3),..., first pair most significant; graph6 writes it
+zero-padded, six bits per byte.  ``_edge_mask`` encodes, ``_mask_graph``
+decodes and ``_pack_graph6`` writes text: the package's one edge-mask codec.
+
 Only the short graph6 form (n <= 62) is supported; the long form starts
 with '~' and is rejected with an explicit error.  Parse errors always
 name the byte offset of the first offending byte in the original input.
@@ -8,7 +13,7 @@ name the byte offset of the first offending byte in the original input.
 from __future__ import annotations
 
 from .errors import Graph6Error
-from .graphs import Graph, triangle_pairs
+from .graphs import Graph
 
 __all__ = [
     "GRAPH6_HEADER",
@@ -21,6 +26,41 @@ __all__ = [
 
 GRAPH6_HEADER = ">>graph6<<"
 _MAX_SHORT_N = 62
+
+
+def _edge_mask(adj, order):
+    """Edge mask of ``adj`` relabelled so that vertex ``order[i]`` becomes i."""
+    mask = 0
+    for j in range(1, len(order)):
+        row = adj[order[j]]
+        for i in range(j):
+            mask = mask << 1 | row >> order[i] & 1
+    return mask
+
+
+def _mask_graph(n, mask):
+    """The graph on n vertices with edge mask ``mask``."""
+    adj = [0] * n
+    m = n * (n - 1) // 2
+    for j in range(1, n):
+        # column j holds the pairs (0, j), ..., (j - 1, j), highest bit first
+        m -= j
+        col = mask >> m & ((1 << j) - 1)
+        while col:
+            low = col & -col
+            i = j - low.bit_length()
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+            col ^= low
+    return Graph._from_adj(n, adj)
+
+
+def _pack_graph6(n, mask):
+    """Short-form graph6 text (no header) of the n-vertex edge mask ``mask``."""
+    m = n * (n - 1) // 2
+    need = (m + 5) // 6
+    mask <<= 6 * need - m
+    return chr(63 + n) + "".join(chr(63 + (mask >> 6 * k & 63)) for k in range(need - 1, -1, -1))
 
 
 def parse_graph6(text):
@@ -50,8 +90,8 @@ def parse_graph6(text):
         )
     if len(body) > need:
         raise Graph6Error("trailing garbage after graph6 data", base + 1 + need)
-    # The body read as one big-endian integer: pair bit t of the
-    # column-major order sits at position m - 1 - t, after the padding.
+    # The body read as one big-endian integer: the edge mask followed by
+    # the padding.
     word = 0
     for k, ch in enumerate(body):
         val = ord(ch)
@@ -61,19 +101,7 @@ def parse_graph6(text):
     pad = 6 * need - m
     if word & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits", base + need)
-    word >>= pad
-    adj = [0] * n
-    for j in range(1, n):
-        # column j holds the pairs (0, j), ..., (j - 1, j), highest bit first
-        m -= j
-        col = word >> m & ((1 << j) - 1)
-        while col:
-            low = col & -col
-            i = j - low.bit_length()
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-            col ^= low
-    return Graph._from_adj(n, adj)
+    return _mask_graph(n, word >> pad)
 
 
 def to_graph6(g):
@@ -81,16 +109,7 @@ def to_graph6(g):
     n = g.n
     if n > _MAX_SHORT_N:
         raise ValueError(f"graph6 short form limited to n <= {_MAX_SHORT_N}, got n={n}")
-    bits = [1 if g.has_edge(i, j) else 0 for i, j in triangle_pairs(n)]
-    while len(bits) % 6:
-        bits.append(0)
-    chars = [chr(63 + n)]
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k : k + 6]:
-            val = (val << 1) | b
-        chars.append(chr(63 + val))
-    return "".join(chars)
+    return _pack_graph6(n, _edge_mask(g.adj_bits, range(n)))
 
 
 def load_graph6(path):
@@ -104,23 +123,26 @@ def load_graph6(path):
     return graphs
 
 
+def _int_pair(line, what):
+    """The two integers on ``line``; any other line is reported as not ``what``."""
+    try:
+        first, second = map(int, line.split())
+    except ValueError:
+        raise ValueError(f"expected {what}, got {line!r}") from None
+    return first, second
+
+
 def parse_edge_list(text):
     """Parse the plain edge-list format: a header line "n m" then m lines "u v"."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ValueError("empty edge-list input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"expected header 'n m', got {lines[0]!r}")
-    n, m = int(head[0]), int(head[1])
+    n, m = _int_pair(lines[0], "header 'n m'")
     if len(lines) - 1 != m:
         raise ValueError(f"header announces {m} edges but {len(lines) - 1} lines follow")
     edges = {}  # an insertion-ordered set
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"expected edge line 'u v', got {ln!r}")
-        edge = (int(parts[0]), int(parts[1]))
+        edge = _int_pair(ln, "edge line 'u v'")
         if edge in edges or edge[::-1] in edges:
             raise ValueError(f"repeated edge {edge} in edge list")
         edges[edge] = None

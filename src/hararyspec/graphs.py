@@ -69,11 +69,7 @@ def _connected_within(adj, mask):
 
 
 def triangle_pairs(n):
-    """Vertex pairs (i, j) with i < j in column-major order (0,1),(0,2),(1,2),(0,3),...
-
-    This is the bit order used by the graph6 format and by every edge
-    bitmask in the package.
-    """
+    """Vertex pairs (i, j) with i < j in column-major order (0,1),(0,2),(1,2),(0,3),..."""
     return [(i, j) for j in range(1, n) for i in range(j)]
 
 

@@ -55,12 +55,10 @@ def vertex_connectivity(g: Graph):
     # Whitney: the neighbours of a minimum-degree vertex separate it from
     # some non-neighbour, so only cuts smaller than the minimum degree remain.
     delta = min(g.degrees())
+    bits = [1 << v for v in range(n)]
     for k in range(1, delta):
-        for cut in combinations(range(n), k):
-            removed = 0
-            for v in cut:
-                removed |= 1 << v
-            if not _connected_within(g.adj_bits, full & ~removed):
+        for cut in combinations(bits, k):
+            if not _connected_within(g.adj_bits, full ^ sum(cut)):
                 return k
     return delta
 
@@ -133,34 +131,32 @@ def independence_number(g: Graph):
     return _max_clique(comp, n)
 
 
-def _k_colorable(g, k, order):
-    n = g.n
-    colors = [-1] * n
-    adj = g.adj_bits
+def _k_colorable(adj, k, order):
+    """Whether the vertices, placed in ``order``, fit in k colour classes.
+    Each tries the classes holding none of its neighbours, then opens a new
+    one while fewer than k exist (any empty class would do as well)."""
+    n = len(order)
+    classes = []  # vertex bitmasks, in the order they were opened
 
-    def assign(i, used):
+    def place(i):
         if i == n:
             return True
         v = order[i]
-        forbidden = set()
-        m = adj[v]
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            m ^= low
-            if colors[u] >= 0:
-                forbidden.add(colors[u])
-        # Symmetry break: a fresh colour may only be the next unused index.
-        for c in range(min(k, used + 1)):
-            if c in forbidden:
-                continue
-            colors[v] = c
-            if assign(i + 1, max(used, c + 1)):
+        nbrs, bit = adj[v], 1 << v
+        for c, members in enumerate(classes):
+            if not members & nbrs:
+                classes[c] = members | bit
+                if place(i + 1):
+                    return True
+                classes[c] = members
+        if len(classes) < k:
+            classes.append(bit)
+            if place(i + 1):
                 return True
-        colors[v] = -1
+            classes.pop()
         return False
 
-    return assign(0, 0)
+    return place(0)
 
 
 def chromatic_number(g: Graph):
@@ -170,7 +166,7 @@ def chromatic_number(g: Graph):
         return 1
     order = sorted(range(g.n), key=lambda v: -g.degree(v))
     for k in range(_max_clique(g.adj_bits, g.n), g.n + 1):
-        if _k_colorable(g, k, order):
+        if _k_colorable(g.adj_bits, k, order):
             return k
     return g.n
 

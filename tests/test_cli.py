@@ -515,6 +515,16 @@ def test_edge_list_repeated_edge_exits_one(capsys, tmp_path, second):
     assert json.loads(out)[0]["harary"] == 3.0
 
 
+@pytest.mark.parametrize("text, message", [
+    ("3 2\n0 x\n1 2\n", "error: expected edge line 'u v', got '0 x'\n"),
+    ("2.5 1\n0 1\n", "error: expected header 'n m', got '2.5 1'\n"),
+])
+def test_edge_list_malformed_number_names_the_line(capsys, tmp_path, text, message):
+    p = tmp_path / "g.edges"
+    p.write_text(text)
+    assert run(capsys, "spectrum", "--edge-list", str(p)) == (1, "", message)
+
+
 def test_graph6_file_input(capsys, tmp_path):
     p = tmp_path / "g.g6"
     p.write_text(">>graph6<<C~\n")

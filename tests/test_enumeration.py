@@ -1,5 +1,6 @@
 """Canonical forms and isomorphism-free enumeration."""
 
+import hashlib
 from functools import cache
 
 import networkx as nx
@@ -21,8 +22,10 @@ from hararyspec import (
     edgeless,
     enumerate_connected_graphs,
     join,
+    parse_graph6,
     path,
     star,
+    to_graph6,
     turan,
 )
 
@@ -35,6 +38,19 @@ from conftest import (
 
 # Connected graph classes by order (matches the brute-force oracle below).
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+
+# sha256 of the newline-joined graph6 of every representative, in
+# enumeration order: pins the certificates and the order together.
+REPRESENTATIVES_SHA256 = {
+    1: "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
+    2: "ada8d598e51a0bf0d4bb5976d5dc6cb088a0603072947b002d4d665c54cadb1f",
+    3: "2c1256ffd0617e16898c604363be63a1bf9bd24d83d6227d4b2adb3360248bd3",
+    4: "bf158ea8c37a3ec7a9b1386892d1a29fd3bf86878fb29262e467775aba813399",
+    5: "6a0dbeb5edd9aed3b095849220154af41f8a71f58737f31b044aa59000b6a46f",
+    6: "693b31d3b32879cf6167ca424126bd2d83f8a1cc98027c81cf1b9009754d53cb",
+    7: "253959a164cbe0eaa6f9a2297930cb20b7a0968d524b58a9f58e12853a17ec46",
+    8: "40378f23447965a6ae16315f0e6dc313779a0b4cafe5d730f5f8664b6116555f",
+}
 
 
 def test_relabeled_paths_share_canonical_form():
@@ -183,7 +199,31 @@ def test_budget_errors():
         enumerate_connected_graphs(9)
     with pytest.raises(BudgetError, match="budget exceeded"):
         canonical_form(path(11))
+    with pytest.raises(BudgetError, match="budget exceeded"):
+        canonical_graph(path(11))
 
 
 def test_count_at_eight():
     assert len(enumerate_connected_graphs(8)) == 11117
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_representatives_are_pinned(n):
+    text = "\n".join(to_graph6(g) for g in enumerate_connected_graphs(n))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == REPRESENTATIVES_SHA256[n]
+
+
+@st.composite
+def small_graphs(draw):
+    """Any graph on 1..10 vertices, connected or not."""
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [pair for pair, kept in zip(pairs, keep) if kept])
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_certificate_is_graph6_of_canonical_graph(g):
+    assert canonical_form(g) == to_graph6(canonical_graph(g)).encode("ascii")
+    assert parse_graph6(to_graph6(g)) == g

@@ -138,6 +138,19 @@ def test_edge_list_errors():
         parse_edge_list("3 2\n0 1\n")
 
 
+@pytest.mark.parametrize("text, line", [
+    ("3 2\n0 x\n1 2\n", "edge line 'u v', got '0 x'"),
+    ("3 1\n0 1 2\n", "edge line 'u v', got '0 1 2'"),
+    ("3 1\n0 1.0\n", "edge line 'u v', got '0 1.0'"),
+    ("2.5 1\n0 1\n", "header 'n m', got '2.5 1'"),
+    ("n 1\n0 1\n", "header 'n m', got 'n 1'"),
+])
+def test_edge_list_malformed_number_quotes_the_line(text, line):
+    with pytest.raises(ValueError) as info:
+        parse_edge_list(text)
+    assert str(info.value) == f"expected {line}"
+
+
 @pytest.mark.parametrize("text, pair", [("3 3\n0 1\n1 0\n1 2\n", "(1, 0)"),
                                         ("3 3\n0 1\n1 2\n0 1\n", "(0, 1)")])
 def test_edge_list_rejects_repeated_edge(text, pair):

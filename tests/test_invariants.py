@@ -79,6 +79,18 @@ def test_catalog_matches_oracles_up_to_n5(catalog):
         assert independence_number(g) == brute_independence_number(g)
 
 
+def test_chromatic_number_matches_oracle_on_random_graphs():
+    # Off the connected catalogue: edgeless and disconnected graphs too.
+    rng = random.Random(7)
+    graphs = [Graph(n) for n in range(1, 8)]
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        graphs.append(Graph(n, random_edges(rng, n, connected=rng.random() < 0.3)))
+    assert sum(not g.is_connected() for g in graphs) > 50
+    for g in graphs:
+        assert chromatic_number(g) == brute_chromatic_number(g), g.edges()
+
+
 def test_vertex_connectivity_matches_oracle_on_every_class_and_random_graphs():
     graphs = [g for n in range(1, 8) for g in enumerate_connected_graphs(n)]
     rng = random.Random(5)

@@ -8,6 +8,10 @@ partition is a vertex bitmask, and the search individualises its
 vertices lowest first.  Refinement keys depend only on the partition
 itself, never on vertex labels, so isomorphic graphs explore
 label-equivalent search trees and end up with identical certificates.
+A vertex's key is its vector of neighbour counts per cell, packed into
+one integer: each count is at most n - 1 and gets a field of
+``n.bit_length()`` bits, the first cell's field most significant, so
+comparing the integers compares the vectors lexicographically.
 
 The search skips twins: vertices u and v with the same neighbours apart
 from each other.  The transposition (u v) is then an automorphism fixing
@@ -30,7 +34,10 @@ generation", J. Algorithms 1998):
   leaves a connected graph isomorphic to some parent representative P,
   and the extension of P that recreates C puts w where x was, so it
   passes.  The key and the cut test are invariants of the child with w
-  fixed, so isomorphic extensions of P pass or fail together.
+  fixed, so isomorphic extensions of P pass or fail together.  The keys
+  come from P's degrees d and neighbour-degree sums s, computed once per
+  parent: in P + w, d'(u) = d(u) + [u in S] and s'(u) = s(u) +
+  |N(u) & S| + [u in S]|S|, and w's key is (|S|, sum of d over S + |S|).
 * Twin orbits.  Twins of P form classes (cliques or independent sets)
   that P's automorphisms permute freely, so any S can be moved onto one
   that meets every twin class c1 < c2 < ... in a prefix: S holds a twin
@@ -61,10 +68,12 @@ ENUMERATION_BUDGET = 8
 def _refine(adj, cells):
     """Equitable refinement: split cells (vertex bitmasks) by neighbour counts.
 
-    Split groups are ordered by their count-vector keys, which keeps the
-    refined partition independent of vertex labels.
+    Split groups are ordered by their packed count vectors, which keeps
+    the refined partition independent of vertex labels.
     """
-    while True:
+    n = len(adj)
+    width = n.bit_length()
+    while len(cells) < n:
         refined = []
         for cell in cells:
             if not cell & (cell - 1):
@@ -75,25 +84,28 @@ def _refine(adj, cells):
             while rest:
                 low = rest & -rest
                 rest ^= low
-                key = tuple([(adj[low.bit_length() - 1] & c).bit_count() for c in cells])
+                row = adj[low.bit_length() - 1]
+                key = 0
+                for c in cells:
+                    key = key << width | (row & c).bit_count()
                 groups[key] = groups.get(key, 0) | low
             refined += [groups[key] for key in sorted(groups)]
         if len(refined) == len(cells):
             return cells
         cells = refined
+    return cells
 
 
 def _twins(adj):
     """Per vertex, the bitmask of its twins: the vertices with the same
-    neighbours apart from each other."""
-    n = len(adj)
-    twins = [0] * n
-    for u in range(n):
-        for v in range(u):
-            if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
-                twins[u] |= 1 << v
-                twins[v] |= 1 << u
-    return twins
+    open neighbourhood (non-adjacent twins) or closed one (adjacent twins).
+    No open neighbourhood N(u) equals a closed one N[w], as u is not in
+    N(u) but w in N(u) puts u in N[w], so one dictionary holds both."""
+    groups = {}
+    for v, a in enumerate(adj):
+        for key in (a, a | 1 << v):
+            groups[key] = groups.get(key, 0) | 1 << v
+    return [(groups[a] | groups[a | 1 << v]) & ~(1 << v) for v, a in enumerate(adj)]
 
 
 def _canonical_mask(g):
@@ -148,41 +160,55 @@ def _twin_prefixes(adj):
     return list(prefixes.values())
 
 
-def _last_is_deletable(adj, full):
-    """No non-cut vertex outranks the last vertex by the deletion key
-    (degree, sum of neighbour degrees)."""
-    deg = [a.bit_count() for a in adj]
-    w = len(adj) - 1
-    top = (deg[w], sum(deg[v] for v in _bit_indices(adj[w])))
-    for u in range(w):
-        if deg[u] < top[0]:
+def _last_is_deletable(base, deg, sums, nbrs):
+    """No non-cut vertex of the child, ``base`` plus w joined to the bitmask
+    ``nbrs``, outranks w by the deletion key; ``deg`` and ``sums`` are the
+    parent's degrees and neighbour-degree sums (see the module docstring)."""
+    k = top = nbrs.bit_count()
+    rest = nbrs
+    while rest:
+        low = rest & -rest
+        top += deg[low.bit_length() - 1]
+        rest ^= low
+    n = len(base) + 1
+    adj = None
+    for u, a in enumerate(base):
+        inside = nbrs >> u & 1
+        d = deg[u] + inside
+        if d < k or d == k and sums[u] + (a & nbrs).bit_count() + inside * k <= top:
             continue
-        if (deg[u], sum(deg[v] for v in _bit_indices(adj[u]))) > top and _connected_within(
-            adj, full & ~(1 << u)
-        ):
+        if adj is None:
+            adj = _extend(base, nbrs)
+        if _connected_within(adj, ((1 << n) - 1) & ~(1 << u)):
             return False
     return True
 
 
+def _extend(base, nbrs):
+    """Adjacency of ``base`` plus a new last vertex joined to the bitmask ``nbrs``."""
+    w = len(base)
+    adj = [a | 1 << w if nbrs >> u & 1 else a for u, a in enumerate(base)]
+    adj.append(nbrs)
+    return adj
+
+
 @lru_cache(maxsize=None)
 def _connected_classes(n):
+    """Canonical edge masks and representatives of the connected classes
+    of order n, in enumeration order."""
     if n == 1:
-        return (Graph(1),)
-    w = n - 1
-    full = (1 << n) - 1
+        return (0,), (Graph(1),)
     found = set()
-    for parent in _connected_classes(w):
+    for parent in _connected_classes(n - 1)[1]:
         base = parent.adj_bits
+        deg = [a.bit_count() for a in base]
+        sums = [sum(deg[v] for v in _bit_indices(a)) for a in base]
         for choice in product(*_twin_prefixes(base)):
             nbrs = sum(choice)
-            if not nbrs:
-                continue
-            adj = [a | 1 << w if nbrs >> u & 1 else a for u, a in enumerate(base)]
-            adj.append(nbrs)
-            if _last_is_deletable(adj, full):
-                found.add(_canonical_mask(Graph._from_adj(n, adj)))
-    ordered = sorted(found, key=lambda mask: (mask.bit_count(), mask))
-    return tuple(_mask_graph(n, mask) for mask in ordered)
+            if nbrs and _last_is_deletable(base, deg, sums, nbrs):
+                found.add(_canonical_mask(Graph._from_adj(n, _extend(base, nbrs))))
+    masks = tuple(sorted(found, key=lambda mask: (mask.bit_count(), mask)))
+    return masks, tuple(_mask_graph(n, mask) for mask in masks)
 
 
 def enumerate_connected_graphs(n):
@@ -194,4 +220,4 @@ def enumerate_connected_graphs(n):
         raise BudgetError(
             f"budget exceeded: enumeration limited to 1 <= n <= {ENUMERATION_BUDGET}, got n={n}"
         )
-    return _connected_classes(n)
+    return _connected_classes(n)[1]

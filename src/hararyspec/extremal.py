@@ -12,9 +12,10 @@ The search reuses per-order caches: one catalogue of (graph, canonical
 graph6, invariants); per invariant field, an index from each value to
 the catalogue positions holding it; and one spectral-radius table per
 (order, alpha), so a class scan gathers its members' radii with numpy.
-The catalogue's distance matrices are stacked and converted to RD in
-one step, the same conversion ``build_bundle`` makes for one graph, and
-each table solves the whole stack of blends in one eigensolver call.
+The catalogue's distance matrices come from one stacked breadth-first
+pass and are converted to RD in one step, the same conversion
+``build_bundle`` makes for one graph, and each table solves the whole
+stack of blends in one eigensolver call.
 The predicted maximizer is labelled once per (order, constraint, value).
 """
 
@@ -26,12 +27,13 @@ from functools import lru_cache
 import numpy as np
 
 from .closed_forms import _join_quadratic
-from .enumeration import ENUMERATION_BUDGET, canonical_form, enumerate_connected_graphs
+from .enumeration import (ENUMERATION_BUDGET, _connected_classes, canonical_form,
+                          enumerate_connected_graphs)
 from .errors import BudgetError
 from .eigen import sym_eigen
-from .graph6 import to_graph6
-from .graphs import (_reciprocal_distances, all_pairs_distances, complete, disjoint_union,
-                     edgeless, join, turan)
+from .graph6 import _pack_graph6
+from .graphs import (_distance_stack, _reciprocal_distances, complete, disjoint_union, edgeless,
+                     join, turan)
 from .invariants import graph_invariants
 from .matrices import check_alpha
 
@@ -95,10 +97,11 @@ def independence_rho_bound(n, k, alpha):
 
 @lru_cache(maxsize=None)
 def _catalog(n):
-    """(graph, canonical graph6, invariants) per connected class of order n
-    (the representatives are canonically labelled, so their graph6 is)."""
+    """(graph, canonical graph6, invariants) per connected class of order n,
+    the graph6 written from the canonical mask the enumeration kept."""
     graphs = enumerate_connected_graphs(n)
-    return tuple((g, to_graph6(g), graph_invariants(g)) for g in graphs)
+    masks = _connected_classes(n)[0]
+    return tuple((g, _pack_graph6(n, mask), graph_invariants(g)) for g, mask in zip(graphs, masks))
 
 
 @lru_cache(maxsize=None)
@@ -113,8 +116,7 @@ def _class_index(n, field):
 def _stack(n):
     """Reciprocal distances and transmissions of every catalogue entry,
     stacked with shapes (k, n, n) and (k, n)."""
-    graphs = enumerate_connected_graphs(n)
-    rd = _reciprocal_distances(np.array([all_pairs_distances(g) for g in graphs]))
+    rd = _reciprocal_distances(_distance_stack(enumerate_connected_graphs(n)))
     return rd, rd.sum(axis=2)
 
 

@@ -47,8 +47,8 @@ def _bit_indices(mask):
 
 def _reach(adj, mask):
     """Union of the neighbourhoods of the vertices in the bitmask ``mask``:
-    the breadth-first step of every traversal in the package except
-    ``all_pairs_distances``, which takes it while filling a distance row."""
+    the breadth-first step of every traversal in the package except the
+    distance matrices, which step a whole stack of frontiers at once."""
     reach = 0
     while mask:
         low = mask & -mask
@@ -250,37 +250,40 @@ def disjoint_union(g1, g2):
 # ---------------------------------------------------------------------------
 
 def all_pairs_distances(g):
-    """Hop-count distance matrix of a connected graph (BFS from every vertex).
+    """Hop-count distance matrix of a connected graph, as an int64 array.
 
     Raises NotConnectedError on disconnected input: reciprocal distances
     of unreachable pairs are undefined, and a silent 1/inf = 0 would
     corrupt every transmission downstream.
     """
-    n = g.n
-    adj = g.adj_bits
-    full = (1 << n) - 1
-    rows = []
-    for s in range(n):
-        row = [0] * n
-        seen = frontier = 1 << s
-        dist = 0
-        while frontier:
-            # The row needs every frontier vertex's index anyway, so the
-            # breadth-first step (``_reach``) is taken in the same pass.
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                v = low.bit_length() - 1
-                row[v] = dist
-                reach |= adj[v]
-                frontier ^= low
-            frontier = reach & ~seen
-            seen |= frontier
-            dist += 1
-        if seen != full:
-            raise NotConnectedError("graph not connected")
-        rows.append(row)
-    return np.array(rows, dtype=np.int64)
+    return _distance_stack([g])[0]
+
+
+def _distance_stack(graphs):
+    """Distance matrices of graphs of one order, stacked as a (k, n, n)
+    int64 array; NotConnectedError if any of them is disconnected.
+
+    Breadth-first search from every vertex of every graph at once: the
+    frontier rows times the adjacency stack, one batched product per
+    distance.  The adjacency is unpacked from the bitmasks into float32:
+    a product entry counts at most n neighbours, exact below 2**24.
+    """
+    k, n = len(graphs), graphs[0].n
+    width = (n + 7) // 8
+    packed = b"".join([a.to_bytes(width, "little") for g in graphs for a in g.adj_bits])
+    bits = np.frombuffer(packed, dtype=np.uint8).reshape(k, n, width)
+    adj = np.unpackbits(bits, axis=2, count=n, bitorder="little").astype(np.float32)
+    frontier = seen = np.tile(np.eye(n, dtype=bool), (k, 1, 1))
+    dist = np.zeros((k, n, n), dtype=np.int64)
+    for step in range(1, n):  # a distance in a connected graph is below n
+        frontier = (np.matmul(frontier, adj, dtype=np.float32) > 0) & ~seen
+        if not frontier.any():
+            break
+        seen |= frontier
+        dist[frontier] = step
+    if not seen.all():
+        raise NotConnectedError("graph not connected")
+    return dist
 
 
 def _reciprocal_distances(d):

@@ -46,15 +46,19 @@ def _check_budget(g, what):
 def vertex_connectivity(g: Graph):
     """Minimum number of vertex deletions that disconnect g (n-1 for complete graphs)."""
     _check_budget(g, "vertex connectivity")
+    return _vertex_connectivity(g, min(g.degrees()))
+
+
+def _vertex_connectivity(g, delta):
+    """Vertex connectivity of g, whose minimum degree is ``delta``."""
     n = g.n
     full = (1 << n) - 1
     if not g.is_connected():
         return 0
-    if g.edge_count == n * (n - 1) // 2:
-        return n - 1
+    if delta == n - 1:
+        return n - 1  # complete
     # Whitney: the neighbours of a minimum-degree vertex separate it from
     # some non-neighbour, so only cuts smaller than the minimum degree remain.
-    delta = min(g.degrees())
     bits = [1 << v for v in range(n)]
     for k in range(1, delta):
         for cut in combinations(bits, k):
@@ -71,15 +75,16 @@ def edge_connectivity(g: Graph):
     the minimum degree and stops at a cut of size 1.
     """
     _check_budget(g, "edge connectivity")
-    return _edge_connectivity(g, 1) if g.n > 1 and g.is_connected() else 0
+    return _edge_connectivity(g, 1, min(g.degrees())) if g.n > 1 and g.is_connected() else 0
 
 
-def _edge_connectivity(g, floor):
+def _edge_connectivity(g, floor, delta):
     """Edge connectivity of a connected g with n >= 2, given ``floor`` <= it
-    (say the vertex connectivity): the minimum degree when they meet,
-    else the smallest bipartition cut, stopping at one of size ``floor``."""
+    (say the vertex connectivity) and the minimum degree ``delta`` >= it:
+    delta when they meet, else the smallest bipartition cut, stopping at
+    one of size ``floor``."""
     n = g.n
-    best = min(g.degrees())
+    best = delta
     if best == floor:
         return best
     # Vertex 0 stays on the complement side, so each bipartition appears once.
@@ -201,12 +206,13 @@ def bipartition(g: Graph):
 def graph_invariants(g: Graph):
     """All exact invariants in one record."""
     _check_budget(g, "invariants")
-    kappa = vertex_connectivity(g)
+    delta = min(g.degrees())
+    kappa = _vertex_connectivity(g, delta)
     return GraphInvariants(
         vertex_connectivity=kappa,
         # kappa = 0 exactly when g is disconnected or K_1, where lambda = 0 too
-        edge_connectivity=kappa and _edge_connectivity(g, kappa),
+        edge_connectivity=kappa and _edge_connectivity(g, kappa, delta),
         chromatic_number=chromatic_number(g),
         independence_number=independence_number(g),
-        min_degree=min(g.degrees()),
+        min_degree=delta,
     )

@@ -9,7 +9,9 @@ the library computes with refinement or branch-and-bound is checked
 against these slower, simpler routes.  Spectra come from the library's
 LAPACK solver (numpy.linalg.eigh), whose reported residual
 ||A V - V Lambda||_F the solver tests recompute, and are checked against
-values derived without an eigensolver.
+values derived without an eigensolver.  The enumeration's packed
+refinement keys, twin grouping and incremental deletion keys are checked
+against reference versions that compute the same results directly.
 """
 
 from itertools import combinations, permutations, product
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 
 from hararyspec import Graph, build_bundle, rd_alpha, sym_eigen, to_graph6
 from hararyspec.enumeration import enumerate_connected_graphs
-from hararyspec.graphs import triangle_pairs
+from hararyspec.graphs import _bit_indices, _connected_within, triangle_pairs
 
 ALPHA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -253,6 +255,59 @@ def graph6_of_mask(n, mask):
     m = len(pairs)
     edges = [pair for k, pair in enumerate(pairs) if mask >> (m - 1 - k) & 1]
     return to_graph6(Graph(n, edges)).encode("ascii")
+
+
+# ---------------------------------------------------------------------------
+# Reference versions of the enumeration's hot loops, in their direct form
+# ---------------------------------------------------------------------------
+
+def reference_refine(adj, cells):
+    """Equitable refinement with tuple count-vector keys, run until stable."""
+    while True:
+        refined = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                refined.append(cell)
+                continue
+            groups = {}
+            rest = cell
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                key = tuple([(adj[low.bit_length() - 1] & c).bit_count() for c in cells])
+                groups[key] = groups.get(key, 0) | low
+            refined += [groups[key] for key in sorted(groups)]
+        if len(refined) == len(cells):
+            return cells
+        cells = refined
+
+
+def reference_twins(adj):
+    """Per vertex, the bitmask of its twins, comparing every pair."""
+    n = len(adj)
+    twins = [0] * n
+    for u in range(n):
+        for v in range(u):
+            if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+                twins[u] |= 1 << v
+                twins[v] |= 1 << u
+    return twins
+
+
+def reference_last_is_deletable(adj, full):
+    """The deletion-key test on the child's own adjacency: no non-cut
+    vertex outranks the last one by (degree, sum of neighbour degrees)."""
+    deg = [a.bit_count() for a in adj]
+    w = len(adj) - 1
+    top = (deg[w], sum(deg[v] for v in _bit_indices(adj[w])))
+    for u in range(w):
+        if deg[u] < top[0]:
+            continue
+        if (deg[u], sum(deg[v] for v in _bit_indices(adj[u]))) > top and _connected_within(
+            adj, full & ~(1 << u)
+        ):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

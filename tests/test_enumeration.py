@@ -1,6 +1,7 @@
 """Canonical forms and isomorphism-free enumeration."""
 
 import hashlib
+from collections import Counter
 from functools import cache
 
 import networkx as nx
@@ -28,12 +29,17 @@ from hararyspec import (
     to_graph6,
     turan,
 )
+from hararyspec import enumeration
+from hararyspec.enumeration import _extend, _last_is_deletable, _refine, _twins
 
 from conftest import (
     brute_canonical_mask,
     connected_class_count_bruteforce,
     graph6_of_mask,
     make_petersen,
+    reference_last_is_deletable,
+    reference_refine,
+    reference_twins,
 )
 
 # Connected graph classes by order (matches the brute-force oracle below).
@@ -149,11 +155,13 @@ def test_classes_match_networkx_atlas():
 
 @st.composite
 def small_connected_graphs(draw):
-    """A random spanning tree plus a uniformly random edge subset, n <= 8."""
+    """A random spanning tree plus a random edge subset, n <= 8: one
+    boolean per pair, so the pairs of the highest vertices are drawn as
+    freely as the lowest."""
     n = draw(st.integers(1, 8))
     pairs = [(u, v) for v in range(n) for u in range(v)]
-    extra = draw(st.integers(0, (1 << len(pairs)) - 1))
-    edges = {pair for k, pair in enumerate(pairs) if extra >> k & 1}
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = {pair for pair, kept in zip(pairs, keep) if kept}
     edges |= {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     return Graph(n, edges)
 
@@ -227,3 +235,59 @@ def small_graphs(draw):
 def test_certificate_is_graph6_of_canonical_graph(g):
     assert canonical_form(g) == to_graph6(canonical_graph(g)).encode("ascii")
     assert parse_graph6(to_graph6(g)) == g
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(), st.booleans(), st.data())
+def test_packed_refinement_keys_match_tuple_keys(g, dense, data):
+    # Complements make dense graphs, whose large counts would spill over a
+    # field too narrow.  The cells of a random ordered starting partition
+    # hold the vertices of one label each, ordered by label.
+    n = g.n
+    adj = [((1 << n) - 1) ^ a ^ 1 << v for v, a in enumerate(g.adj_bits)] if dense else g.adj_bits
+    top = data.draw(st.integers(0, n - 1))
+    labels = data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    cells = [sum(1 << v for v in range(n) if labels[v] == c) for c in sorted(set(labels))]
+    assert _refine(adj, cells) == reference_refine(adj, cells)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_twin_grouping_matches_pairwise_comparison(g):
+    assert _twins(g.adj_bits) == reference_twins(g.adj_bits)
+
+
+def test_incremental_deletion_keys_match_the_direct_test():
+    # every parent class up to order 6 with every new neighbourhood, a
+    # superset of the twin-prefix candidates the enumeration tries
+    for n in range(1, 7):
+        full = (1 << (n + 1)) - 1
+        for parent in enumerate_connected_graphs(n):
+            base = parent.adj_bits
+            deg = [a.bit_count() for a in base]
+            sums = [sum(deg[v] for v in range(n) if a >> v & 1) for a in base]
+            for nbrs in range(1, 1 << n):
+                expected = reference_last_is_deletable(_extend(base, nbrs), full)
+                assert _last_is_deletable(base, deg, sums, nbrs) == expected, (parent, nbrs)
+
+
+def test_order_seven_enumeration_work_counts(monkeypatch):
+    # The labellings and deletion tests of the order-7 step, with order 6
+    # cached.  Making each step cheaper must leave these counts as they
+    # are; a change that prunes more lowers them on purpose.
+    enumeration._connected_classes(6)
+    counts = Counter()
+
+    def counted(name):
+        fn = getattr(enumeration, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("_canonical_mask", "_last_is_deletable"):
+        monkeypatch.setattr(enumeration, name, counted(name))
+    enumeration._connected_classes.__wrapped__(7)
+    assert counts == {"_canonical_mask": 1177, "_last_is_deletable": 4818}

@@ -5,6 +5,8 @@ import random
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hararyspec import (
     Graph,
@@ -28,6 +30,7 @@ from hararyspec import (
     wheel,
 )
 from hararyspec.enumeration import canonical_form
+from hararyspec.graphs import _distance_stack
 
 from conftest import (
     join_edges,
@@ -160,6 +163,34 @@ def test_disconnected_distances_raise_past_64_bits():
         )
         with pytest.raises(NotConnectedError, match="not connected"):
             all_pairs_distances(g)
+
+
+def _nx_distances(g):
+    d = np.zeros((g.n, g.n), dtype=np.int64)
+    for s, row in nx.all_pairs_shortest_path_length(nx_graph(g.n, g.edges())):
+        for v, dist in row.items():
+            d[s, v] = dist
+    return d
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 70), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_one_stacked_distance_call_is_the_per_graph_results(n, k, seed):
+    # a mixed batch: trees, sparse and dense graphs of one order
+    rng = random.Random(seed)
+    graphs = [Graph(n, random_edges(rng, n, connected=True)) for _ in range(k)]
+    d = _distance_stack(graphs)
+    assert d.dtype == np.int64 and d.shape == (k, n, n)
+    for g, dg in zip(graphs, d):
+        assert np.array_equal(dg, all_pairs_distances(g))
+        assert np.array_equal(dg, _nx_distances(g))
+    if n > 1:
+        # one member loses every edge at its last vertex
+        i = rng.randrange(k)
+        edges = [e for e in graphs[i].edges() if n - 1 not in e]
+        graphs[i] = Graph(n, edges)
+        with pytest.raises(NotConnectedError, match="not connected"):
+            _distance_stack(graphs)
 
 
 def test_is_connected_matches_networkx():

@@ -13,6 +13,15 @@ one integer: each count is at most n - 1 and gets a field of
 ``n.bit_length()`` bits, the first cell's field most significant, so
 comparing the integers compares the vectors lexicographically.
 
+A pass keys only on the parts of the cells the previous pass split,
+each split's last part left out, and after individualising v on {v}
+alone (split-cell refinement, McKay & Piperno 2014).  Two vertices of
+one cell had equal counts in every cell of the previous partition, so
+their counts in an unsplit cell are equal, and in a split's last part
+(the old count minus the other parts') equal whenever the other parts'
+are.  A dropped field never differs first, so the narrowed keys make
+the same groups in the same order.
+
 The search skips twins: vertices u and v with the same neighbours apart
 from each other.  The transposition (u v) is then an automorphism fixing
 every cell of the current partition, so individualising v yields the
@@ -38,6 +47,8 @@ generation", J. Algorithms 1998):
   come from P's degrees d and neighbour-degree sums s, computed once per
   parent: in P + w, d'(u) = d(u) + [u in S] and s'(u) = s(u) +
   |N(u) & S| + [u in S]|S|, and w's key is (|S|, sum of d over S + |S|).
+  So does the cut test: P + w - u is connected iff S meets every
+  component of P - u.
 * Twin orbits.  Twins of P form classes (cliques or independent sets)
   that P's automorphisms permute freely, so any S can be moved onto one
   that meets every twin class c1 < c2 < ... in a prefix: S holds a twin
@@ -51,7 +62,7 @@ from itertools import product
 
 from .errors import BudgetError
 from .graph6 import _edge_mask, _mask_graph, _pack_graph6
-from .graphs import Graph, _bit_indices, _connected_within
+from .graphs import Graph, _bit_indices, _component
 
 __all__ = [
     "CANONICAL_BUDGET",
@@ -65,16 +76,20 @@ CANONICAL_BUDGET = 10
 ENUMERATION_BUDGET = 8
 
 
-def _refine(adj, cells):
+def _refine(adj, cells, keys=None):
     """Equitable refinement: split cells (vertex bitmasks) by neighbour counts.
 
+    The first pass keys on the cells in ``keys`` (default: all), later
+    ones on the parts of the cells that split (see the module docstring).
     Split groups are ordered by their packed count vectors, which keeps
     the refined partition independent of vertex labels.
     """
     n = len(adj)
     width = n.bit_length()
+    keys = cells if keys is None else keys
     while len(cells) < n:
         refined = []
+        split = []
         for cell in cells:
             if not cell & (cell - 1):
                 refined.append(cell)
@@ -86,13 +101,15 @@ def _refine(adj, cells):
                 rest ^= low
                 row = adj[low.bit_length() - 1]
                 key = 0
-                for c in cells:
+                for c in keys:
                     key = key << width | (row & c).bit_count()
                 groups[key] = groups.get(key, 0) | low
-            refined += [groups[key] for key in sorted(groups)]
-        if len(refined) == len(cells):
+            parts = [groups[key] for key in sorted(groups)]
+            refined += parts
+            split += parts[:-1]
+        if not split:
             return cells
-        cells = refined
+        cells, keys = refined, split
     return cells
 
 
@@ -119,9 +136,9 @@ def _canonical_mask(g):
     twins = _twins(adj)
     best = None
 
-    def search(cells):
+    def search(cells, keys=None):
         nonlocal best
-        cells = _refine(adj, cells)
+        cells = _refine(adj, cells, keys)
         for idx, cell in enumerate(cells):
             if cell & (cell - 1):
                 tried = 0
@@ -129,7 +146,7 @@ def _canonical_mask(g):
                     if twins[v] & tried:
                         continue  # (u v) is an automorphism: same leaves as u's subtree
                     tried |= 1 << v
-                    search(cells[:idx] + [1 << v, cell ^ 1 << v] + cells[idx + 1 :])
+                    search(cells[:idx] + [1 << v, cell ^ 1 << v] + cells[idx + 1 :], [1 << v])
                 return
         mask = _edge_mask(adj, [cell.bit_length() - 1 for cell in cells])
         if best is None or mask < best:
@@ -160,26 +177,38 @@ def _twin_prefixes(adj):
     return list(prefixes.values())
 
 
-def _last_is_deletable(base, deg, sums, nbrs):
+def _components_without(adj):
+    """Per vertex u, the vertex bitmasks of the components of the graph minus u."""
+    parts = []
+    for u in range(len(adj)):
+        rest, comps = ((1 << len(adj)) - 1) ^ 1 << u, []
+        while rest:
+            comps.append(_component(adj, rest & -rest, rest))
+            rest ^= comps[-1]
+        parts.append(comps)
+    return parts
+
+
+def _last_is_deletable(base, deg, sums, parts, nbrs):
     """No non-cut vertex of the child, ``base`` plus w joined to the bitmask
-    ``nbrs``, outranks w by the deletion key; ``deg`` and ``sums`` are the
-    parent's degrees and neighbour-degree sums (see the module docstring)."""
+    ``nbrs``, outranks w by the deletion key; ``deg``, ``sums`` and ``parts``
+    are the parent's degrees, neighbour-degree sums and components without
+    each vertex (see the module docstring)."""
     k = top = nbrs.bit_count()
     rest = nbrs
     while rest:
         low = rest & -rest
         top += deg[low.bit_length() - 1]
         rest ^= low
-    n = len(base) + 1
-    adj = None
     for u, a in enumerate(base):
         inside = nbrs >> u & 1
         d = deg[u] + inside
         if d < k or d == k and sums[u] + (a & nbrs).bit_count() + inside * k <= top:
             continue
-        if adj is None:
-            adj = _extend(base, nbrs)
-        if _connected_within(adj, ((1 << n) - 1) & ~(1 << u)):
+        for comp in parts[u]:
+            if not comp & nbrs:
+                break  # w misses a component of P - u: u is a cut vertex of the child
+        else:
             return False
     return True
 
@@ -203,9 +232,10 @@ def _connected_classes(n):
         base = parent.adj_bits
         deg = [a.bit_count() for a in base]
         sums = [sum(deg[v] for v in _bit_indices(a)) for a in base]
+        parts = _components_without(base)
         for choice in product(*_twin_prefixes(base)):
             nbrs = sum(choice)
-            if nbrs and _last_is_deletable(base, deg, sums, nbrs):
+            if nbrs and _last_is_deletable(base, deg, sums, parts, nbrs):
                 found.add(_canonical_mask(Graph._from_adj(n, _extend(base, nbrs))))
     masks = tuple(sorted(found, key=lambda mask: (mask.bit_count(), mask)))
     return masks, tuple(_mask_graph(n, mask) for mask in masks)

@@ -14,8 +14,15 @@ the catalogue positions holding it; and one spectral-radius table per
 (order, alpha), so a class scan gathers its members' radii with numpy.
 The catalogue's distance matrices come from one stacked breadth-first
 pass and are converted to RD in one step, the same conversion
-``build_bundle`` makes for one graph, and each table solves the whole
-stack of blends in one eigensolver call.
+``build_bundle`` makes for one graph, and each table solves its stack of
+blends in one eigensolver call.
+
+Only contenders are solved.  Row i of the blend sums to RT_i at every
+alpha, so the all-ones Rayleigh quotient and the largest row sum give
+2H/n <= rho <= max_i RT_i.  A graph whose max RT is more than 2 TIE_TOL
+below the largest 2H/n of every class holding it can neither attain
+nor tie a maximum, and stores its max RT; the contenders, the rest, do
+not depend on alpha and are found once per order.
 The predicted maximizer is labelled once per (order, constraint, value).
 """
 
@@ -53,6 +60,7 @@ __all__ = [
 TIE_TOL = 1e-9
 ATTAIN_TOL = 1e-8
 CHROMATIC_GUARANTEE = 7.0 / 16.0
+_FIELDS = ("vertex_connectivity", "edge_connectivity", "chromatic_number", "independence_number")
 
 
 @dataclass(frozen=True)
@@ -121,17 +129,33 @@ def _stack(n):
 
 
 @lru_cache(maxsize=None)
+def _contenders(n):
+    """Catalogue positions whose largest reciprocal transmission reaches,
+    within 2 TIE_TOL, the largest 2H/n in some class that holds them."""
+    rt = _stack(n)[1]
+    top, low = rt.max(axis=1), rt.mean(axis=1)
+    keep = np.zeros(len(rt), dtype=bool)
+    for field in _FIELDS:
+        for members in _class_index(n, field).values():
+            keep[members] |= top[members] >= low[members].max() - 2 * TIE_TOL
+    return np.flatnonzero(keep)
+
+
+@lru_cache(maxsize=None)
 def _rho_table(n, alpha):
-    """Blend spectral radius per catalogue entry, from one stacked solve
-    whose residual must stay within the tie tolerance."""
+    """Blend spectral radius per contender, from one stacked solve whose
+    residual must stay within the tie tolerance; every other entry holds
+    its largest reciprocal transmission, an upper bound on its radius."""
     rd, rt = _stack(n)
-    blend = (1.0 - alpha) * rd
+    keep = _contenders(n)
+    blend = (1.0 - alpha) * rd[keep]
     diag = np.arange(n)
-    blend[:, diag, diag] = alpha * rt
+    blend[:, diag, diag] = alpha * rt[keep]
     spectrum = sym_eigen(blend)
     if spectrum.residual > TIE_TOL:
         raise RuntimeError(f"stacked solve residual {spectrum.residual:.3g} exceeds the tie tolerance")
-    radii = spectrum.values[:, 0].copy()
+    radii = rt.max(axis=1)
+    radii[keep] = spectrum.values[:, 0]
     radii.setflags(write=False)  # the cache hands this array to every caller
     return radii
 

@@ -57,15 +57,18 @@ def _reach(adj, mask):
     return reach
 
 
-def _connected_within(adj, mask):
-    """Connectivity of the subgraph induced by the vertex bitmask ``mask``."""
-    if mask == 0:
-        return True
-    seen = frontier = mask & -mask
+def _component(adj, seed, mask):
+    """The vertices of the bitmask ``mask`` reachable from ``seed`` inside it."""
+    seen = frontier = seed
     while frontier:
         frontier = _reach(adj, frontier) & mask & ~seen
         seen |= frontier
-    return seen == mask
+    return seen
+
+
+def _connected_within(adj, mask):
+    """Connectivity of the subgraph induced by the vertex bitmask ``mask``."""
+    return mask == 0 or _component(adj, mask & -mask, mask) == mask
 
 
 def triangle_pairs(n):

@@ -29,8 +29,9 @@ from hararyspec import (
     to_graph6,
     turan,
 )
-from hararyspec import enumeration
-from hararyspec.enumeration import _extend, _last_is_deletable, _refine, _twins
+from hararyspec import enumeration, graphs
+from hararyspec.enumeration import (_components_without, _extend, _last_is_deletable, _refine,
+                                     _twins)
 
 from conftest import (
     brute_canonical_mask,
@@ -257,6 +258,37 @@ def test_twin_grouping_matches_pairwise_comparison(g):
     assert _twins(g.adj_bits) == reference_twins(g.adj_bits)
 
 
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(), st.booleans(), st.data())
+def test_narrowed_keys_refine_an_individualised_partition(g, dense, data):
+    # Individualising v in an equitable partition leaves every count
+    # constant within a cell except the count in {v}, so keying on {v}
+    # alone must give the partition the full keys give.
+    n = g.n
+    adj = [((1 << n) - 1) ^ a ^ 1 << v for v, a in enumerate(g.adj_bits)] if dense else g.adj_bits
+    equitable = reference_refine(adj, [(1 << n) - 1])
+    open_cells = [i for i, cell in enumerate(equitable) if cell & (cell - 1)]
+    if not open_cells:
+        return
+    idx = data.draw(st.sampled_from(open_cells))
+    cell = equitable[idx]
+    v = data.draw(st.sampled_from([u for u in range(n) if cell >> u & 1]))
+    cells = equitable[:idx] + [1 << v, cell ^ 1 << v] + equitable[idx + 1 :]
+    assert _refine(adj, cells, [1 << v]) == reference_refine(adj, cells)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_components_without_each_vertex_match_networkx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    for u, comps in enumerate(_components_without(g.adj_bits)):
+        expected = {frozenset(c) for c in nx.connected_components(nx.restricted_view(h, [u], []))}
+        got = [frozenset(v for v in range(g.n) if comp >> v & 1) for comp in comps]
+        assert len(got) == len(expected) and set(got) == expected, (g, u)
+
+
 def test_incremental_deletion_keys_match_the_direct_test():
     # every parent class up to order 6 with every new neighbourhood, a
     # superset of the twin-prefix candidates the enumeration tries
@@ -266,20 +298,23 @@ def test_incremental_deletion_keys_match_the_direct_test():
             base = parent.adj_bits
             deg = [a.bit_count() for a in base]
             sums = [sum(deg[v] for v in range(n) if a >> v & 1) for a in base]
+            parts = _components_without(base)
             for nbrs in range(1, 1 << n):
                 expected = reference_last_is_deletable(_extend(base, nbrs), full)
-                assert _last_is_deletable(base, deg, sums, nbrs) == expected, (parent, nbrs)
+                assert _last_is_deletable(base, deg, sums, parts, nbrs) == expected, (parent, nbrs)
 
 
 def test_order_seven_enumeration_work_counts(monkeypatch):
     # The labellings and deletion tests of the order-7 step, with order 6
     # cached.  Making each step cheaper must leave these counts as they
-    # are; a change that prunes more lowers them on purpose.
+    # are; a change that prunes more lowers them on purpose.  The cut
+    # tests read the parents' components, so no breadth-first search
+    # runs on a child.
     enumeration._connected_classes(6)
     counts = Counter()
 
-    def counted(name):
-        fn = getattr(enumeration, name)
+    def counted(module, name):
+        fn = getattr(module, name)
 
         def wrapper(*args):
             counts[name] += 1
@@ -288,6 +323,7 @@ def test_order_seven_enumeration_work_counts(monkeypatch):
         return wrapper
 
     for name in ("_canonical_mask", "_last_is_deletable"):
-        monkeypatch.setattr(enumeration, name, counted(name))
+        monkeypatch.setattr(enumeration, name, counted(enumeration, name))
+    monkeypatch.setattr(graphs, "_connected_within", counted(graphs, "_connected_within"))
     enumeration._connected_classes.__wrapped__(7)
     assert counts == {"_canonical_mask": 1177, "_last_is_deletable": 4818}

@@ -173,13 +173,37 @@ def test_parameter_validation():
         verify_vertex_connectivity_extremal(9, 2, 0.0)
 
 
+CONTENDER_COUNTS = {3: 2, 4: 6, 5: 17, 6: 90, 7: 483, 8: 4955}
+
+
 def test_stacked_rho_table_matches_single_solves():
-    graphs = enumerate_connected_graphs(6)
-    for alpha in (0.0, 0.3, 0.9):
-        table = _rho_table(6, alpha)
-        assert len(table) == len(graphs)
-        for rho, g in zip(table, graphs):
-            assert abs(rho - spectral_radius(g, alpha)) <= 1e-12
+    # A contender's entry is its radius; any other entry is an upper bound
+    # on its radius that sits more than the tie tolerance below the
+    # maximum of every class holding it, so no scan can pick it.
+    fields = ("vertex_connectivity", "edge_connectivity", "chromatic_number",
+              "independence_number")
+    for n in range(2, 8):
+        graphs = enumerate_connected_graphs(n)
+        keep = set(extremal._contenders(n).tolist())
+        invariants = [graph_invariants(g) for g in graphs]
+        for alpha in (0.0, 0.3, 0.9, 0.99):
+            table = _rho_table(n, alpha)
+            assert len(table) == len(graphs)
+            rho = [spectral_radius(g, alpha) for g in graphs]
+            classes = [[(field, getattr(inv, field)) for field in fields] for inv in invariants]
+            top = {}
+            for r, held in zip(rho, classes):
+                for c in held:
+                    top[c] = max(top.get(c, r), r)
+            for i, held in enumerate(classes):
+                if i in keep:
+                    assert abs(table[i] - rho[i]) <= 1e-12, (n, alpha, i)
+                    continue
+                assert table[i] >= rho[i] - 1e-12, (n, alpha, i)  # rho's rounding
+                for c in held:
+                    assert table[i] < top[c] - TIE_TOL, (n, alpha, i, c)
+    counts = {n: len(extremal._contenders(n)) for n in CONTENDER_COUNTS}
+    assert counts == CONTENDER_COUNTS
 
 
 def test_stack_is_the_per_graph_bundles_bit_for_bit():

@@ -83,8 +83,15 @@ class QuotientMatrix:
 
 
 def _pairs(entries):
-    """Drop zero multiplicities and freeze the (value, multiplicity) list."""
-    return tuple((float(v), int(m)) for v, m in entries if m > 0)
+    """Freeze the (value, multiplicity) list, dropping zero multiplicities
+    and merging each value within 1e-9 max(1, |v|) of an earlier one into
+    it, so that every eigenvalue is listed once with its whole multiplicity."""
+    merged = {}
+    for v, m in entries:
+        if m > 0:
+            w = next((w for w in merged if abs(v - w) <= 1e-9 * max(1.0, abs(w))), float(v))
+            merged[w] = merged.get(w, 0) + int(m)
+    return tuple(merged.items())
 
 
 def _stable_quadratic(s, p, disc):

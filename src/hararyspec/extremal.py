@@ -17,12 +17,14 @@ pass and are converted to RD in one step, the same conversion
 ``build_bundle`` makes for one graph, and each table solves its stack of
 blends in one eigensolver call.
 
-Only contenders are solved.  Row i of the blend sums to RT_i at every
-alpha, so the all-ones Rayleigh quotient and the largest row sum give
-2H/n <= rho <= max_i RT_i.  A graph whose max RT is more than 2 TIE_TOL
-below the largest 2H/n of every class holding it can neither attain
-nor tie a maximum, and stores its max RT; the contenders, the rest, do
-not depend on alpha and are found once per order.
+Only contenders are solved.  The blend A is nonnegative and symmetric,
+and for n >= 2 the transmission vector r is positive, so the Rayleigh
+quotient and the Collatz-Wielandt bound (Horn & Johnson, Matrix
+Analysis, 8.1) give r'Ar / r'r <= rho <= max_i (Ar)_i / r_i, where
+Ar = alpha r*r + (1 - alpha) RD r costs one product per table.  At
+each alpha, a graph whose upper bound is more than 2 TIE_TOL below the
+largest lower bound of every class holding it can neither attain nor
+tie a maximum, and stores its upper bound; only the rest are solved.
 The predicted maximizer is labelled once per (order, constraint, value).
 """
 
@@ -41,7 +43,7 @@ from .eigen import sym_eigen
 from .graph6 import _pack_graph6
 from .graphs import (_distance_stack, _reciprocal_distances, complete, disjoint_union, edgeless,
                      join, turan)
-from .invariants import graph_invariants
+from .invariants import _stack_invariants
 from .matrices import check_alpha
 
 __all__ = [
@@ -108,8 +110,8 @@ def _catalog(n):
     """(graph, canonical graph6, invariants) per connected class of order n,
     the graph6 written from the canonical mask the enumeration kept."""
     graphs = enumerate_connected_graphs(n)
-    masks = _connected_classes(n)[0]
-    return tuple((g, _pack_graph6(n, mask), graph_invariants(g)) for g, mask in zip(graphs, masks))
+    records = zip(graphs, _connected_classes(n)[0], _stack_invariants(graphs))
+    return tuple((g, _pack_graph6(n, mask), inv) for g, mask, inv in records)
 
 
 @lru_cache(maxsize=None)
@@ -122,39 +124,41 @@ def _class_index(n, field):
 
 @lru_cache(maxsize=None)
 def _stack(n):
-    """Reciprocal distances and transmissions of every catalogue entry,
-    stacked with shapes (k, n, n) and (k, n)."""
+    """Reciprocal distances RD, transmissions r and the products RD r of
+    every catalogue entry, stacked with shapes (k, n, n), (k, n), (k, n)."""
     rd = _reciprocal_distances(_distance_stack(enumerate_connected_graphs(n)))
-    return rd, rd.sum(axis=2)
+    rt = rd.sum(axis=2)
+    return rd, rt, np.matmul(rd, rt[:, :, None])[:, :, 0]
 
 
-@lru_cache(maxsize=None)
-def _contenders(n):
-    """Catalogue positions whose largest reciprocal transmission reaches,
-    within 2 TIE_TOL, the largest 2H/n in some class that holds them."""
-    rt = _stack(n)[1]
-    top, low = rt.max(axis=1), rt.mean(axis=1)
+def _contenders(n, alpha):
+    """(positions, lower, upper): the Rayleigh lower and Collatz-Wielandt
+    upper bounds on each catalogue entry's blend radius (n >= 2), and the
+    positions whose upper bound reaches, within 2 TIE_TOL, the largest
+    lower bound in some class that holds them."""
+    _, rt, rdr = _stack(n)
+    ar = alpha * rt * rt + (1.0 - alpha) * rdr  # A r
+    lower, upper = (rt * ar).sum(axis=1) / (rt * rt).sum(axis=1), (ar / rt).max(axis=1)
     keep = np.zeros(len(rt), dtype=bool)
     for field in _FIELDS:
         for members in _class_index(n, field).values():
-            keep[members] |= top[members] >= low[members].max() - 2 * TIE_TOL
-    return np.flatnonzero(keep)
+            keep[members] |= upper[members] >= lower[members].max() - 2 * TIE_TOL
+    return np.flatnonzero(keep), lower, upper
 
 
 @lru_cache(maxsize=None)
 def _rho_table(n, alpha):
     """Blend spectral radius per contender, from one stacked solve whose
     residual must stay within the tie tolerance; every other entry holds
-    its largest reciprocal transmission, an upper bound on its radius."""
-    rd, rt = _stack(n)
-    keep = _contenders(n)
+    its Collatz-Wielandt bound, an upper bound on its radius."""
+    rd, rt, _ = _stack(n)
+    keep, _, radii = _contenders(n, alpha)
     blend = (1.0 - alpha) * rd[keep]
     diag = np.arange(n)
     blend[:, diag, diag] = alpha * rt[keep]
     spectrum = sym_eigen(blend)
     if spectrum.residual > TIE_TOL:
         raise RuntimeError(f"stacked solve residual {spectrum.residual:.3g} exceeds the tie tolerance")
-    radii = rt.max(axis=1)
     radii[keep] = spectrum.values[:, 0]
     radii.setflags(write=False)  # the cache hands this array to every caller
     return radii

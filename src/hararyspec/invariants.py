@@ -3,15 +3,26 @@
 Everything here is exhaustive search or branch-and-bound: values are
 exact, never heuristic, and a BudgetError is raised instead of silently
 approximating once the order exceeds the n <= 10 desk budget.
+
+Connectivity and independence come from tables over all vertex
+subsets X, built for a stack of same-order graphs at once.  lambda is
+the fewest edges leaving a nonempty proper X, alpha the largest X that
+misses its own neighbourhood N(X).  If some vertex lies outside X and
+N(X), then N(X) \\ X separates it from X, so no such set is smaller
+than kappa; and a minimum separator S is N(C) \\ C for the smallest
+component C of g - S, as a minimal separator has a neighbour in every
+component it leaves.  So kappa is the smallest such N(X) \\ X, or n - 1
+when every X sees the whole graph (complete graphs).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+
+import numpy as np
 
 from .errors import BudgetError
-from .graphs import Graph, _connected_within, _reach
+from .graphs import Graph, _reach
 
 __all__ = [
     "INVARIANT_BUDGET",
@@ -43,65 +54,46 @@ def _check_budget(g, what):
         )
 
 
+def _subset_invariants(graphs):
+    """Vertex connectivity, edge connectivity and independence number of
+    each graph in ``graphs``, all of one order n, as three arrays.  The
+    tables grow one vertex v at a time (X holds only lower vertices):
+    nb[X | v] = nb[X] | adj[v] unites the neighbourhoods, and the count of
+    edges leaving X gains deg(v) less twice the edges from v into X."""
+    n = graphs[0].n
+    masks = np.uint8 if n <= 8 else np.uint16
+    adj = np.array([g.adj_bits for g in graphs], dtype=masks)
+    size = 1 << n
+    subsets = np.arange(size, dtype=masks)[:, None]
+    nb = np.zeros((size, len(graphs)), dtype=masks)
+    cut = np.zeros_like(nb, dtype=np.uint8)
+    degrees = np.bitwise_count(adj)
+    for v in range(n):
+        low, high = 1 << v, 2 << v
+        nb[low:high] = nb[:low] | adj[:, v]
+        cut[low:high] = cut[:low] + degrees[:, v] - 2 * np.bitwise_count(subsets[:low] & adj[:, v])
+    full = size - 1
+    lam = cut[1:full].min(axis=0, initial=n - 1)  # lambda <= delta <= n - 1
+    alpha = np.where(nb & subsets, np.uint8(0), np.bitwise_count(subsets)).max(axis=0)
+    # N(X) \ X of each nonempty X that leaves some vertex unreached
+    covered = (nb | subsets) == full
+    nb &= ~subsets
+    separator = np.bitwise_count(nb)
+    separator[covered] = n - 1
+    kappa = separator[1:].min(axis=0)
+    return kappa, lam, alpha
+
+
 def vertex_connectivity(g: Graph):
     """Minimum number of vertex deletions that disconnect g (n-1 for complete graphs)."""
     _check_budget(g, "vertex connectivity")
-    return _vertex_connectivity(g, min(g.degrees()))
-
-
-def _vertex_connectivity(g, delta):
-    """Vertex connectivity of g, whose minimum degree is ``delta``."""
-    n = g.n
-    full = (1 << n) - 1
-    if not g.is_connected():
-        return 0
-    if delta == n - 1:
-        return n - 1  # complete
-    # Whitney: the neighbours of a minimum-degree vertex separate it from
-    # some non-neighbour, so only cuts smaller than the minimum degree remain.
-    bits = [1 << v for v in range(n)]
-    for k in range(1, delta):
-        for cut in combinations(bits, k):
-            if not _connected_within(g.adj_bits, full ^ sum(cut)):
-                return k
-    return delta
+    return int(_subset_invariants([g])[0][0])
 
 
 def edge_connectivity(g: Graph):
-    """Minimum edge-cut size, by scanning vertex bipartitions.
-
-    Whitney's sandwich kappa <= lambda <= delta ("Congruent graphs and
-    the connectivity of graphs", 1932) bounds the scan: it starts from
-    the minimum degree and stops at a cut of size 1.
-    """
+    """Minimum number of edge deletions that disconnect g (0 for K_1)."""
     _check_budget(g, "edge connectivity")
-    return _edge_connectivity(g, 1, min(g.degrees())) if g.n > 1 and g.is_connected() else 0
-
-
-def _edge_connectivity(g, floor, delta):
-    """Edge connectivity of a connected g with n >= 2, given ``floor`` <= it
-    (say the vertex connectivity) and the minimum degree ``delta`` >= it:
-    delta when they meet, else the smallest bipartition cut, stopping at
-    one of size ``floor``."""
-    n = g.n
-    best = delta
-    if best == floor:
-        return best
-    # Vertex 0 stays on the complement side, so each bipartition appears once.
-    for side in range(1, 1 << (n - 1)):
-        mask = side << 1
-        other = ((1 << n) - 1) & ~mask
-        cut = 0
-        m = mask
-        while m:
-            low = m & -m
-            cut += (g.adj_bits[low.bit_length() - 1] & other).bit_count()
-            m ^= low
-        if cut < best:
-            best = cut
-            if best == floor:
-                return best
-    return best
+    return int(_subset_invariants([g])[1][0])
 
 
 def _max_clique(adj, n):
@@ -128,12 +120,9 @@ def _max_clique(adj, n):
 
 
 def independence_number(g: Graph):
-    """Size of a maximum independent set (clique search on the complement)."""
+    """Size of a maximum independent set."""
     _check_budget(g, "independence number")
-    n = g.n
-    full = (1 << n) - 1
-    comp = tuple((full & ~g.adj_bits[v]) & ~(1 << v) for v in range(n))
-    return _max_clique(comp, n)
+    return int(_subset_invariants([g])[2][0])
 
 
 def _k_colorable(adj, k, order):
@@ -206,13 +195,12 @@ def bipartition(g: Graph):
 def graph_invariants(g: Graph):
     """All exact invariants in one record."""
     _check_budget(g, "invariants")
-    delta = min(g.degrees())
-    kappa = _vertex_connectivity(g, delta)
-    return GraphInvariants(
-        vertex_connectivity=kappa,
-        # kappa = 0 exactly when g is disconnected or K_1, where lambda = 0 too
-        edge_connectivity=kappa and _edge_connectivity(g, kappa, delta),
-        chromatic_number=chromatic_number(g),
-        independence_number=independence_number(g),
-        min_degree=delta,
-    )
+    return _stack_invariants([g])[0]
+
+
+def _stack_invariants(graphs):
+    """``graph_invariants`` of every graph in ``graphs``, all of one order,
+    from one subset-table pass."""
+    columns = (column.tolist() for column in _subset_invariants(graphs))
+    return [GraphInvariants(kappa, lam, chromatic_number(g), alpha, min(g.degrees()))
+            for g, kappa, lam, alpha in zip(graphs, *columns)]

@@ -1,6 +1,7 @@
 """Closed-form spectra against the numeric eigensolver and against each other."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hararyspec import (
     complete_split,
     cycle,
     edgeless,
+    eigenvalue_multiplicity,
     harary_index,
     join,
     multipartite_quotient,
@@ -313,3 +315,42 @@ def test_cluster_covering_whole_graph_rejected():
     spec = cluster_spec(g, (0, 1), "clique")
     with pytest.raises(ValueError, match="whole graph"):
         cluster_quotient(g, spec, "clique", 0.0)
+
+
+def _family_cases():
+    """(closed-form spectrum as a function of alpha, graph) for every family."""
+    yield from ((partial(spectrum_complete, n), complete(n)) for n in range(1, 9))
+    for g in (cycle(4), cycle(5), make_petersen(), complete_bipartite(3, 3),
+              complete_multipartite((2, 2, 2))):
+        yield partial(spectrum_regular_diam2, g), g
+    sides = ((complete, adjacency_spectrum_complete, lambda m: m - 1),
+             (cycle, adjacency_spectrum_cycle, lambda m: 2),
+             (edgeless, adjacency_spectrum_edgeless, lambda m: 0))
+    for build1, spec1, deg1 in sides:
+        for build2, spec2, deg2 in sides:
+            for m1, m2 in ((3, 3), (3, 5), (4, 4)):
+                args = (m1, deg1(m1), spec1(m1), m2, deg2(m2), spec2(m2))
+                yield partial(spectrum_join_regular, *args), join(build1(m1), build2(m2))
+    for p in range(1, 5):
+        for q in range(1, 5):
+            yield partial(spectrum_complete_bipartite, p, q), complete_bipartite(p, q)
+            if q >= 2:
+                yield partial(spectrum_complete_split, p, q), complete_split(p, q)
+    yield from ((partial(spectrum_wheel, n), wheel(n)) for n in range(4, 11))
+    for parts in ((2, 2), (1, 1, 1, 1), (2, 2, 2), (3, 2, 1), (1, 1, 2), (3, 3, 3), (2, 2, 2, 2)):
+        yield partial(spectrum_multipartite, parts), complete_multipartite(parts)
+
+
+def test_every_eigenvalue_is_listed_once_with_its_numeric_multiplicity():
+    # Families that coincide: both eigenvalues of K_5 are 4 at alpha = 1,
+    # and both repeated families of K_{2,3} are -0.5 at alpha = 0.
+    assert spectrum_complete(5, 1.0).pairs == ((4.0, 5),)
+    assert [m for v, m in spectrum_complete_bipartite(2, 3, 0.0).pairs if v == -0.5] == [3]
+    for spectrum, g in _family_cases():
+        for alpha in (0.0, 0.3, 0.5, 1.0):
+            closed = spectrum(alpha)
+            numeric = rd_alpha_spectrum(g, alpha).values
+            assert closed.n == g.n, (closed.source, g.n, alpha)
+            for value, multiplicity in closed.pairs:
+                assert multiplicity == eigenvalue_multiplicity(numeric, value), \
+                    (closed.source, g.n, alpha, closed.pairs)

@@ -1,7 +1,9 @@
 """Exhaustive extremal verification against the predicted maximizers."""
 
+import importlib.util
 import json
 from dataclasses import replace
+from pathlib import Path
 from itertools import combinations
 
 import networkx as nx
@@ -23,6 +25,7 @@ from hararyspec import (
     extremal,
     graph_invariants,
     independence_rho_bound,
+    invariants,
     join,
     spectral_radius,
     sym_eigen,
@@ -34,6 +37,8 @@ from hararyspec import (
 from hararyspec.extremal import CHROMATIC_GUARANTEE, TIE_TOL, _rho_table, _stack
 
 from conftest import brute_vertex_connectivity, make_paw
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_kite_small_cases():
@@ -173,7 +178,10 @@ def test_parameter_validation():
         verify_vertex_connectivity_extremal(9, 2, 0.0)
 
 
-CONTENDER_COUNTS = {3: 2, 4: 6, 5: 17, 6: 90, 7: 483, 8: 4955}
+RHO_ALPHAS = (0.0, 0.3, 0.9, 0.99)
+# Contenders per alpha in RHO_ALPHAS, of 2, 6, 21, 112, 853, 11,117 classes.
+CONTENDER_COUNTS = {3: [2, 2, 2, 2], 4: [5, 5, 5, 5], 5: [9, 8, 14, 14], 6: [19, 11, 42, 54],
+                    7: [35, 15, 355, 409], 8: [61, 19, 2002, 2913]}
 
 
 def test_stacked_rho_table_matches_single_solves():
@@ -184,9 +192,9 @@ def test_stacked_rho_table_matches_single_solves():
               "independence_number")
     for n in range(2, 8):
         graphs = enumerate_connected_graphs(n)
-        keep = set(extremal._contenders(n).tolist())
         invariants = [graph_invariants(g) for g in graphs]
-        for alpha in (0.0, 0.3, 0.9, 0.99):
+        for alpha in RHO_ALPHAS:
+            keep = set(extremal._contenders(n, alpha)[0].tolist())
             table = _rho_table(n, alpha)
             assert len(table) == len(graphs)
             rho = [spectral_radius(g, alpha) for g in graphs]
@@ -202,16 +210,47 @@ def test_stacked_rho_table_matches_single_solves():
                 assert table[i] >= rho[i] - 1e-12, (n, alpha, i)  # rho's rounding
                 for c in held:
                     assert table[i] < top[c] - TIE_TOL, (n, alpha, i, c)
-    counts = {n: len(extremal._contenders(n)) for n in CONTENDER_COUNTS}
+    counts = {n: [len(extremal._contenders(n, a)[0]) for a in RHO_ALPHAS] for n in CONTENDER_COUNTS}
     assert counts == CONTENDER_COUNTS
+
+
+def test_rayleigh_and_collatz_wielandt_bounds_hold_every_radius():
+    for n in range(2, 8):
+        graphs = enumerate_connected_graphs(n)
+        for alpha in RHO_ALPHAS + (CHROMATIC_GUARANTEE,):
+            _, lower, upper = extremal._contenders(n, alpha)
+            rho = np.array([spectral_radius(g, alpha) for g in graphs])
+            assert np.all(lower <= rho + 1e-12), (n, alpha)
+            assert np.all(rho <= upper + 1e-12), (n, alpha)
+
+
+def test_cold_order_seven_work_counts(monkeypatch):
+    # One subset-table pass for the whole catalogue, and at the alphas of
+    # the benchmark's seed-5 extremal stream few blends per rho table.
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    alphas = sorted({alpha for _, _, alpha in workloads.extremal_ops(5)})
+    assert len(alphas) == 5
+    passes, stacked = [], []
+    subset_invariants = invariants._subset_invariants
+    monkeypatch.setattr(invariants, "_subset_invariants",
+                        lambda graphs: passes.append(len(graphs)) or subset_invariants(graphs))
+    monkeypatch.setattr(extremal, "sym_eigen", lambda blend: stacked.append(len(blend)) or sym_eigen(blend))
+    extremal._catalog.__wrapped__(7)
+    for alpha in alphas:
+        _rho_table.__wrapped__(7, alpha)
+    assert passes == [853]
+    assert len(stacked) == 5 and max(stacked) <= 40, stacked
 
 
 def test_stack_is_the_per_graph_bundles_bit_for_bit():
     for n in range(1, 8):
         bundles = [build_bundle(g) for g in enumerate_connected_graphs(n)]
-        rd, rt = _stack(n)
+        rd, rt, rdr = _stack(n)
         assert np.array_equal(rd, np.stack([b.rd for b in bundles]))
         assert np.array_equal(rt, np.stack([b.transmissions for b in bundles]))
+        assert np.array_equal(rdr, np.stack([b.rd @ b.transmissions for b in bundles]))
     assert not _rho_table(5, 0.3).flags.writeable
 
 

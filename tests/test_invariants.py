@@ -4,6 +4,8 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hararyspec import (
     BudgetError,
@@ -23,6 +25,7 @@ from hararyspec import (
     wheel,
 )
 from hararyspec.extremal import _catalog
+from hararyspec.invariants import _subset_invariants
 
 from conftest import (
     brute_chromatic_number,
@@ -156,6 +159,59 @@ def test_bipartition_matches_networkx_and_layer_parity():
         bipartite_seen += 1
         disconnected_bipartite += not nx.is_connected(h)
     assert bipartite_seen > 100 and non_bipartite_seen > 100 and disconnected_bipartite > 50
+
+
+def _networkx_subset_invariants(g):
+    """(vertex connectivity, edge connectivity, independence number) from
+    networkx flows and the clique number of the complement."""
+    h = nx_graph(g.n, g.edges())
+    independence = max(map(len, nx.find_cliques(nx.complement(h))))
+    if g.n == 1:
+        return 0, 0, independence
+    return nx.node_connectivity(h), nx.edge_connectivity(h), independence
+
+
+def _columns(graphs):
+    """The per-graph (kappa, lambda, alpha) rows of one stacked call."""
+    return list(zip(*(column.tolist() for column in _subset_invariants(graphs))))
+
+
+def test_subset_invariants_match_networkx_on_every_class():
+    for n in range(1, 8):
+        graphs = enumerate_connected_graphs(n)
+        assert _columns(graphs) == [_networkx_subset_invariants(g) for g in graphs], n
+
+
+@st.composite
+def any_graphs(draw):
+    """Any graph on 1..10 vertices.  Every pair across a drawn split point
+    is left out, so most draws with a split are disconnected."""
+    n = draw(st.integers(1, 10))
+    split = draw(st.integers(0, n - 1))
+    pairs = [(u, v) for v in range(n) for u in range(v) if not u < split <= v]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [pair for pair, kept in zip(pairs, keep) if kept])
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_graphs())
+@example(Graph(1))
+@example(complete(2))
+@example(Graph(2))
+def test_subset_invariants_match_networkx_on_any_graph(g):
+    expected = _networkx_subset_invariants(g)
+    assert _columns([g]) == [expected]
+    assert (vertex_connectivity(g), edge_connectivity(g), independence_number(g)) == expected
+
+
+def test_stacked_subset_invariants_are_the_single_graph_calls():
+    rng = random.Random(13)
+    stacks = [enumerate_connected_graphs(n) for n in range(1, 8)]
+    stacks.append([Graph(9, random_edges(rng, 9, connected=rng.random() < 0.5)) for _ in range(60)])
+    for graphs in stacks:
+        assert _columns(graphs) == [_columns([g])[0] for g in graphs]
+    for n in range(1, 8):
+        assert [inv for _, _, inv in _catalog(n)] == [graph_invariants(g) for g in stacks[n - 1]]
 
 
 def test_budget_error_over_ten_vertices():

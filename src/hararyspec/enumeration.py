@@ -1,35 +1,45 @@
 """Canonical labelling and isomorphism-free enumeration of small connected graphs.
 
 The canonical form is exact: equitable colour refinement narrows the
-candidate orderings, a backtracking search tries the orderings the
+candidate orderings, individualisation tries the orderings the
 refinement leaves open, and the certificate is the smallest relabelled
-edge mask (see ``graph6``), written as graph6.  Each cell of the
-partition is a vertex bitmask, and the search individualises its
-vertices lowest first.  Refinement keys depend only on the partition
-itself, never on vertex labels, so isomorphic graphs explore
+edge mask over the leaves, written as graph6.  A partition is ordered:
+each vertex holds a cell index.  Refinement keys depend only on the
+partition itself, never on vertex labels, so isomorphic graphs explore
 label-equivalent search trees and end up with identical certificates.
-A vertex's key is its vector of neighbour counts per cell, packed into
-one integer: each count is at most n - 1 and gets a field of
-``n.bit_length()`` bits, the first cell's field most significant, so
-comparing the integers compares the vectors lexicographically.
 
-A pass keys only on the parts of the cells the previous pass split,
-each split's last part left out, and after individualising v on {v}
-alone (split-cell refinement, McKay & Piperno 2014).  Two vertices of
-one cell had equal counts in every cell of the previous partition, so
-their counts in an unsplit cell are equal, and in a split's last part
-(the old count minus the other parts') equal whenever the other parts'
-are.  A dropped field never differs first, so the narrowed keys make
-the same groups in the same order.
+Labelling is stacked: ``_canonical_masks`` holds the search nodes
+(graph index, cell index per vertex) of k graphs in one numpy stack and
+takes them one depth at a time: refine, close the discrete ones as
+leaves, branch the rest.
 
-The search skips twins: vertices u and v with the same neighbours apart
-from each other.  The transposition (u v) is then an automorphism fixing
-every cell of the current partition, so individualising v yields the
-same leaf masks as individualising u, and the certificate, the minimum
-over the leaves, is unchanged when v is skipped.  This is the standard
-automorphism pruning of individualisation-refinement (McKay & Piperno,
-"Practical graph isomorphism, II", 2014); a cell of k mutual twins, as
-in cliques and complete multipartite graphs, costs one path, not k!.
+* Refinement.  A pass keys each vertex on its own cell index, most
+  significant, then on its neighbour counts in every cell in cell
+  order, packed in one int64: each count is at most n - 1 and gets a
+  field of ``n.bit_length()`` bits (44 bits in all at n = 10), so
+  comparing keys compares the vectors lexicographically.  The new cells
+  are the dense ranks of the keys within the node, so each cell's parts
+  stay together, in cell order, sorted by count vector.  Nodes that
+  gained a cell get another pass.  Split-cell refinement (McKay &
+  Piperno, "Practical graph isomorphism, II", 2014) keys a pass only on
+  the parts of the cells the previous pass split; two vertices of one
+  cell had equal counts in every cell of the previous partition, so a
+  field the narrowed key leaves out never differs first, and the full
+  keys make the same groups in the same order.
+* Branching.  A node branches on its first cell t with more than one
+  vertex, once per lowest member v of each twin class in t (twins:
+  vertices with the same neighbours apart from each other).  The child
+  gives {v} index t and the rest of t index t + 1, and shifts every
+  later cell up by one.  A twin u of v is skipped because the
+  transposition (u v) is an automorphism fixing every cell, so both
+  subtrees hold the same leaf masks, and the certificate, the minimum
+  over the leaves, is unchanged.  This is the standard automorphism
+  pruning of individualisation-refinement; a cell of k mutual twins, as
+  in cliques and complete multipartite graphs, costs one path, not k!.
+* Leaves.  A discrete node orders the vertices by cell index; its edge
+  mask holds one bit per pair of that order in ``triangle_pairs``
+  order, first pair most significant, the codec of ``graph6``.  Each
+  graph's certificate is the minimum over its leaves.
 
 Enumeration has one regime: starting from the single vertex, each class
 on n-1 vertices gets a new vertex w attached to nonempty neighbourhood
@@ -60,8 +70,10 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
+import numpy as np
+
 from .errors import BudgetError
-from .graph6 import _edge_mask, _mask_graph, _pack_graph6
+from .graph6 import _mask_graph, _pack_graph6
 from .graphs import Graph, _bit_indices, _component
 
 __all__ = [
@@ -76,43 +88,6 @@ CANONICAL_BUDGET = 10
 ENUMERATION_BUDGET = 8
 
 
-def _refine(adj, cells, keys=None):
-    """Equitable refinement: split cells (vertex bitmasks) by neighbour counts.
-
-    The first pass keys on the cells in ``keys`` (default: all), later
-    ones on the parts of the cells that split (see the module docstring).
-    Split groups are ordered by their packed count vectors, which keeps
-    the refined partition independent of vertex labels.
-    """
-    n = len(adj)
-    width = n.bit_length()
-    keys = cells if keys is None else keys
-    while len(cells) < n:
-        refined = []
-        split = []
-        for cell in cells:
-            if not cell & (cell - 1):
-                refined.append(cell)
-                continue
-            groups = {}
-            rest = cell
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                row = adj[low.bit_length() - 1]
-                key = 0
-                for c in keys:
-                    key = key << width | (row & c).bit_count()
-                groups[key] = groups.get(key, 0) | low
-            parts = [groups[key] for key in sorted(groups)]
-            refined += parts
-            split += parts[:-1]
-        if not split:
-            return cells
-        cells, keys = refined, split
-    return cells
-
-
 def _twins(adj):
     """Per vertex, the bitmask of its twins: the vertices with the same
     open neighbourhood (non-adjacent twins) or closed one (adjacent twins).
@@ -125,45 +100,87 @@ def _twins(adj):
     return [(groups[a] | groups[a | 1 << v]) & ~(1 << v) for v, a in enumerate(adj)]
 
 
-def _canonical_mask(g):
-    """Smallest edge mask over the relabellings the search leaves open."""
-    n = g.n
+def _equitable(adj, cells):
+    """Refine, in place, a stack of ordered partitions (row i of ``cells``
+    holds the cell index of each vertex of the graph ``adj[i]``) until
+    equitable, by the passes of the module docstring; returns ``cells``."""
+    n = cells.shape[1]
+    width = n.bit_length()
+    bits = np.left_shift(1, np.arange(n, dtype=np.uint16))
+    rows = np.arange(len(cells))
+    while len(rows):
+        part, nbrs = cells[rows], adj[rows]
+        top = part.max(axis=1)
+        index = np.arange(int(top.max()) + 1, dtype=np.int8)[:, None]
+        members = np.where(part[:, None, :] == index, bits, 0).sum(axis=2, dtype=np.uint16)
+        key = part.astype(np.int64)
+        for cell in members.T:
+            key <<= width
+            key |= np.bitwise_count(nbrs & cell[:, None])
+        order = np.argsort(key, axis=1)
+        ranked = np.take_along_axis(key, order, axis=1)
+        rank = np.zeros(part.shape, dtype=np.int8)
+        np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1, out=rank[:, 1:])
+        np.put_along_axis(part, order, rank, axis=1)
+        cells[rows] = part
+        rows = rows[(rank[:, -1] > top) & (rank[:, -1] < n - 1)]
+    return cells
+
+
+def _leaf_masks(adj, cells):
+    """Edge masks of a stack of graphs relabelled by their discrete
+    partitions: the vertex in cell i becomes i."""
+    n = cells.shape[1]
+    order = np.argsort(cells, axis=1).astype(np.uint8)
+    rows = np.take_along_axis(adj, order, axis=1)
+    j, i = np.tril_indices(n, -1)  # the pairs (i, j) in ``triangle_pairs`` order
+    pairs = rows[:, j] >> order[:, i] & 1
+    return pairs @ np.left_shift(1, np.arange(len(i) - 1, -1, -1))
+
+
+def _canonical_masks(adjs, n):
+    """Canonical edge masks of k graphs on n vertices, given as k rows of
+    adjacency bitmasks: every search node of every graph at one depth is
+    refined, closed as a leaf or branched in one stacked step."""
     if n > CANONICAL_BUDGET:
         raise BudgetError(
             f"budget exceeded: canonical labelling limited to n <= {CANONICAL_BUDGET}, got n={n}"
         )
-    adj = g.adj_bits
-    twins = _twins(adj)
-    best = None
-
-    def search(cells, keys=None):
-        nonlocal best
-        cells = _refine(adj, cells, keys)
-        for idx, cell in enumerate(cells):
-            if cell & (cell - 1):
-                tried = 0
-                for v in _bit_indices(cell):
-                    if twins[v] & tried:
-                        continue  # (u v) is an automorphism: same leaves as u's subtree
-                    tried |= 1 << v
-                    search(cells[:idx] + [1 << v, cell ^ 1 << v] + cells[idx + 1 :], [1 << v])
-                return
-        mask = _edge_mask(adj, [cell.bit_length() - 1 for cell in cells])
-        if best is None or mask < best:
-            best = mask
-
-    search([(1 << n) - 1])
-    return best
+    adj = np.array(adjs, dtype=np.uint16).reshape(-1, n)
+    bits = np.left_shift(1, np.arange(n, dtype=np.uint16))
+    off = adj[:, :, None] & ~bits  # off[g, u, v]: u's neighbours other than v
+    twins = np.where(off == off.transpose(0, 2, 1), bits, 0).sum(axis=2, dtype=np.uint16)
+    del off
+    lower_twins = twins & bits - 1  # the twins u < v of each v
+    best = np.full(len(adj), np.iinfo(np.int64).max)
+    graph = np.arange(len(adj))
+    cells = np.zeros(adj.shape, dtype=np.int8)
+    while len(graph):
+        cells = _equitable(adj[graph], cells)
+        ranked = np.sort(cells, axis=1)
+        first = np.where(ranked[:, 1:] == ranked[:, :-1], ranked[:, :-1], n).min(axis=1, initial=n)
+        leaf = first == n
+        if leaf.any():
+            np.minimum.at(best, graph[leaf], _leaf_masks(adj[graph[leaf]], cells[leaf]))
+            graph, cells, first = graph[~leaf], cells[~leaf], first[~leaf]
+        inside = cells == first[:, None]
+        members = np.where(inside, bits, 0).sum(axis=1, dtype=np.uint16)
+        # the lowest member of each twin class in the cell (module docstring)
+        node, v = np.nonzero(inside & (lower_twins[graph] & members[:, None] == 0))
+        graph, cells, first = graph[node], cells[node], first[node]
+        cells += cells >= first[:, None]
+        cells[np.arange(len(node)), v] = first
+    return best.tolist()
 
 
 def canonical_graph(g):
     """A canonically labelled representative of g's isomorphism class."""
-    return _mask_graph(g.n, _canonical_mask(g))
+    return _mask_graph(g.n, _canonical_masks([g.adj_bits], g.n)[0])
 
 
 def canonical_form(g):
     """Canonical certificate: equal bytes iff the graphs are isomorphic."""
-    return _pack_graph6(g.n, _canonical_mask(g)).encode("ascii")
+    return _pack_graph6(g.n, _canonical_masks([g.adj_bits], g.n)[0]).encode("ascii")
 
 
 def _twin_prefixes(adj):
@@ -221,13 +238,10 @@ def _extend(base, nbrs):
     return adj
 
 
-@lru_cache(maxsize=None)
-def _connected_classes(n):
-    """Canonical edge masks and representatives of the connected classes
-    of order n, in enumeration order."""
-    if n == 1:
-        return (0,), (Graph(1),)
-    found = set()
+def _children(n):
+    """Adjacency rows of the order-n extensions that pass both prunings,
+    in generation order: the stack ``_connected_classes`` labels."""
+    children = []
     for parent in _connected_classes(n - 1)[1]:
         base = parent.adj_bits
         deg = [a.bit_count() for a in base]
@@ -236,7 +250,17 @@ def _connected_classes(n):
         for choice in product(*_twin_prefixes(base)):
             nbrs = sum(choice)
             if nbrs and _last_is_deletable(base, deg, sums, parts, nbrs):
-                found.add(_canonical_mask(Graph._from_adj(n, _extend(base, nbrs))))
+                children.append(_extend(base, nbrs))
+    return children
+
+
+@lru_cache(maxsize=None)
+def _connected_classes(n):
+    """Canonical edge masks and representatives of the connected classes
+    of order n, in enumeration order."""
+    if n == 1:
+        return (0,), (Graph(1),)
+    found = set(_canonical_masks(_children(n), n))
     masks = tuple(sorted(found, key=lambda mask: (mask.bit_count(), mask)))
     return masks, tuple(_mask_graph(n, mask) for mask in masks)
 

@@ -25,7 +25,8 @@ Ar = alpha r*r + (1 - alpha) RD r costs one product per table.  At
 each alpha, a graph whose upper bound is more than 2 TIE_TOL below the
 largest lower bound of every class holding it can neither attain nor
 tie a maximum, and stores its upper bound; only the rest are solved.
-The predicted maximizer is labelled once per (order, constraint, value).
+The predicted maximizers of an order (kites, Turan graphs and independent
+sets joined to cliques) are labelled in one stacked call on first use.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .closed_forms import _join_quadratic
-from .enumeration import (ENUMERATION_BUDGET, _connected_classes, canonical_form,
+from .enumeration import (ENUMERATION_BUDGET, _canonical_masks, _connected_classes,
                           enumerate_connected_graphs)
 from .errors import BudgetError
 from .eigen import sym_eigen
@@ -164,15 +165,26 @@ def _rho_table(n, alpha):
     return radii
 
 
-@lru_cache(maxsize=None)
-def _predicted(build, n, value):
-    """Canonical graph6 of the predicted maximizer ``build(n, value)``."""
-    return canonical_form(build(n, value)).decode("ascii")
-
-
 def _clique_on_independent(n, k):
     """k independent vertices joined to an (n-k)-clique."""
     return join(edgeless(k), complete(n - k))
+
+
+@lru_cache(maxsize=None)
+def _predicted(n):
+    """Canonical graph6 of every predicted maximizer ``build(n, value)`` of
+    order n, keyed by (build, value), from one stacked labelling."""
+    graphs = {
+        (build, value): build(n, value)
+        for build, values in (
+            (build_kite, range(1, n - 1)),
+            (turan, range(2, n + 1)),
+            (_clique_on_independent, range(1, n)),
+        )
+        for value in values
+    }
+    masks = _canonical_masks([g.adj_bits for g in graphs.values()], n)
+    return {key: _pack_graph6(n, mask) for key, mask in zip(graphs, masks)}
 
 
 def _check(n, alpha, symbol, value, low, slack):
@@ -202,7 +214,7 @@ def _scan(n, alpha, field, value, build, exploratory=False):
     rho_max = float(radii.max())
     catalog = _catalog(n)
     maximizers = tuple(sorted(catalog[i][1] for i in members[radii >= rho_max - TIE_TOL]))
-    predicted_canon = _predicted(build, n, value)
+    predicted_canon = _predicted(n)[build, value]
     if len(maximizers) > 1:
         verdict = "tie"
     elif maximizers[0] == predicted_canon:

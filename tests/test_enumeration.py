@@ -30,8 +30,10 @@ from hararyspec import (
     turan,
 )
 from hararyspec import enumeration, graphs
-from hararyspec.enumeration import (_components_without, _extend, _last_is_deletable, _refine,
-                                     _twins)
+from hararyspec.enumeration import (_canonical_masks, _children, _components_without, _equitable,
+                                     _extend, _last_is_deletable, _leaf_masks, _twins)
+from hararyspec.graph6 import _edge_mask, _pack_graph6
+from hararyspec.graphs import triangle_pairs
 
 from conftest import (
     brute_canonical_mask,
@@ -58,6 +60,20 @@ REPRESENTATIVES_SHA256 = {
     7: "253959a164cbe0eaa6f9a2297930cb20b7a0968d524b58a9f58e12853a17ec46",
     8: "40378f23447965a6ae16315f0e6dc313779a0b4cafe5d730f5f8664b6116555f",
 }
+
+# sha256 of the newline-joined graph6 certificates of every labelled
+# child (an extension that passes both prunings), in generation order,
+# as the one-graph-at-a-time recursive search computed them.
+CHILD_CERTIFICATES_SHA256 = {
+    2: "ada8d598e51a0bf0d4bb5976d5dc6cb088a0603072947b002d4d665c54cadb1f",
+    3: "2c1256ffd0617e16898c604363be63a1bf9bd24d83d6227d4b2adb3360248bd3",
+    4: "bf158ea8c37a3ec7a9b1386892d1a29fd3bf86878fb29262e467775aba813399",
+    5: "e6f2c586174d39a5c9b75fb621dafdcc9ecf2ddb2e8f24a8df823da519f251c4",
+    6: "ee9edad155121151173afb0010ddce1c11954b3b07cd325c2c41145398e55e06",
+    7: "8d8d71d14484cb001766009160d3134e269a7b6613806d6532c6e0ec79e16b8d",
+    8: "d4a4bd1994b55635c063b4e7a96101a4d3cb5990f37be8cc967373c095b4643b",
+}
+CHILD_COUNTS = {2: 1, 3: 2, 4: 6, 5: 28, 6: 142, 7: 1177, 8: 14452}
 
 
 def test_relabeled_paths_share_canonical_form():
@@ -141,7 +157,8 @@ def test_canonical_form_invariant_on_planted_twins(case):
 
 @cache
 def _class_forms(n):
-    return {canonical_form(g) for g in enumerate_connected_graphs(n)}
+    masks = _canonical_masks([g.adj_bits for g in enumerate_connected_graphs(n)], n)
+    return {_pack_graph6(n, mask).encode("ascii") for mask in masks}
 
 
 def test_classes_match_networkx_atlas():
@@ -222,6 +239,62 @@ def test_representatives_are_pinned(n):
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == REPRESENTATIVES_SHA256[n]
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_child_certificates_are_pinned(n):
+    masks = _canonical_masks(_children(n), n)
+    assert len(masks) == CHILD_COUNTS[n]
+    text = "\n".join(_pack_graph6(n, mask) for mask in masks)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == CHILD_CERTIFICATES_SHA256[n]
+
+
+@st.composite
+def graph_stacks(draw):
+    """Random graphs on one order n <= 10, some sparse, some dense, some
+    with planted twin classes, followed by random relabellings of some of
+    them; returns (n, rows, copies) where row len(base) + i relabels row
+    copies[i]."""
+    n = draw(st.integers(1, 10))
+    rng = draw(st.randoms(use_true_random=False))
+    base = []
+    for _ in range(draw(st.integers(1, 5))):
+        p = draw(st.sampled_from([0.15, 0.5, 0.85]))
+        adj = [0] * n
+        for u, v in triangle_pairs(n):
+            if rng.random() < p:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        # plant twins in half the graphs: a vertex may copy the
+        # neighbourhood of a lower one
+        plant = rng.random() < 0.5
+        for v in range(1, n):
+            if plant and rng.random() < 0.5:
+                u = rng.randrange(v)
+                same = adj[u] & ~(1 << v)
+                if rng.random() < 0.5:
+                    same |= 1 << u  # adjacent twins
+                for w in range(n):
+                    adj[w] = adj[w] & ~(1 << v) | (same >> w & 1) << v
+                adj[v] = same
+        base.append(adj)
+    copies = draw(st.lists(st.integers(0, len(base) - 1), max_size=4))
+    rows = list(base)
+    for i in copies:
+        perm = draw(st.permutations(range(n)))
+        g = Graph._from_adj(n, base[i]).permuted(perm)
+        rows.append(list(g.adj_bits))
+    return n, rows, copies
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_stacks())
+def test_stacked_labelling_matches_one_graph_calls(case):
+    n, rows, copies = case
+    masks = _canonical_masks(rows, n)
+    assert masks == [_canonical_masks([row], n)[0] for row in rows]
+    for i, original in enumerate(copies):
+        assert masks[len(rows) - len(copies) + i] == masks[original]
+
+
 @st.composite
 def small_graphs(draw):
     """Any graph on 1..10 vertices, connected or not."""
@@ -238,6 +311,15 @@ def test_certificate_is_graph6_of_canonical_graph(g):
     assert parse_graph6(to_graph6(g)) == g
 
 
+def _stacked_refine(adj, cells):
+    """The stacked refinement pass on one partition, given and returned
+    as a list of cell bitmasks."""
+    n = len(adj)
+    index = [next(i for i, cell in enumerate(cells) if cell >> v & 1) for v in range(n)]
+    refined = _equitable(np.array([adj], dtype=np.uint16), np.array([index], dtype=np.int8))[0]
+    return [sum(1 << v for v in range(n) if refined[v] == c) for c in range(refined.max() + 1)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(small_graphs(), st.booleans(), st.data())
 def test_packed_refinement_keys_match_tuple_keys(g, dense, data):
@@ -249,7 +331,18 @@ def test_packed_refinement_keys_match_tuple_keys(g, dense, data):
     top = data.draw(st.integers(0, n - 1))
     labels = data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
     cells = [sum(1 << v for v in range(n) if labels[v] == c) for c in sorted(set(labels))]
-    assert _refine(adj, cells) == reference_refine(adj, cells)
+    assert _stacked_refine(adj, cells) == reference_refine(adj, cells)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(), st.booleans(), st.data())
+def test_leaf_mask_matches_the_edge_mask_codec(g, dense, data):
+    n = g.n
+    adj = [((1 << n) - 1) ^ a ^ 1 << v for v, a in enumerate(g.adj_bits)] if dense else g.adj_bits
+    order = data.draw(st.permutations(range(n)))
+    cells = [order.index(v) for v in range(n)]  # the vertex order[i] sits in cell i
+    leaf = _leaf_masks(np.array([adj], dtype=np.uint16), np.array([cells], dtype=np.int8))
+    assert leaf.tolist() == [_edge_mask(adj, order)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -260,10 +353,9 @@ def test_twin_grouping_matches_pairwise_comparison(g):
 
 @settings(max_examples=300, deadline=None)
 @given(small_graphs(), st.booleans(), st.data())
-def test_narrowed_keys_refine_an_individualised_partition(g, dense, data):
-    # Individualising v in an equitable partition leaves every count
-    # constant within a cell except the count in {v}, so keying on {v}
-    # alone must give the partition the full keys give.
+def test_stacked_refinement_of_an_individualised_partition(g, dense, data):
+    # The partitions the search refines: an equitable one with a vertex v
+    # of an open cell individualised in front of the rest of its cell.
     n = g.n
     adj = [((1 << n) - 1) ^ a ^ 1 << v for v, a in enumerate(g.adj_bits)] if dense else g.adj_bits
     equitable = reference_refine(adj, [(1 << n) - 1])
@@ -274,7 +366,7 @@ def test_narrowed_keys_refine_an_individualised_partition(g, dense, data):
     cell = equitable[idx]
     v = data.draw(st.sampled_from([u for u in range(n) if cell >> u & 1]))
     cells = equitable[:idx] + [1 << v, cell ^ 1 << v] + equitable[idx + 1 :]
-    assert _refine(adj, cells, [1 << v]) == reference_refine(adj, cells)
+    assert _stacked_refine(adj, cells) == reference_refine(adj, cells)
 
 
 @settings(max_examples=200, deadline=None)
@@ -306,12 +398,12 @@ def test_incremental_deletion_keys_match_the_direct_test():
 
 def test_order_seven_enumeration_work_counts(monkeypatch):
     # The labellings and deletion tests of the order-7 step, with order 6
-    # cached.  Making each step cheaper must leave these counts as they
-    # are; a change that prunes more lowers them on purpose.  The cut
-    # tests read the parents' components, so no breadth-first search
-    # runs on a child.
+    # cached: every candidate is labelled in one stacked call.  Making
+    # each step cheaper must leave these counts as they are; a change that
+    # prunes more lowers them on purpose.  The cut tests read the parents'
+    # components, so no breadth-first search runs on a child.
     enumeration._connected_classes(6)
-    counts = Counter()
+    counts, stacks = Counter(), []
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -322,8 +414,11 @@ def test_order_seven_enumeration_work_counts(monkeypatch):
 
         return wrapper
 
-    for name in ("_canonical_mask", "_last_is_deletable"):
-        monkeypatch.setattr(enumeration, name, counted(enumeration, name))
-    monkeypatch.setattr(graphs, "_connected_within", counted(graphs, "_connected_within"))
+    canonical_masks = enumeration._canonical_masks
+    monkeypatch.setattr(enumeration, "_canonical_masks",
+                        lambda adjs, n: stacks.append(len(adjs)) or canonical_masks(adjs, n))
+    for module, name in ((enumeration, "_last_is_deletable"), (graphs, "_connected_within")):
+        monkeypatch.setattr(module, name, counted(module, name))
     enumeration._connected_classes.__wrapped__(7)
-    assert counts == {"_canonical_mask": 1177, "_last_is_deletable": 4818}
+    assert stacks == [1177]
+    assert counts == {"_last_is_deletable": 4818}

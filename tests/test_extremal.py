@@ -3,6 +3,7 @@
 import importlib.util
 import json
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 from itertools import combinations
 
@@ -22,6 +23,7 @@ from hararyspec import (
     complete_split,
     edgeless,
     enumerate_connected_graphs,
+    enumeration,
     extremal,
     graph_invariants,
     independence_rho_bound,
@@ -242,6 +244,41 @@ def test_cold_order_seven_work_counts(monkeypatch):
         _rho_table.__wrapped__(7, alpha)
     assert passes == [853]
     assert len(stacked) == 5 and max(stacked) <= 40, stacked
+
+
+def test_cold_sweep_labels_in_stacked_calls(monkeypatch):
+    # The cold n = 7 sweep over the benchmark's seed-5 stream, with fresh
+    # caches: one stacked labelling per enumerated order (its candidate
+    # children) and one for the 17 predicted maximizers, and no other.
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    classes = lru_cache(maxsize=None)(enumeration._connected_classes.__wrapped__)
+    monkeypatch.setattr(enumeration, "_connected_classes", classes)
+    monkeypatch.setattr(extremal, "_connected_classes", classes)
+    for name in ("_catalog", "_class_index", "_stack", "_rho_table", "_predicted"):
+        fresh = lru_cache(maxsize=None)(getattr(extremal, name).__wrapped__)
+        monkeypatch.setattr(extremal, name, fresh)
+    stacks = []
+    canonical_masks = enumeration._canonical_masks
+
+    def counted(adjs, n):
+        stacks.append(len(adjs))
+        return canonical_masks(adjs, n)
+
+    monkeypatch.setattr(enumeration, "_canonical_masks", counted)
+    monkeypatch.setattr(extremal, "_canonical_masks", counted)
+    verifiers = {
+        "vertex-connectivity": verify_vertex_connectivity_extremal,
+        "edge-connectivity": verify_edge_connectivity_extremal,
+        "chromatic-number": verify_chromatic_extremal,
+        "independence-number": verify_independence_extremal,
+    }
+    ops = workloads.extremal_ops(5)
+    assert len(ops) == 110
+    reports = [verifiers[constraint](7, value, alpha) for constraint, value, alpha in ops]
+    assert stacks == [1, 2, 6, 28, 142, 1177, 17]
+    assert {r.verdict for r in reports if not r.exploratory} <= {"confirmed", "tie"}
 
 
 def test_stack_is_the_per_graph_bundles_bit_for_bit():

@@ -4,6 +4,12 @@ Reports are schema-stable: every bound a routine knows about is always
 emitted, and when a bound's hypotheses fail for the requested alpha the
 record is flagged applicable=False with a reason rather than dropped,
 so downstream diffs never change shape.
+
+A report over several weights shares its work: ``_bound_table`` evaluates
+the row-sum and transmission bounds for every weight in one numpy pass,
+and ``_blend_radii`` takes every radius from one stacked solve, reading
+rho(RD) off the blend at 0 (which is RD) and rho(RQ) off the blend at 1/2
+(which is RQ/2).
 """
 
 from __future__ import annotations
@@ -39,6 +45,17 @@ class BoundRecord:
 
 # The record of every bound on K_1, where the blend is the 1x1 zero matrix.
 _TRIVIAL = dict(value=0.0, applicable=False, reason="single-vertex graph is trivial")
+# The records of ``bound_report``, in order: (name, kind).
+_BOUNDS = (
+    ("row_norm_upper", "upper"),
+    ("weighted_transmission_lower", "lower"),
+    ("weighted_transmission_upper", "upper"),
+    ("rms_transmission_lower", "lower"),
+    ("ratio_row_sum_upper", "upper"),
+    ("harary_lower", "lower"),
+    ("scaled_transmission_lower", "lower"),
+    ("max_transmission_upper", "upper"),
+)
 
 
 def bound_report(g, alpha):
@@ -59,41 +76,66 @@ def bound_report(g, alpha):
 
 def _bound_records(bundle, a):
     """``bound_report`` on a bundle already built, at a checked weight ``a``."""
+    return _bound_table(bundle, [a])[0]
+
+
+def _bound_table(bundle, alphas):
+    """``bound_report``'s records at each checked weight of ``alphas``, one list per weight.
+
+    Each per-vertex expression is evaluated for every weight at once, as a
+    ``(len(alphas), n)`` array, in the same operation order as the scalar
+    formula, so every value equals its one-weight evaluation bit for bit.
+    """
     n = bundle.n
+    if n == 1:
+        return [[BoundRecord(name, kind, **_TRIVIAL) for name, kind in _BOUNDS] for _ in alphas]
     tr = bundle.transmissions
     rd = bundle.rd
-    if n == 1:
-        return [
-            BoundRecord("row_norm_upper", "upper", **_TRIVIAL),
-            BoundRecord("weighted_transmission_lower", "lower", **_TRIVIAL),
-            BoundRecord("weighted_transmission_upper", "upper", **_TRIVIAL),
-            BoundRecord("rms_transmission_lower", "lower", **_TRIVIAL),
-            BoundRecord("ratio_row_sum_upper", "upper", **_TRIVIAL),
-            BoundRecord("harary_lower", "lower", **_TRIVIAL),
-            BoundRecord("scaled_transmission_lower", "lower", **_TRIVIAL),
-            BoundRecord("max_transmission_upper", "upper", **_TRIVIAL),
-        ]
-    row_norm = float(np.max(a * tr + (1.0 - a) * np.sqrt((n - 1.0) * (rd * rd).sum(axis=0))))
+    a = np.array(alphas, dtype=float)[:, None]
+    row_norm = (a * tr + (1.0 - a) * np.sqrt((n - 1.0) * (rd * rd).sum(axis=0))).max(axis=1)
     weighted = a * tr + (1.0 - a) * (rd @ tr) / tr
     sqrt_tr = np.sqrt(tr)
     ratio = a * tr + (1.0 - a) * (rd @ sqrt_tr) / sqrt_tr
-    records = [
-        BoundRecord(
-            "row_norm_upper",
-            "upper",
-            row_norm,
-            applicable=a < 1.0,
-            reason="" if a < 1.0 else "blend is diagonal (reducible) at alpha = 1",
-        ),
-        BoundRecord("weighted_transmission_lower", "lower", float(weighted.min())),
-        BoundRecord("weighted_transmission_upper", "upper", float(weighted.max())),
-        BoundRecord("rms_transmission_lower", "lower", float(np.sqrt((tr * tr).mean()))),
-        BoundRecord("ratio_row_sum_upper", "upper", float(ratio.max())),
-        BoundRecord("harary_lower", "lower", float(tr.mean())),
-        BoundRecord("scaled_transmission_lower", "lower", float(a * tr.max())),
-        BoundRecord("max_transmission_upper", "upper", float(tr.max())),
+    rms = float(np.sqrt((tr * tr).mean()))
+    harary = float(tr.mean())
+    tr_max = float(tr.max())
+    columns = (row_norm, weighted.min(axis=1), weighted.max(axis=1), ratio.max(axis=1))
+    return [
+        [
+            BoundRecord(
+                "row_norm_upper",
+                "upper",
+                rn,
+                applicable=x < 1.0,
+                reason="" if x < 1.0 else "blend is diagonal (reducible) at alpha = 1",
+            ),
+            BoundRecord("weighted_transmission_lower", "lower", w_lo),
+            BoundRecord("weighted_transmission_upper", "upper", w_hi),
+            BoundRecord("rms_transmission_lower", "lower", rms),
+            BoundRecord("ratio_row_sum_upper", "upper", r_hi),
+            BoundRecord("harary_lower", "lower", harary),
+            BoundRecord("scaled_transmission_lower", "lower", x * tr_max),
+            BoundRecord("max_transmission_upper", "upper", tr_max),
+        ]
+        for x, rn, w_lo, w_hi, r_hi in zip(alphas, *(c.tolist() for c in columns))
     ]
-    return records
+
+
+def _blend_radii(bundle, weights):
+    """Spectral radius of the blend at each weight w of ``weights``, at its
+    mirror 1 - w, and at 0 and 1/2, as a dict keyed by weight.
+
+    The blends at the distinct weights of {w, 1 - w for each w} and {0, 1/2}
+    are solved in one stacked ``sym_eigen`` call.  RD and RQ need no solve
+    of their own, as both are points of the same family: the blend at 0 is
+    RD entry for entry (``rd_alpha(b, 0)`` copies ``b.rd`` and writes a zero
+    diagonal), and the blend at 1/2 is exactly RQ/2 (a power-of-two
+    scaling), so rho(RD) = radii[0.0] and rho(RQ) = 2 * radii[0.5] bit for
+    bit.
+    """
+    distinct = list(dict.fromkeys([0.0, 0.5, *weights, *(1.0 - w for w in weights)]))
+    radii = sym_eigen(np.stack([rd_alpha(bundle, w) for w in distinct])).values[:, 0]
+    return dict(zip(distinct, radii.tolist()))
 
 
 def rq_relation_bounds(g, alpha):
@@ -102,18 +144,17 @@ def rq_relation_bounds(g, alpha):
     The blend pair at alpha and 1-alpha sums to the signless companion
     RQ, which yields one regime of mixed bounds for alpha <= 1/2 and the
     mirrored regime for alpha >= 1/2, plus the sum relation
-    rho(blend at alpha) >= rho(RQ) - rho(blend at 1-alpha).
+    rho(blend at alpha) >= rho(RQ) - rho(blend at 1-alpha).  All three
+    radii come from one stacked solve (``_blend_radii``).
     """
     a = check_alpha(alpha)
     bundle = build_bundle(g)
-    rho_rd, rho_rq, rho_mirror = (
-        float(sym_eigen(m).values[0]) for m in (bundle.rd, bundle.rq, rd_alpha(bundle, 1.0 - a))
-    )
-    return _rq_records(a, float(bundle.transmissions.max()), rho_rd, rho_rq, rho_mirror)
+    return _rq_records(a, float(bundle.transmissions.max()), _blend_radii(bundle, [a]))
 
 
-def _rq_records(a, tr_max, rho_rd, rho_rq, rho_mirror):
-    """``rq_relation_bounds`` from the radii of RD, RQ and the blend at 1 - ``a``."""
+def _rq_records(a, tr_max, radii):
+    """``rq_relation_bounds`` at ``a`` from the ``_blend_radii`` of a set of weights holding it."""
+    rho_rd, rho_rq, rho_mirror = radii[0.0], 2.0 * radii[0.5], radii[1.0 - a]
     small = a <= 0.5
     large = a >= 0.5
     blend_small_lower = (1.0 - a) * rho_rq + (2.0 * a - 1.0) * tr_max

@@ -14,7 +14,14 @@ so outputs diff cleanly.
 Each command builds its payload first.  ``--format json`` writes it through
 the one emitter, ``_json``, which rounds every float to 12 significant digits
 and writes the text of ``json.dumps(..., indent=2, sort_keys=True)`` in one
-pass; table lines are built only for ``--format table``.
+pass; table lines are built only for ``--format table``.  It finds each
+scalar's encoder by exact type, caches each dict layout's sorted encoded
+keys, and writes a float from its ``%.12g`` text (see ``_json_float``).
+
+``spectrum`` solves every alpha in one stacked call.  ``bounds`` takes all
+its radii from one stacked solve per distinct weight (``bounds._blend_radii``:
+the blend at 0 is RD, at 1/2 it is RQ/2) and all its records from one numpy
+pass (``bounds._bound_table``).
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import closed_forms, extremal, psd
-from .bounds import _bipartite_record, _bound_records, _rq_records
+from .bounds import _bipartite_record, _blend_radii, _bound_table, _rq_records
 from .eigen import _energy, sym_eigen
 from .errors import BudgetError, Graph6Error, NotConnectedError
 from .graph6 import _MAX_SHORT_N, load_graph6, parse_edge_list, parse_graph6, to_graph6
@@ -71,36 +78,68 @@ def _fmt(x):
     return f"{float(x):.12g}"
 
 
+def _json_float(x):
+    """JSON text of float ``x`` rounded to 12 significant digits.
+
+    The ``.12g`` text is already repr's text of the rounded float, less a
+    ``.0`` when it has no point: no two decimals of at most 15 significant
+    digits read back as the same float, so no shorter text does.  Exponent
+    form (where ``%g`` and ``repr`` disagree for 1e12 <= |x| < 1e16) and
+    non-finite values take ``float.__repr__`` of the rounded float and
+    JSON's NaN / Infinity words.
+    """
+    text = f"{x:.12g}"
+    if "e" in text or "n" in text:
+        x = float(text)
+        if x - x == 0.0:  # finite
+            return float.__repr__(x)
+        return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+    return text if "." in text else text + ".0"
+
+
+# Scalar encoders by exact type: bool has its own entry, so it never reads as an int.
+_SCALARS = {
+    float: _json_float,
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+# A dict's key tuple -> its keys in sorted order, each with its encoded '"key": ' text.
+_KEY_LAYOUTS = {}
+
+
 def _json(obj, indent="\n"):
     """JSON text of ``obj`` with floats rounded to 12 significant digits,
     indented by two spaces per level and with sorted string keys, as
     ``json.dumps`` writes it.  ``indent`` is the newline and indentation of
     obj's own level."""
-    if isinstance(obj, float):
-        obj = float(f"{obj:.12g}")
-        if obj - obj == 0.0:  # finite
-            return float.__repr__(obj)
-        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
+    encode = _SCALARS.get(type(obj))
+    if encode is not None:
+        return encode(obj)
     inner = indent + "  "
+    scalar = _SCALARS.get
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [encode_basestring_ascii(k) + ": " + _json(obj[k], inner) for k in sorted(obj)]
+        keys = tuple(obj)
+        layout = _KEY_LAYOUTS.get(keys)
+        if layout is None:
+            layout = _KEY_LAYOUTS[keys] = [(k, encode_basestring_ascii(k) + ": ") for k in sorted(keys)]
+        items = []
+        for k, text in layout:
+            v = obj[k]
+            encode = scalar(type(v))
+            items.append(text + (encode(v) if encode is not None else _json(v, inner)))
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        return "[" + inner + ("," + inner).join([_json(v, inner) for v in obj]) + indent + "]"
+        items = [encode(v) if (encode := scalar(type(v))) is not None else _json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    for kind, encode in _SCALARS.items():  # a subclass, such as numpy's float64
+        if isinstance(obj, kind):
+            return encode(obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
@@ -163,13 +202,12 @@ def _emit(args, payload, table):
 def cmd_spectrum(args):
     g = args.graph
     bundle = build_bundle(g)
-    reports = []
-    for a in args.alphas:
-        values = sym_eigen(rd_alpha(bundle, a)).values
-        energy = _energy(bundle, a, values)
-        reports.append(
-            {"n": g.n, "alpha": a, "eigenvalues": values.tolist(), "harary": bundle.harary, "energy": energy}
-        )
+    spectra = sym_eigen(np.stack([rd_alpha(bundle, a) for a in args.alphas])).values
+    reports = [
+        {"n": g.n, "alpha": a, "eigenvalues": values.tolist(), "harary": bundle.harary,
+         "energy": _energy(bundle, a, values)}
+        for a, values in zip(args.alphas, spectra)
+    ]
 
     def table():
         # graph6's short form stops at n = 62; past that the header names n alone.
@@ -190,20 +228,15 @@ def cmd_bounds(args):
     alphas = args.alphas
     bundle = build_bundle(g)
     is_bipartite, sizes = bipartition(g)
-    # One solve for every radius: the blends at each alpha, their mirrors
-    # at 1 - alpha, then RD and RQ.
-    stack = [rd_alpha(bundle, a) for a in alphas] + [rd_alpha(bundle, 1.0 - a) for a in alphas]
-    radii = sym_eigen(np.stack(stack + [bundle.rd, bundle.rq])).values[:, 0].tolist()
-    k = len(alphas)
-    rho_rd, rho_rq = radii[-2:]
+    radii = _blend_radii(bundle, alphas)  # every radius from one stacked solve
     tr_max = float(bundle.transmissions.max())
     reports = []
-    for a, rho, rho_mirror in zip(alphas, radii[:k], radii[k:2 * k]):
-        records = _bound_records(bundle, a) + _rq_records(a, tr_max, rho_rd, rho_rq, rho_mirror)
+    for a, records in zip(alphas, _bound_table(bundle, alphas)):
+        records += _rq_records(a, tr_max, radii)
         if is_bipartite:
             records.append(_bipartite_record(g, sizes, a))
         # vars: a record's fields, without asdict's deep copy (about 12 us a record)
-        reports.append({"n": g.n, "alpha": a, "rho": rho, "records": [vars(r) for r in records]})
+        reports.append({"n": g.n, "alpha": a, "rho": radii[a], "records": [vars(r) for r in records]})
 
     def table():
         for r in reports:

@@ -299,15 +299,13 @@ def test_criterion_5_extremal_verification(catalog, invariants7):
     for entry, inv in invariants7:
         n = entry.graph.n
         k = inv.independence_number
+        is_predicted = canonical_form(entry.graph).decode("ascii") == predicted_forms[(n, k)]
         for alpha in ALPHAS_BOUNDS:
             bound = independence_rho_bound(n, k, alpha)
             rho = entry.rho(alpha)
             if rho > bound + 1e-9:
                 failures.append(f"independence bound violated: {to_graph6(entry.graph)} a={alpha}")
             attained = abs(rho - bound) <= 1e-8
-            is_predicted = (
-                canonical_form(entry.graph).decode("ascii") == predicted_forms[(n, k)]
-            )
             if attained != is_predicted:
                 failures.append(
                     f"independence equality mismatch: {to_graph6(entry.graph)} a={alpha}"

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from hararyspec import (
@@ -12,15 +13,19 @@ from hararyspec import (
     cycle,
     is_transmission_regular,
     path,
+    rd_alpha,
     rq_relation_bounds,
     spectral_radius,
     star,
     sym_eigen,
 )
+from hararyspec.bounds import _blend_radii, _bound_records, _bound_table
 
 from conftest import ALPHA_GRID
 
 P3_RHO = 1.6861406616345072
+# Weights whose mirrors 1 - w are partly outside the list, with a repeat.
+TABLE_ALPHAS = (0.0, 0.25, 0.3, 0.5, 0.9, 1.0, 0.25)
 
 
 def _applicable(records):
@@ -177,3 +182,41 @@ def test_bipartite_bound_dominates_on_catalog(catalog):
 def test_single_vertex_report_is_flagged():
     records = bound_report(complete(1), 0.5)
     assert records and all(not r.applicable for r in records)
+
+
+def _radius(m):
+    return float(sym_eigen(m).values[0])
+
+
+def test_blend_radii_match_separate_solves(catalog):
+    # B_0 is RD entry for entry and B_1/2 is RQ/2 exactly, so one stacked
+    # solve gives every radius bit for bit as a solve of its own matrix does.
+    for entry in catalog.up_to(7):
+        b = entry.bundle
+        radii = _blend_radii(b, TABLE_ALPHAS)
+        assert radii[0.0] == _radius(b.rd)
+        assert 2.0 * radii[0.5] == _radius(b.rq)
+        for a in TABLE_ALPHAS:
+            assert radii[a] == _radius(rd_alpha(b, a))
+            assert radii[1.0 - a] == _radius(rd_alpha(b, 1.0 - a))
+
+
+def test_bound_table_matches_one_weight_records(catalog):
+    for entry in catalog.up_to(7):
+        b = entry.bundle
+        table = _bound_table(b, TABLE_ALPHAS)
+        assert table == [_bound_records(b, a) for a in TABLE_ALPHAS]
+        if b.n == 1:
+            continue
+        # and each per-vertex bound equals its scalar formula, bit for bit
+        n, tr, rd = b.n, b.transmissions, b.rd
+        for a, records in zip(TABLE_ALPHAS, table):
+            values = {r.name: r.value for r in records}
+            row_norm = a * tr + (1.0 - a) * np.sqrt((n - 1.0) * (rd * rd).sum(axis=0))
+            weighted = a * tr + (1.0 - a) * (rd @ tr) / tr
+            ratio = a * tr + (1.0 - a) * (rd @ np.sqrt(tr)) / np.sqrt(tr)
+            assert values["row_norm_upper"] == float(row_norm.max())
+            assert values["weighted_transmission_lower"] == float(weighted.min())
+            assert values["weighted_transmission_upper"] == float(weighted.max())
+            assert values["ratio_row_sum_upper"] == float(ratio.max())
+            assert values["scaled_transmission_lower"] == float(a * tr.max())

@@ -69,6 +69,27 @@ def test_json_emitter_matches_json_dumps(payload):
     assert cli._json(payload) == json.dumps(round12(payload), indent=2, sort_keys=True)
 
 
+def _float_by_repr(x):
+    """JSON text of ``x`` rounded to 12 significant digits, through the repr
+    of the rounded float: the route the emitter's fast path must match."""
+    y = float(f"{x:.12g}")
+    if y - y == 0.0:
+        return float.__repr__(y)
+    return "NaN" if y != y else "Infinity" if y > 0 else "-Infinity"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(
+    st.floats(allow_subnormal=True),
+    st.floats(min_value=-2.3e-308, max_value=2.3e-308),  # subnormals and their neighbours
+    st.floats(min_value=1e11, max_value=1e17).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 999999999999.5, 1e12, 1e16 - 2, 1e16, 1e-4,
+                     9.99999999999949e-5, float("nan"), float("inf"), float("-inf")]),
+))
+def test_json_float_matches_repr_route(x):
+    assert cli._json_float(x) == _float_by_repr(x)
+
+
 def test_json_emitter_edge_cases():
     payload = {"\u00e9\x00\n\"": [(), [], {}, -0.0, 5e-324, 1e300, float("nan"), float("-inf"),
                                    np.float64(1 / 3), 2**70, -(2**70), HTTPStatus.OK, True, False, None]}
@@ -222,7 +243,7 @@ def _count_work(monkeypatch):
 @pytest.mark.parametrize(
     "argv, solves",
     [
-        (("spectrum", "--graph6", "ExSG", "--alpha", "0,0.5,1"), 3),  # one solve per alpha
+        (("spectrum", "--graph6", "ExSG", "--alpha", "0,0.5,1"), 1),  # every alpha in one stack
         (("bounds", "--graph6", "ExSG", "--alpha", "0,0.5,1"), 1),
         (("bounds", "--construct", "path:6", "--alpha", "0.25,0.75"), 1),
         (("psd", "--graph6", "FiCOG"), 2),  # the threshold and its residual
@@ -235,6 +256,13 @@ def test_each_report_does_its_work_once(capsys, monkeypatch, argv, solves):
     code, _, err = run(capsys, *argv)
     assert code == 0, err
     assert counts == {"bfs": 1, "solve": solves}
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 1.0])
+def test_rq_relation_bounds_solves_once(monkeypatch, alpha):
+    counts = _count_work(monkeypatch)
+    rq_relation_bounds(parse_graph6("ExSG"), alpha)  # rho(RD), rho(RQ) and the mirror
+    assert counts == {"bfs": 1, "solve": 1}
 
 
 @pytest.mark.parametrize(

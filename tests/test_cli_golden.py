@@ -39,6 +39,9 @@ GRAPH6 = (
     "J}IW{^uMsn?",
 )
 FORMATS = ("json", "table")
+# Weight lists that leave RD (alpha 0) and RQ/2 (alpha 1/2) out of the request,
+# or repeat a weight.
+EXTRA_ALPHAS = ("0.9", "0.25,0.25")
 USAGE = (
     (),
     ("nothing",),
@@ -76,6 +79,12 @@ def _cases():
         for command in ("spectrum", "bounds", "psd"):
             for fmt in FORMATS:
                 yield (command, "--graph6", text, "--alpha", "0,0.25,0.5,0.75", "--format", fmt)
+    for alphas in EXTRA_ALPHAS:
+        for source in (("--construct", "complete:1"), ("--construct", "bipartite:2,3"),
+                       ("--graph6", GRAPH6[0])):
+            for command in ("spectrum", "bounds"):
+                for fmt in FORMATS:
+                    yield (command, *source, "--alpha", alphas, "--format", fmt)
     for constraint, value in (("vertex-connectivity", 2), ("edge-connectivity", 1),
                               ("chromatic-number", 3), ("independence-number", 2)):
         for fmt in FORMATS:

@@ -3,7 +3,7 @@
 
 Complete graphs, complete bipartite/split graphs, wheels, complete
 multipartite graphs, joins of regular graphs, regular diameter-2 graphs
-and co-neighbour clusters: each reduction is printed next to the
+and any graph through its twin classes: each reduction is printed next to the
 numerically computed spectrum with the worst deviation.
 """
 
@@ -12,8 +12,6 @@ import numpy as np
 from hararyspec import (
     Graph,
     adjacency_spectrum_cycle,
-    cluster_quotient,
-    cluster_spec,
     complete,
     complete_bipartite,
     complete_multipartite,
@@ -27,6 +25,7 @@ from hararyspec import (
     spectrum_join_regular,
     spectrum_multipartite,
     spectrum_regular_diam2,
+    spectrum_twin_quotient,
     spectrum_wheel,
     star,
     wheel,
@@ -63,12 +62,7 @@ petersen = Graph(
 )
 show("Petersen (3-regular, diam 2)", spectrum_regular_diam2(petersen, ALPHA), petersen)
 
-print("\ncluster reduction on the star K_{1,5}: the five leaves are co-neighbours")
-g = star(6)
-spec = cluster_spec(g, tuple(range(1, 6)), "independent")
-repeated, mult, quotient = cluster_quotient(g, spec, "independent", ALPHA)
-print(f"  repeated eigenvalue {repeated:.6f} with multiplicity {mult}")
-print(f"  quotient eigenvalues {np.round(quotient.eigenvalues(), 6)}")
-full = np.sort(np.concatenate([np.full(mult, repeated), quotient.eigenvalues()]))
-numeric = np.sort(rd_alpha_spectrum(g, ALPHA).values)
-print(f"  reassembled spectrum deviation: {np.abs(full - numeric).max():.2e}")
+print("\ntwin-class quotients: the leaves of a star are one class of co-neighbours")
+show("K_{1,5}", spectrum_twin_quotient(star(6), ALPHA), star(6))
+double_star = Graph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6)])
+show("double star S(3, 2)", spectrum_twin_quotient(double_star, ALPHA), double_star)

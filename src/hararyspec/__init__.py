@@ -13,20 +13,16 @@ all connected graphs of small order.
 from .bounds import BoundRecord, bipartite_bound, bound_report, rq_relation_bounds
 from .closed_forms import (
     ClosedFormSpectrum,
-    ClusterSpec,
-    QuotientMatrix,
     adjacency_spectrum_complete,
     adjacency_spectrum_cycle,
     adjacency_spectrum_edgeless,
-    cluster_quotient,
-    cluster_spec,
-    multipartite_quotient,
     spectrum_complete,
     spectrum_complete_bipartite,
     spectrum_complete_split,
     spectrum_join_regular,
     spectrum_multipartite,
     spectrum_regular_diam2,
+    spectrum_twin_quotient,
     spectrum_wheel,
 )
 from .eigen import (

@@ -39,6 +39,7 @@ from .eigen import _energy, sym_eigen
 from .errors import BudgetError, Graph6Error, NotConnectedError
 from .graph6 import _MAX_SHORT_N, load_graph6, parse_edge_list, parse_graph6, to_graph6
 from .graphs import (
+    _turan_parts,
     complete,
     complete_bipartite,
     complete_multipartite,
@@ -297,9 +298,7 @@ def _closed_form_for(family, alpha):
     if name == "multipartite":
         return closed_forms.spectrum_multipartite(params, alpha)
     if name == "turan":
-        n, r = params
-        big, rest = divmod(n, r)
-        return closed_forms.spectrum_multipartite([big + 1] * rest + [big] * (r - rest), alpha)
+        return closed_forms.spectrum_multipartite(_turan_parts(*params), alpha)
     raise ValueError(f"no closed-form spectrum for constructor {name!r}")
 
 

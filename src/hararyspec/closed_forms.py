@@ -2,11 +2,20 @@
 
 Every family here reduces exactly: complete graphs, regular graphs of
 diameter two (via their adjacency spectrum), joins of regular graphs,
-complete bipartite / split / multipartite graphs, wheels, and graphs
-with a cluster of co-neighbour twins (via an equitable quotient).  Each
-builder returns (eigenvalue, multiplicity) pairs; quotient reductions
-also expose the non-symmetric quotient matrix together with the
-positive diagonal similarity that symmetrizes it.
+complete bipartite / split / multipartite graphs, wheels, and any
+connected graph through its twin classes.  Each builder returns
+(eigenvalue, multiplicity) pairs.
+
+Twins, vertices with the same neighbours apart from each other, are at
+equal distance from every other vertex, so the twin classes form an
+equitable partition of the blend.  A class of c twins at mutual
+reciprocal distance w (1 in a clique class, 1/2 in an independent one),
+with reciprocal transmission o to the other classes, carries the value
+alpha*(o + c*w) - w on every vector that sums to zero over the class,
+so with multiplicity c - 1.  The other eigenvalues are those of the
+quotient matrix over the classes, which the diagonal similarity
+sqrt(c) makes symmetric.  The parts of a complete multipartite graph
+are such classes, independent and at mutual distance 1.
 
 All quadratics are solved in the cancellation-free form: the
 discriminant is assembled as a sum of squares and the smaller-magnitude
@@ -21,13 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import sym_eigen
-from .graphs import _bit_indices, all_pairs_distances, reciprocal_transmissions
-from .matrices import build_bundle, check_alpha, rd_alpha
+from .graphs import _reciprocal_matrix, _twins, all_pairs_distances
+from .matrices import check_alpha
 
 __all__ = [
     "ClosedFormSpectrum",
-    "QuotientMatrix",
-    "ClusterSpec",
     "spectrum_complete",
     "spectrum_regular_diam2",
     "spectrum_join_regular",
@@ -35,15 +42,11 @@ __all__ = [
     "spectrum_complete_split",
     "spectrum_wheel",
     "spectrum_multipartite",
-    "multipartite_quotient",
-    "cluster_spec",
-    "cluster_quotient",
+    "spectrum_twin_quotient",
     "adjacency_spectrum_complete",
     "adjacency_spectrum_cycle",
     "adjacency_spectrum_edgeless",
 ]
-
-_SYMMETRIZE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -61,25 +64,6 @@ class ClosedFormSpectrum:
         """Expanded eigenvalue vector, descending."""
         vals = np.concatenate([np.full(m, v) for v, m in self.pairs])
         return np.sort(vals)[::-1]
-
-
-@dataclass(frozen=True)
-class QuotientMatrix:
-    """Equitable-partition quotient with its diagonal symmetrizer sqrt(block sizes)."""
-
-    matrix: np.ndarray
-    block_sizes: tuple[int, ...]
-
-    def symmetrized(self):
-        d = np.sqrt(np.asarray(self.block_sizes, dtype=float))
-        s = self.matrix * d[:, None] / d[None, :]
-        scale = max(1.0, float(np.abs(s).max()))
-        if float(np.abs(s - s.T).max()) > _SYMMETRIZE_TOL * scale:
-            raise ValueError("diagonal similarity failed to symmetrize the quotient")
-        return 0.5 * (s + s.T)
-
-    def eigenvalues(self):
-        return sym_eigen(self.symmetrized()).values
 
 
 def _pairs(entries):
@@ -219,119 +203,58 @@ def spectrum_wheel(n, alpha):
     return ClosedFormSpectrum(_pairs(entries), "wheel")
 
 
-def multipartite_quotient(parts, alpha):
-    """Equitable quotient of the blend of a complete multipartite graph."""
-    a = check_alpha(alpha)
-    parts = tuple(int(p) for p in parts)
-    n = sum(parts)
-    r = len(parts)
-    t = np.empty((r, r))
-    for i in range(r):
-        for j in range(r):
-            if i == j:
-                t[i, j] = a * (n - parts[i]) + 0.5 * (parts[i] - 1.0)
-            else:
-                t[i, j] = (1.0 - a) * parts[j]
-    return QuotientMatrix(t, parts)
+def _twin_quotient(sizes, within, rd, a):
+    """Blend eigenvalues, as (value, multiplicity) entries, of a graph
+    whose twin classes have the given sizes c, within-class reciprocal
+    distances w (a scalar or one per class) and class-level reciprocal
+    distances ``rd`` (zero diagonal), at weight a.
+
+    With o = rd @ c, each class gives a*(o + c*w) - w with multiplicity
+    c - 1, and the quotient t_ij = (1-a)*rd_ij*c_j, with diagonal
+    a*o + (c-1)*w, gives the rest.  It is solved as t*sqrt(c_i)/sqrt(c_j),
+    symmetric up to rounding, which ``sym_eigen`` checks to 1e-12.
+    """
+    c = np.asarray(sizes, dtype=float)
+    o = rd @ c
+    entries = list(zip(a * (o + c * within) - within, c.astype(int) - 1))
+    t = (1.0 - a) * rd * c
+    t[np.diag_indices_from(t)] = a * o + (c - 1.0) * within
+    d = np.sqrt(c)
+    entries += [(lam, 1) for lam in sym_eigen(t * d[:, None] / d[None, :]).values]
+    return entries
 
 
 def spectrum_multipartite(parts, alpha):
-    """Per-part repeated families plus the r quotient eigenvalues for K_{n_1,...,n_r}."""
+    """Per-part repeated families plus the r quotient eigenvalues for
+    K_{n_1,...,n_r}, whose parts are independent twin classes at mutual
+    distance 1."""
     a = check_alpha(alpha)
     parts = tuple(int(p) for p in parts)
     if len(parts) < 2 or any(p < 1 for p in parts):
         raise ValueError("need at least two nonempty parts")
-    n = sum(parts)
-    if n < 4:
+    if sum(parts) < 4:
         raise ValueError("multipartite closed form needs n >= 4")
-    entries = [(a * (n - 0.5 * p) - 0.5, p - 1) for p in parts]
-    quotient = multipartite_quotient(parts, a)
-    entries += [(lam, 1) for lam in quotient.eigenvalues()]
+    entries = _twin_quotient(parts, 0.5, 1.0 - np.eye(len(parts)), a)
     return ClosedFormSpectrum(_pairs(entries), "complete_multipartite")
 
 
-# ---------------------------------------------------------------------------
-# Clusters of co-neighbour vertices
-# ---------------------------------------------------------------------------
+def spectrum_twin_quotient(g, alpha):
+    """Blend spectrum of a connected graph from its twin classes and the
+    distances between one representative of each.
 
-@dataclass(frozen=True)
-class ClusterSpec:
-    """A set C of pairwise co-neighbour vertices, their shared outside
-    neighbourhood S, and the common reciprocal transmission t the C
-    vertices have in the independent form of the graph."""
-
-    vertices: tuple[int, ...]
-    shared_neighbors: tuple[int, ...]
-    transmission: float
-
-
-def cluster_spec(g, vertices, variant="independent"):
-    """Validate a cluster and derive its shared neighbourhood and transmission.
-
-    variant="independent": C must be independent in g.
-    variant="clique": g is the graph whose cluster has been completed
-    into a clique; C must induce one.  Either way every vertex of C must
-    see exactly the same neighbours outside C.
-    """
-    if variant not in ("independent", "clique"):
-        raise ValueError(f"unknown cluster variant {variant!r}")
-    c_verts = tuple(sorted(set(vertices)))
-    c = len(c_verts)
-    if c < 2:
-        raise ValueError("a cluster needs at least two vertices")
-    c_mask = 0
-    for v in c_verts:
-        c_mask |= 1 << v
-    outside_sets = {g.adj_bits[v] & ~c_mask for v in c_verts}
-    if len(outside_sets) != 1:
-        raise ValueError("cluster vertices do not share one outside neighbourhood")
-    inside_degrees = {(g.adj_bits[v] & c_mask).bit_count() for v in c_verts}
-    if variant == "independent" and inside_degrees != {0}:
-        raise ValueError("variant mismatch: cluster is not independent")
-    if variant == "clique" and inside_degrees != {c - 1}:
-        raise ValueError("variant mismatch: cluster does not induce a clique")
-    shared = outside_sets.pop()
-    tr = reciprocal_transmissions(g)
-    t_here = float(tr[c_verts[0]])
-    # Transmission in the independent form: completing C into a clique
-    # moves the c-1 in-cluster distances from 2 to 1.
-    t = t_here - 0.5 * (c - 1) if variant == "clique" else t_here
-    return ClusterSpec(c_verts, tuple(_bit_indices(shared)), t)
-
-
-def cluster_quotient(g, cluster, variant, alpha):
-    """Repeated cluster eigenvalue and the (n - c + 1)-dimensional quotient.
-
-    Independent variant: alpha*t + (alpha - 1)/2 with multiplicity c - 1.
-    Clique variant: alpha*(t + c/2 + 1/2) - 1 with multiplicity c - 1.
-    The quotient couples the collapsed cluster row with the untouched
-    outside block of the blend; its blocks have sizes (c, 1, ..., 1).
+    The leaves of a star, say, form one independent class, whose value
+    alpha*t + (alpha - 1)/2, t their reciprocal transmission, repeats
+    once less than there are leaves.
     """
     a = check_alpha(alpha)
-    cluster = cluster_spec(g, cluster.vertices, variant)  # revalidate against g
-    c_verts = cluster.vertices
-    c = len(c_verts)
-    t = cluster.transmission
-    outside = [v for v in range(g.n) if v not in set(c_verts)]
-    if not outside:
-        raise ValueError("cluster covers the whole graph; no quotient to build")
-    blend = rd_alpha(build_bundle(g), a)
-    x = blend[c_verts[0], outside]
-    z = blend[np.ix_(outside, outside)]
-    k = len(outside)
-    if variant == "independent":
-        repeated = a * t + 0.5 * (a - 1.0)
-        corner = a * (t + 0.5) - 0.5 + 0.5 * c * (1.0 - a)
-    else:
-        repeated = a * (t + 0.5 * c + 0.5) - 1.0
-        corner = a * (t + 0.5) - 1.0 + 0.5 * c * (2.0 - a)
-    q = np.empty((k + 1, k + 1))
-    q[0, 0] = corner
-    q[0, 1:] = x
-    q[1:, 0] = c * x
-    q[1:, 1:] = z
-    quotient = QuotientMatrix(q, (c,) + (1,) * k)
-    return float(repeated), c - 1, quotient
+    classes = {}  # class bitmask -> its lowest member
+    for v, twins in enumerate(_twins(g.adj_bits)):
+        classes.setdefault(twins | 1 << v, v)
+    reps = list(classes.values())
+    within = np.array([1.0 if g.adj_bits[v] & mask else 0.5 for mask, v in classes.items()])
+    rd = _reciprocal_matrix(g)[np.ix_(reps, reps)]
+    entries = _twin_quotient([mask.bit_count() for mask in classes], within, rd, a)
+    return ClosedFormSpectrum(_pairs(entries), "twin_quotient")
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,7 @@ import numpy as np
 
 from .errors import BudgetError
 from .graph6 import _mask_graph, _pack_graph6
-from .graphs import Graph, _bit_indices, _component
+from .graphs import Graph, _bit_indices, _component, _twins
 
 __all__ = [
     "CANONICAL_BUDGET",
@@ -86,18 +86,6 @@ __all__ = [
 
 CANONICAL_BUDGET = 10
 ENUMERATION_BUDGET = 8
-
-
-def _twins(adj):
-    """Per vertex, the bitmask of its twins: the vertices with the same
-    open neighbourhood (non-adjacent twins) or closed one (adjacent twins).
-    No open neighbourhood N(u) equals a closed one N[w], as u is not in
-    N(u) but w in N(u) puts u in N[w], so one dictionary holds both."""
-    groups = {}
-    for v, a in enumerate(adj):
-        for key in (a, a | 1 << v):
-            groups[key] = groups.get(key, 0) | 1 << v
-    return [(groups[a] | groups[a | 1 << v]) & ~(1 << v) for v, a in enumerate(adj)]
 
 
 def _equitable(adj, cells):

@@ -71,6 +71,18 @@ def _connected_within(adj, mask):
     return mask == 0 or _component(adj, mask & -mask, mask) == mask
 
 
+def _twins(adj):
+    """Per vertex, the bitmask of its twins: the vertices with the same
+    open neighbourhood (non-adjacent twins) or closed one (adjacent twins).
+    No open neighbourhood N(u) equals a closed one N[w], as u is not in
+    N(u) but w in N(u) puts u in N[w], so one dictionary holds both."""
+    groups = {}
+    for v, a in enumerate(adj):
+        for key in (a, a | 1 << v):
+            groups[key] = groups.get(key, 0) | 1 << v
+    return [(groups[a] | groups[a | 1 << v]) & ~(1 << v) for v, a in enumerate(adj)]
+
+
 def triangle_pairs(n):
     """Vertex pairs (i, j) with i < j in column-major order (0,1),(0,2),(1,2),(0,3),..."""
     return [(i, j) for j in range(1, n) for i in range(j)]
@@ -222,9 +234,13 @@ def turan(n, r):
     """Turan graph: complete r-partite graph on n vertices with balanced parts."""
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+    return complete_multipartite(_turan_parts(n, r))
+
+
+def _turan_parts(n, r):
+    """The r balanced part sizes of the Turan graph on n vertices, larger first."""
     big, rest = divmod(n, r)
-    parts = [big + 1] * rest + [big] * (r - rest)
-    return complete_multipartite(parts)
+    return [big + 1] * rest + [big] * (r - rest)
 
 
 def wheel(n):

@@ -10,8 +10,7 @@ from hararyspec import (
     adjacency_spectrum_complete,
     adjacency_spectrum_cycle,
     adjacency_spectrum_edgeless,
-    cluster_quotient,
-    cluster_spec,
+    build_kite,
     complete,
     complete_bipartite,
     complete_multipartite,
@@ -19,17 +18,19 @@ from hararyspec import (
     cycle,
     edgeless,
     eigenvalue_multiplicity,
+    enumerate_connected_graphs,
     harary_index,
     join,
-    multipartite_quotient,
     path,
     rd_alpha_spectrum,
+    reciprocal_transmissions,
     spectrum_complete,
     spectrum_complete_bipartite,
     spectrum_complete_split,
     spectrum_join_regular,
     spectrum_multipartite,
     spectrum_regular_diam2,
+    spectrum_twin_quotient,
     spectrum_wheel,
     star,
     wheel,
@@ -237,16 +238,6 @@ def test_multipartite_matches_numeric():
             assert_spectra_close(closed, numeric)
 
 
-def test_multipartite_quotient_symmetrization_is_exact():
-    for parts in [(2, 2, 2), (3, 2, 1), (4, 2, 3)]:
-        q = multipartite_quotient(parts, 0.3)
-        s = q.symmetrized()
-        assert np.abs(s - s.T).max() <= 1e-12
-        d = np.sqrt(np.asarray(parts, dtype=float))
-        recovered = s / d[:, None] * d[None, :]
-        assert np.abs(recovered - q.matrix).max() <= 1e-12
-
-
 def test_multipartite_validates_input():
     with pytest.raises(ValueError):
         spectrum_multipartite((4,), 0.0)
@@ -255,66 +246,72 @@ def test_multipartite_validates_input():
 
 
 # ---------------------------------------------------------------------------
-# Clusters
+# Twin-class quotient
 # ---------------------------------------------------------------------------
 
+def _listed_multiplicity(closed, value):
+    return sum(m for v, m in closed.pairs if abs(v - value) <= 1e-12)
+
+
 def test_star_leaf_cluster_repeated_eigenvalue():
-    g = star(4)
-    spec = cluster_spec(g, (1, 2, 3), "independent")
-    assert spec.shared_neighbors == (0,)
-    repeated, mult, quotient = cluster_quotient(g, spec, "independent", 0.0)
-    assert repeated == pytest.approx(-0.5)
-    assert mult == 2
-    full = np.sort(np.concatenate([np.full(mult, repeated), quotient.eigenvalues()]))
-    assert_spectra_close(full, rd_alpha_spectrum(g, 0.0).values)
+    # The c = n - 1 leaves are one independent class: alpha*t + (alpha - 1)/2,
+    # t a leaf's reciprocal transmission, with multiplicity c - 1.
+    for n in range(3, 9):
+        g = star(n)
+        t = float(reciprocal_transmissions(g)[1])
+        for alpha in ALPHAS:
+            closed = spectrum_twin_quotient(g, alpha)
+            numeric = rd_alpha_spectrum(g, alpha).values
+            value = alpha * t + 0.5 * (alpha - 1.0)
+            # a quotient eigenvalue can coincide with it (1 for P_3 at alpha = 3/4)
+            assert _listed_multiplicity(closed, value) >= n - 2
+            assert _listed_multiplicity(closed, value) == eigenvalue_multiplicity(numeric, value)
+            assert_spectra_close(closed.eigenvalues(), numeric, tol=1e-12)
 
 
 def test_clique_cluster_reproduces_split_family():
-    # The clique side of a complete split graph is a co-neighbour clique;
-    # its repeated eigenvalue must be the alpha*n - 1 family of CS_{a,b}.
-    a_part, b_part = 3, 2
-    g = complete_split(a_part, b_part)
-    spec = cluster_spec(g, tuple(range(a_part)), "clique")
-    n = a_part + b_part
-    for alpha in (0.0, 0.25, 0.5, 0.75):
-        repeated, mult, quotient = cluster_quotient(g, spec, "clique", alpha)
-        assert mult == a_part - 1
-        assert repeated == pytest.approx(
-            alpha * (spec.transmission + a_part / 2.0 + 0.5) - 1.0, abs=1e-12
-        )
-        assert repeated == pytest.approx(alpha * n - 1.0, abs=1e-12)
-        full = np.sort(np.concatenate([np.full(mult, repeated), quotient.eigenvalues()]))
-        assert_spectra_close(full, rd_alpha_spectrum(g, alpha).values)
+    for a_part, b_part in [(2, 2), (3, 2), (4, 3), (5, 1)]:
+        g = complete_split(a_part, b_part)
+        n = a_part + b_part
+        for alpha in ALPHAS:
+            closed = spectrum_twin_quotient(g, alpha)
+            numeric = rd_alpha_spectrum(g, alpha).values
+            value = alpha * n - 1.0
+            # at alpha = 1/b the independent side's value coincides
+            assert _listed_multiplicity(closed, value) >= a_part - 1
+            assert _listed_multiplicity(closed, value) == eigenvalue_multiplicity(numeric, value)
+            assert_spectra_close(closed.eigenvalues(), numeric, tol=1e-12)
 
 
 def test_double_star_cluster_quotient_full_spectrum():
-    g = make_double_star(3, 2)
-    leaves_left = tuple(range(2, 5))
-    spec = cluster_spec(g, leaves_left, "independent")
-    for alpha in (0.0, 0.25, 0.5, 0.75):
-        repeated, mult, quotient = cluster_quotient(g, spec, "independent", alpha)
-        assert mult == len(leaves_left) - 1
-        full = np.sort(np.concatenate([np.full(mult, repeated), quotient.eigenvalues()]))
-        assert_spectra_close(full, rd_alpha_spectrum(g, alpha).values)
+    for p, q in [(3, 2), (2, 2), (4, 1), (5, 3)]:
+        g = make_double_star(p, q)
+        for alpha in ALPHAS:
+            closed = spectrum_twin_quotient(g, alpha)
+            assert closed.source == "twin_quotient"
+            assert closed.n == g.n
+            assert_spectra_close(closed.eigenvalues(), rd_alpha_spectrum(g, alpha).values, tol=1e-12)
 
 
-def test_cluster_validation_errors():
-    g = star(4)
-    with pytest.raises(ValueError, match="share one outside"):
-        cluster_spec(path(4), (0, 3), "independent")
-    with pytest.raises(ValueError, match="variant mismatch"):
-        cluster_spec(g, (1, 2, 3), "clique")
-    with pytest.raises(ValueError, match="at least two"):
-        cluster_spec(g, (1,), "independent")
-    with pytest.raises(ValueError, match="variant"):
-        cluster_spec(g, (1, 2), "both")
+def test_complete_graph_is_one_clique_class():
+    for n in range(1, 9):
+        for alpha in ALPHAS:
+            closed = sorted(spectrum_twin_quotient(complete(n), alpha).pairs)
+            expected = sorted(spectrum_complete(n, alpha).pairs)
+            assert [m for _, m in closed] == [m for _, m in expected]
+            assert_spectra_close([v for v, _ in closed], [v for v, _ in expected], tol=1e-12)
 
 
-def test_cluster_covering_whole_graph_rejected():
-    g = complete(2)
-    spec = cluster_spec(g, (0, 1), "clique")
-    with pytest.raises(ValueError, match="whole graph"):
-        cluster_quotient(g, spec, "clique", 0.0)
+@pytest.mark.parametrize("n", range(1, 8))
+def test_twin_quotient_on_every_connected_class(n):
+    for g in enumerate_connected_graphs(n):
+        for alpha in (0.0, 0.3, 0.5, 0.9, 1.0):
+            closed = spectrum_twin_quotient(g, alpha)
+            numeric = rd_alpha_spectrum(g, alpha).values
+            assert_spectra_close(closed.eigenvalues(), numeric, tol=1e-12)
+            for value, multiplicity in closed.pairs:
+                assert multiplicity == eigenvalue_multiplicity(numeric, value), \
+                    (g, alpha, closed.pairs)
 
 
 def _family_cases():
@@ -339,6 +336,9 @@ def _family_cases():
     yield from ((partial(spectrum_wheel, n), wheel(n)) for n in range(4, 11))
     for parts in ((2, 2), (1, 1, 1, 1), (2, 2, 2), (3, 2, 1), (1, 1, 2), (3, 3, 3), (2, 2, 2, 2)):
         yield partial(spectrum_multipartite, parts), complete_multipartite(parts)
+    for g in (star(4), star(7), make_double_star(3, 2), make_double_star(2, 2),
+              build_kite(6, 2), build_kite(7, 3), complete_split(3, 2), complete_split(2, 4)):
+        yield partial(spectrum_twin_quotient, g), g
 
 
 def test_every_eigenvalue_is_listed_once_with_its_numeric_multiplicity():

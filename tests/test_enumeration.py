@@ -31,9 +31,9 @@ from hararyspec import (
 )
 from hararyspec import enumeration, graphs
 from hararyspec.enumeration import (_canonical_masks, _children, _components_without, _equitable,
-                                     _extend, _last_is_deletable, _leaf_masks, _twins)
+                                     _extend, _last_is_deletable, _leaf_masks)
 from hararyspec.graph6 import _edge_mask, _pack_graph6
-from hararyspec.graphs import triangle_pairs
+from hararyspec.graphs import _twins, triangle_pairs
 
 from conftest import (
     brute_canonical_mask,

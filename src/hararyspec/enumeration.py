@@ -20,12 +20,7 @@ leaves, branch the rest.
   comparing keys compares the vectors lexicographically.  The new cells
   are the dense ranks of the keys within the node, so each cell's parts
   stay together, in cell order, sorted by count vector.  Nodes that
-  gained a cell get another pass.  Split-cell refinement (McKay &
-  Piperno, "Practical graph isomorphism, II", 2014) keys a pass only on
-  the parts of the cells the previous pass split; two vertices of one
-  cell had equal counts in every cell of the previous partition, so a
-  field the narrowed key leaves out never differs first, and the full
-  keys make the same groups in the same order.
+  gained a cell get another pass, keyed again on every cell.
 * Branching.  A node branches on its first cell t with more than one
   vertex, once per lowest member v of each twin class in t (twins:
   vertices with the same neighbours apart from each other).  The child
@@ -43,9 +38,11 @@ leaves, branch the rest.
 
 Enumeration has one regime: starting from the single vertex, each class
 on n-1 vertices gets a new vertex w attached to nonempty neighbourhood
-subsets S, deduplicated canonically.  Two prunings decide which
-extensions are labelled at all (McKay, "Isomorph-free exhaustive
-generation", J. Algorithms 1998):
+subsets S, deduplicated canonically.  Every step runs on whole-order
+arrays: the parents' adjacency rows, one row per candidate (parent, S),
+and the children's rows, labelled in one stacked call.  Two prunings
+decide which extensions are labelled at all (McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 1998):
 
 * Deletion key.  A child is rejected unless w has the largest key
   (degree, sum of neighbour degrees) among its non-cut vertices.  Every
@@ -54,27 +51,36 @@ generation", J. Algorithms 1998):
   and the extension of P that recreates C puts w where x was, so it
   passes.  The key and the cut test are invariants of the child with w
   fixed, so isomorphic extensions of P pass or fail together.  The keys
-  come from P's degrees d and neighbour-degree sums s, computed once per
-  parent: in P + w, d'(u) = d(u) + [u in S] and s'(u) = s(u) +
-  |N(u) & S| + [u in S]|S|, and w's key is (|S|, sum of d over S + |S|).
-  So does the cut test: P + w - u is connected iff S meets every
-  component of P - u.
+  come from P's degrees d and neighbour-degree sums s: in P + w,
+  d'(u) = d(u) + [u in S] and s'(u) = s(u) + |N(u) & S| + [u in S]|S|,
+  and w's key is (|S|, sum of d over S + |S|), where the sum of d over
+  S is the sum of |N(u) & S| over all u.  So does the cut test: P + w
+  - u is connected iff S meets every component of P - u.  A stacked
+  table holds that answer for every parent, u and S: the components
+  come from Warshall's closure of P - u, and their unions over S grow
+  one vertex at a time, as in the subset tables of ``invariants``.
 * Twin orbits.  Twins of P form classes (cliques or independent sets)
   that P's automorphisms permute freely, so any S can be moved onto one
   that meets every twin class c1 < c2 < ... in a prefix: S holds a twin
-  only together with its nearest lower twin.  Only those S are tried.
+  only together with its nearest lower twin.  Only those S are tried,
+  numbered by a mixed-radix key: one digit per twin class, c1 most
+  significant, counting the members of the class that S holds.  A
+  vertex with r lower twins is in S iff its class digit exceeds r, and
+  the keys 1, 2, ... of each parent in turn give the generation order.
+
+The kept canonical masks are decoded into the representatives'
+adjacency rows in one step, the inverse of the leaf masks.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
 from .errors import BudgetError
 from .graph6 import _mask_graph, _pack_graph6
-from .graphs import Graph, _bit_indices, _component, _twins
+from .graphs import Graph
 
 __all__ = [
     "CANONICAL_BUDGET",
@@ -86,6 +92,7 @@ __all__ = [
 
 CANONICAL_BUDGET = 10
 ENUMERATION_BUDGET = 8
+_CANDIDATES = 1 << 18  # candidate extensions tested in one stacked block
 
 
 def _equitable(adj, cells):
@@ -126,6 +133,15 @@ def _leaf_masks(adj, cells):
     return pairs @ np.left_shift(1, np.arange(len(i) - 1, -1, -1))
 
 
+def _twin_classes(adj):
+    """Per graph and vertex v of a stack of adjacency rows, the bitmask of
+    v's twin class: v and the vertices with its neighbours apart from each
+    other."""
+    bits = np.left_shift(1, np.arange(adj.shape[1], dtype=np.uint16))
+    off = adj[:, :, None] & ~bits  # off[g, u, v]: u's neighbours other than v
+    return np.where(off == off.transpose(0, 2, 1), bits, 0).sum(axis=2, dtype=np.uint16)
+
+
 def _canonical_masks(adjs, n):
     """Canonical edge masks of k graphs on n vertices, given as k rows of
     adjacency bitmasks: every search node of every graph at one depth is
@@ -134,12 +150,9 @@ def _canonical_masks(adjs, n):
         raise BudgetError(
             f"budget exceeded: canonical labelling limited to n <= {CANONICAL_BUDGET}, got n={n}"
         )
-    adj = np.array(adjs, dtype=np.uint16).reshape(-1, n)
+    adj = np.asarray(adjs, dtype=np.uint16).reshape(-1, n)
     bits = np.left_shift(1, np.arange(n, dtype=np.uint16))
-    off = adj[:, :, None] & ~bits  # off[g, u, v]: u's neighbours other than v
-    twins = np.where(off == off.transpose(0, 2, 1), bits, 0).sum(axis=2, dtype=np.uint16)
-    del off
-    lower_twins = twins & bits - 1  # the twins u < v of each v
+    lower_twins = _twin_classes(adj) & bits - 1  # the twins u < v of each v
     best = np.full(len(adj), np.iinfo(np.int64).max)
     graph = np.arange(len(adj))
     cells = np.zeros(adj.shape, dtype=np.int8)
@@ -171,86 +184,108 @@ def canonical_form(g):
     return _pack_graph6(g.n, _canonical_masks([g.adj_bits], g.n)[0]).encode("ascii")
 
 
-def _twin_prefixes(adj):
-    """Per twin class c1 < c2 < ... < ck of ``adj``, the masks of its
-    prefixes: 0, c1, c1|c2, ..., the whole class."""
-    prefixes = {}
-    for v, twins in enumerate(_twins(adj)):
-        cls = twins | 1 << v
-        masks = prefixes.setdefault(cls & -cls, [0])  # keyed by the lowest member
-        masks.append(masks[-1] | 1 << v)
-    return list(prefixes.values())
+def _cut_table(adj):
+    """Per graph g, vertex u and vertex bitmask S of a stack of adjacency
+    rows, whether S meets the component of every vertex v of g - u: then u
+    is no cut vertex of g plus a new vertex joined to S.  The components
+    come from Warshall's closure, in which whatever reaches w reaches all
+    that w reaches, and their unions over S grow one vertex at a time."""
+    k, n = adj.shape
+    bits = np.left_shift(1, np.arange(n, dtype=np.uint16))
+    reach = adj[:, None, :] & ~bits[:, None] | bits  # reach[g, u, v]: v and its neighbours but u
+    for w in range(n):
+        reach |= np.where(reach >> w & 1, reach[:, :, w, None], 0)
+    reach[:, np.arange(n), np.arange(n)] = 0
+    union = np.zeros((k, n, 1 << n), dtype=np.uint16)
+    for v in range(n):
+        union[:, :, 1 << v:2 << v] = union[:, :, :1 << v] | reach[:, :, v, None]
+    return union == (bits.sum() ^ bits)[:, None]
 
 
-def _components_without(adj):
-    """Per vertex u, the vertex bitmasks of the components of the graph minus u."""
-    parts = []
-    for u in range(len(adj)):
-        rest, comps = ((1 << len(adj)) - 1) ^ 1 << u, []
-        while rest:
-            comps.append(_component(adj, rest & -rest, rest))
-            rest ^= comps[-1]
-        parts.append(comps)
-    return parts
+def _deletable(adj, parent, nbrs):
+    """Per candidate, the parent ``adj[parent]`` plus w joined to the bitmask
+    ``nbrs``, whether no non-cut vertex of the child outranks w by the
+    deletion key (module docstring)."""
+    bits = np.left_shift(1, np.arange(adj.shape[1], dtype=np.uint16))
+    deg = np.bitwise_count(adj)
+    sums = np.where(adj[:, :, None] & bits, deg[:, None, :], 0).sum(axis=2, dtype=np.uint8)
+    inside = (nbrs[:, None] & bits) != 0
+    k = np.bitwise_count(nbrs)[:, None]
+    shared = np.bitwise_count(adj[parent] & nbrs[:, None])  # |N(u) & S|
+    top = shared.sum(axis=1, keepdims=True, dtype=np.uint8) + k  # w's: degrees over S, plus |S|
+    d = deg[parent] + inside
+    s = sums[parent] + shared + inside * k
+    node, u = np.nonzero((d > k) | (d == k) & (s > top))
+    keep = np.ones(len(nbrs), dtype=bool)
+    keep[node[_cut_table(adj)[parent[node], u, nbrs[node]]]] = False
+    return keep
 
 
-def _last_is_deletable(base, deg, sums, parts, nbrs):
-    """No non-cut vertex of the child, ``base`` plus w joined to the bitmask
-    ``nbrs``, outranks w by the deletion key; ``deg``, ``sums`` and ``parts``
-    are the parent's degrees, neighbour-degree sums and components without
-    each vertex (see the module docstring)."""
-    k = top = nbrs.bit_count()
-    rest = nbrs
-    while rest:
-        low = rest & -rest
-        top += deg[low.bit_length() - 1]
-        rest ^= low
-    for u, a in enumerate(base):
-        inside = nbrs >> u & 1
-        d = deg[u] + inside
-        if d < k or d == k and sums[u] + (a & nbrs).bit_count() + inside * k <= top:
-            continue
-        for comp in parts[u]:
-            if not comp & nbrs:
-                break  # w misses a component of P - u: u is a cut vertex of the child
-        else:
-            return False
-    return True
-
-
-def _extend(base, nbrs):
-    """Adjacency of ``base`` plus a new last vertex joined to the bitmask ``nbrs``."""
-    w = len(base)
-    adj = [a | 1 << w if nbrs >> u & 1 else a for u, a in enumerate(base)]
-    adj.append(nbrs)
-    return adj
+def _extensions(adj):
+    """Adjacency rows of the extensions of a (k, n) stack of parents that
+    pass both prunings, in generation order.  The candidates S of a parent
+    are the numbers of a mixed-radix key with one digit per twin class,
+    first class most significant; a digit counts the members of its class
+    that S holds, lowest first, so v is in S iff its class digit exceeds
+    v's rank in the class."""
+    n = adj.shape[1]
+    bits = np.left_shift(1, np.arange(n, dtype=np.uint16))
+    classes = _twin_classes(adj)
+    rank = np.bitwise_count(classes & bits - 1)  # v's rank in its class
+    radix = np.bitwise_count(classes).astype(np.int32) + 1  # the digits of v's class
+    own = np.where(rank == 0, radix, 1)  # one radix per class, at its lowest member
+    place = np.cumprod(own[:, ::-1], axis=1)[:, ::-1] // own  # the weight of each class digit
+    lowest = np.bitwise_count((classes & ~(classes - 1)) - 1)
+    place = np.take_along_axis(place, lowest.astype(np.intp), axis=1)
+    count = place[:, 0] * radix[:, 0] - 1  # S = {} left out
+    parent = np.repeat(np.arange(len(adj)), count)
+    first = np.cumsum(count, dtype=np.int32) - count  # each parent's first candidate
+    key = np.arange(1, len(parent) + 1, dtype=np.int32) - np.repeat(first, count)
+    # digit > rank, with the digit's lower places kept: key mod (place radix) >= (rank + 1) place
+    inside = key[:, None] % (place * radix)[parent] >= ((rank + 1) * place)[parent]
+    nbrs = np.where(inside, bits, 0).sum(axis=1, dtype=np.uint16)
+    keep = _deletable(adj, parent, nbrs)
+    children = np.empty((np.count_nonzero(keep), n + 1), dtype=np.uint16)
+    children[:, :-1] = adj[parent[keep]] | np.where(inside[keep], np.uint16(1 << n), 0)
+    children[:, -1] = nbrs[keep]
+    return children
 
 
 def _children(n):
     """Adjacency rows of the order-n extensions that pass both prunings,
-    in generation order: the stack ``_connected_classes`` labels."""
-    children = []
-    for parent in _connected_classes(n - 1)[1]:
-        base = parent.adj_bits
-        deg = [a.bit_count() for a in base]
-        sums = [sum(deg[v] for v in _bit_indices(a)) for a in base]
-        parts = _components_without(base)
-        for choice in product(*_twin_prefixes(base)):
-            nbrs = sum(choice)
-            if nbrs and _last_is_deletable(base, deg, sums, parts, nbrs):
-                children.append(_extend(base, nbrs))
-    return children
+    in generation order, as a (k, n) array: the stack ``_connected_classes``
+    labels.  A parent has fewer than 2^(n-1) candidates; the parents go in
+    blocks of at most ``_CANDIDATES`` candidates, one block up to n = 8."""
+    adj = _connected_classes(n - 1)[2]
+    step = max(1, _CANDIDATES >> n - 1)
+    return np.concatenate([_extensions(adj[i:i + step]) for i in range(0, len(adj), step)])
+
+
+def _mask_rows(masks, n):
+    """Adjacency rows of the graphs on n vertices with the given edge masks
+    (the inverse of ``_leaf_masks`` on the identity order)."""
+    j, i = np.tril_indices(n, -1)  # the pairs (i, j) in ``triangle_pairs`` order
+    pairs = masks[:, None] >> np.arange(len(i) - 1, -1, -1) & 1
+    weights = np.zeros((len(i), n), dtype=np.int64)
+    weights[np.arange(len(i)), i] = 1 << j
+    weights[np.arange(len(i)), j] = 1 << i
+    return (pairs @ weights).astype(np.uint16)
 
 
 @lru_cache(maxsize=None)
 def _connected_classes(n):
-    """Canonical edge masks and representatives of the connected classes
-    of order n, in enumeration order."""
+    """Canonical edge masks, representatives and adjacency rows (a
+    read-only (k, n) array) of the connected classes of order n, in
+    enumeration order."""
     if n == 1:
-        return (0,), (Graph(1),)
-    found = set(_canonical_masks(_children(n), n))
-    masks = tuple(sorted(found, key=lambda mask: (mask.bit_count(), mask)))
-    return masks, tuple(_mask_graph(n, mask) for mask in masks)
+        masks = np.zeros(1, dtype=np.int64)
+    else:
+        masks = np.sort(_canonical_masks(_children(n), n))
+        masks = masks[np.append(True, masks[1:] != masks[:-1])]  # np.unique imports numpy.ma
+        masks = masks[np.argsort(np.bitwise_count(masks), kind="stable")]
+    adj = _mask_rows(masks, n)
+    adj.setflags(write=False)
+    return tuple(masks.tolist()), tuple(Graph._from_adj(n, row) for row in adj.tolist()), adj
 
 
 def enumerate_connected_graphs(n):

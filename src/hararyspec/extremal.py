@@ -110,8 +110,9 @@ def independence_rho_bound(n, k, alpha):
 def _catalog(n):
     """(graph, canonical graph6, invariants) per connected class of order n,
     the graph6 written from the canonical mask the enumeration kept."""
-    graphs = enumerate_connected_graphs(n)
-    records = zip(graphs, _connected_classes(n)[0], _stack_invariants(graphs))
+    graphs = enumerate_connected_graphs(n)  # within the budget
+    masks, _, adj = _connected_classes(n)
+    records = zip(graphs, masks, _stack_invariants(adj))
     return tuple((g, _pack_graph6(n, mask), inv) for g, mask, inv in records)
 
 

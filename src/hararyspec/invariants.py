@@ -4,15 +4,26 @@ Everything here is exhaustive search or branch-and-bound: values are
 exact, never heuristic, and a BudgetError is raised instead of silently
 approximating once the order exceeds the n <= 10 desk budget.
 
-Connectivity and independence come from tables over all vertex
-subsets X, built for a stack of same-order graphs at once.  lambda is
-the fewest edges leaving a nonempty proper X, alpha the largest X that
-misses its own neighbourhood N(X).  If some vertex lies outside X and
-N(X), then N(X) \\ X separates it from X, so no such set is smaller
+Connectivity, independence and clique number come from tables over
+all vertex subsets X, built for a stack of same-order graphs at once,
+in chunks of at most ``_TABLE_CELLS`` table entries.  lambda is the
+fewest edges leaving a nonempty proper X, alpha the largest X that
+misses its own neighbourhood N(X), and omega the largest X that misses
+its own neighbourhood in the complement.  If some vertex lies outside X
+and N(X), then N(X) \\ X separates it from X, so no such set is smaller
 than kappa; and a minimum separator S is N(C) \\ C for the smallest
 component C of g - S, as a minimal separator has a neighbour in every
 component it leaves.  So kappa is the smallest such N(X) \\ X, or n - 1
 when every X sees the whole graph (complete graphs).
+
+The chromatic number chi is at least omega and at least ceil(n / alpha),
+as each colour class is an independent set, and at most the colours of
+a first-fit colouring by falling degree, found for the whole stack in
+one pass per vertex.  Only the graphs whose bounds differ run the
+branch-and-bound colouring search, one graph at a time: exact chi over
+the subset tables for a whole stack (a zeta/Moebius convolution of the
+independent sets, or inclusion-exclusion) was slower than this search
+at n = 8 and n = 9.
 """
 
 from __future__ import annotations
@@ -36,6 +47,7 @@ __all__ = [
 ]
 
 INVARIANT_BUDGET = 10
+_TABLE_CELLS = 1 << 22  # subset-table cells per chunk: 2^n rows times the chunk's graphs
 
 
 @dataclass(frozen=True)
@@ -54,75 +66,71 @@ def _check_budget(g, what):
         )
 
 
-def _subset_invariants(graphs):
-    """Vertex connectivity, edge connectivity and independence number of
-    each graph in ``graphs``, all of one order n, as three arrays.  The
-    tables grow one vertex v at a time (X holds only lower vertices):
-    nb[X | v] = nb[X] | adj[v] unites the neighbourhoods, and the count of
-    edges leaving X gains deg(v) less twice the edges from v into X."""
-    n = graphs[0].n
+def _rows(graphs):
+    """The adjacency rows of same-order graphs as a (k, n) array."""
+    return np.array([g.adj_bits for g in graphs], dtype=np.uint16)
+
+
+def _subset_invariants(adj):
+    """Vertex connectivity, edge connectivity, independence number, clique
+    number and degrees of each graph of a (k, n) stack of adjacency rows,
+    as arrays (the degrees of shape (k, n)), one chunk of the stack at a
+    time."""
+    step = max(1, _TABLE_CELLS >> adj.shape[1])
+    chunks = [_subset_tables(adj[i:i + step]) for i in range(0, len(adj), step)]
+    return tuple(np.concatenate(column) for column in zip(*chunks))
+
+
+def _subset_tables(adj):
+    """``_subset_invariants`` of one chunk.  The tables grow one vertex v
+    at a time (X holds only lower vertices): nb[X | v] = nb[X] | adj[v]
+    unites the neighbourhoods, co[X | v] = co[X] | (V - N[v]) the
+    complement's, and the count of edges leaving X gains deg(v) less
+    twice the edges from v into X."""
+    n = adj.shape[1]
     masks = np.uint8 if n <= 8 else np.uint16
-    adj = np.array([g.adj_bits for g in graphs], dtype=masks)
+    adj = adj.astype(masks)
     size = 1 << n
+    full = size - 1
     subsets = np.arange(size, dtype=masks)[:, None]
-    nb = np.zeros((size, len(graphs)), dtype=masks)
+    nb = np.zeros((size, len(adj)), dtype=masks)
+    co = np.zeros_like(nb)
     cut = np.zeros_like(nb, dtype=np.uint8)
     degrees = np.bitwise_count(adj)
     for v in range(n):
         low, high = 1 << v, 2 << v
         nb[low:high] = nb[:low] | adj[:, v]
+        co[low:high] = co[:low] | full & ~(adj[:, v] | low)
         cut[low:high] = cut[:low] + degrees[:, v] - 2 * np.bitwise_count(subsets[:low] & adj[:, v])
-    full = size - 1
     lam = cut[1:full].min(axis=0, initial=n - 1)  # lambda <= delta <= n - 1
-    alpha = np.where(nb & subsets, np.uint8(0), np.bitwise_count(subsets)).max(axis=0)
+    sizes = np.bitwise_count(subsets)
+    alpha = np.where(nb & subsets, np.uint8(0), sizes).max(axis=0)
+    omega = np.where(co & subsets, np.uint8(0), sizes).max(axis=0)
     # N(X) \ X of each nonempty X that leaves some vertex unreached
     covered = (nb | subsets) == full
     nb &= ~subsets
     separator = np.bitwise_count(nb)
     separator[covered] = n - 1
     kappa = separator[1:].min(axis=0)
-    return kappa, lam, alpha
+    return kappa, lam, alpha, omega, degrees
 
 
 def vertex_connectivity(g: Graph):
     """Minimum number of vertex deletions that disconnect g (n-1 for complete graphs)."""
     _check_budget(g, "vertex connectivity")
-    return int(_subset_invariants([g])[0][0])
+    return int(_subset_invariants(_rows([g]))[0][0])
 
 
 def edge_connectivity(g: Graph):
     """Minimum number of edge deletions that disconnect g (0 for K_1)."""
     _check_budget(g, "edge connectivity")
-    return int(_subset_invariants([g])[1][0])
-
-
-def _max_clique(adj, n):
-    """Exact maximum-clique size by branch and bound over candidate bitmasks."""
-    best = 0
-
-    def expand(clique_size, candidates):
-        nonlocal best
-        if clique_size + candidates.bit_count() <= best:
-            return
-        if candidates == 0:
-            best = max(best, clique_size)
-            return
-        while candidates:
-            if clique_size + candidates.bit_count() <= best:
-                return
-            low = candidates & -candidates
-            v = low.bit_length() - 1
-            candidates ^= low
-            expand(clique_size + 1, candidates & adj[v])
-
-    expand(0, (1 << n) - 1)
-    return best
+    return int(_subset_invariants(_rows([g]))[1][0])
 
 
 def independence_number(g: Graph):
     """Size of a maximum independent set."""
     _check_budget(g, "independence number")
-    return int(_subset_invariants([g])[2][0])
+    return int(_subset_invariants(_rows([g]))[2][0])
 
 
 def _k_colorable(adj, k, order):
@@ -154,15 +162,10 @@ def _k_colorable(adj, k, order):
 
 
 def chromatic_number(g: Graph):
-    """Exact chromatic number: iterative-deepening k-colouring from the clique bound."""
+    """Exact chromatic number: the colouring search between the clique and
+    independence lower bounds and the first-fit upper bound."""
     _check_budget(g, "chromatic number")
-    if g.edge_count == 0:
-        return 1
-    order = sorted(range(g.n), key=lambda v: -g.degree(v))
-    for k in range(_max_clique(g.adj_bits, g.n), g.n + 1):
-        if _k_colorable(g.adj_bits, k, order):
-            return k
-    return g.n
+    return _stack_invariants(_rows([g]))[0].chromatic_number
 
 
 def bipartition(g: Graph):
@@ -195,12 +198,37 @@ def bipartition(g: Graph):
 def graph_invariants(g: Graph):
     """All exact invariants in one record."""
     _check_budget(g, "invariants")
-    return _stack_invariants([g])[0]
+    return _stack_invariants(_rows([g]))[0]
 
 
-def _stack_invariants(graphs):
-    """``graph_invariants`` of every graph in ``graphs``, all of one order,
-    from one subset-table pass."""
-    columns = (column.tolist() for column in _subset_invariants(graphs))
-    return [GraphInvariants(kappa, lam, chromatic_number(g), alpha, min(g.degrees()))
-            for g, kappa, lam, alpha in zip(graphs, *columns)]
+def _first_fit(adj, orders):
+    """Colours of the first-fit colouring of each graph of a stack of
+    adjacency rows, placing the vertices in the row's order: each joins
+    the first class holding none of its neighbours.  This is the first
+    branch ``_k_colorable`` tries, so it bounds chi from above."""
+    rows = np.arange(len(adj))
+    classes = np.zeros_like(adj)
+    for v in orders.T:
+        free = classes & adj[rows, v, None] == 0  # an unopened class is empty, so free
+        classes[rows, free.argmax(axis=1)] |= np.left_shift(1, v).astype(adj.dtype)
+    return np.count_nonzero(classes, axis=1)
+
+
+def _stack_invariants(adj):
+    """``graph_invariants`` of every graph of a (k, n) stack of adjacency
+    rows, from one subset-table pass.  chi lies between max(omega,
+    ceil(n / alpha)), as every colour class is an independent set, and
+    the first-fit colouring by falling degree; the colouring search runs
+    per graph on the values in between."""
+    kappa, lam, alpha, omega, degrees = _subset_invariants(adj)
+    n = adj.shape[1]
+    orders = np.argsort(-degrees.astype(np.int8), axis=1, kind="stable")
+    low = np.maximum(omega, (n - 1) // alpha + 1)  # ceil(n / alpha)
+    high = _first_fit(adj, orders)
+    chi = high.tolist()
+    for i in np.flatnonzero(low < high).tolist():
+        order, adj_bits = orders[i].tolist(), adj[i].tolist()
+        fits = (k for k in range(low[i], chi[i]) if _k_colorable(adj_bits, k, order))
+        chi[i] = next(fits, chi[i])
+    rows = zip(kappa.tolist(), lam.tolist(), chi, alpha.tolist(), degrees.min(axis=1).tolist())
+    return [GraphInvariants(*row) for row in rows]

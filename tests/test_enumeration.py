@@ -30,8 +30,8 @@ from hararyspec import (
     turan,
 )
 from hararyspec import enumeration, graphs
-from hararyspec.enumeration import (_canonical_masks, _children, _components_without, _equitable,
-                                     _extend, _last_is_deletable, _leaf_masks)
+from hararyspec.enumeration import (_canonical_masks, _children, _connected_classes, _cut_table,
+                                     _deletable, _equitable, _leaf_masks, _twin_classes)
 from hararyspec.graph6 import _edge_mask, _pack_graph6
 from hararyspec.graphs import _twins, triangle_pairs
 
@@ -348,7 +348,10 @@ def test_leaf_mask_matches_the_edge_mask_codec(g, dense, data):
 @settings(max_examples=200, deadline=None)
 @given(small_graphs())
 def test_twin_grouping_matches_pairwise_comparison(g):
-    assert _twins(g.adj_bits) == reference_twins(g.adj_bits)
+    expected = reference_twins(g.adj_bits)
+    assert _twins(g.adj_bits) == expected
+    classes = _twin_classes(np.array([g.adj_bits], dtype=np.uint16))[0]
+    assert classes.tolist() == [twins | 1 << v for v, twins in enumerate(expected)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -372,53 +375,65 @@ def test_stacked_refinement_of_an_individualised_partition(g, dense, data):
 @settings(max_examples=200, deadline=None)
 @given(small_graphs())
 def test_components_without_each_vertex_match_networkx(g):
+    # the stacked cut table of one graph: per u and vertex bitmask S,
+    # whether S meets every component of g - u
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges())
-    for u, comps in enumerate(_components_without(g.adj_bits)):
-        expected = {frozenset(c) for c in nx.connected_components(nx.restricted_view(h, [u], []))}
-        got = [frozenset(v for v in range(g.n) if comp >> v & 1) for comp in comps]
-        assert len(got) == len(expected) and set(got) == expected, (g, u)
+    table = _cut_table(np.array([g.adj_bits], dtype=np.uint16))[0]
+    subsets = np.arange(1 << g.n)
+    for u in range(g.n):
+        expected = np.ones(1 << g.n, dtype=bool)
+        for comp in nx.connected_components(nx.restricted_view(h, [u], [])):
+            expected &= subsets & sum(1 << v for v in comp) != 0
+        assert np.array_equal(table[u], expected), (g, u)
 
 
 def test_incremental_deletion_keys_match_the_direct_test():
     # every parent class up to order 6 with every new neighbourhood, a
-    # superset of the twin-prefix candidates the enumeration tries
+    # superset of the twin-prefix candidates the enumeration tries, in one
+    # stacked call per order
     for n in range(1, 7):
         full = (1 << (n + 1)) - 1
-        for parent in enumerate_connected_graphs(n):
-            base = parent.adj_bits
-            deg = [a.bit_count() for a in base]
-            sums = [sum(deg[v] for v in range(n) if a >> v & 1) for a in base]
-            parts = _components_without(base)
-            for nbrs in range(1, 1 << n):
-                expected = reference_last_is_deletable(_extend(base, nbrs), full)
-                assert _last_is_deletable(base, deg, sums, parts, nbrs) == expected, (parent, nbrs)
+        adj = _connected_classes(n)[2]
+        parent = np.repeat(np.arange(len(adj)), full >> 1)
+        nbrs = np.tile(np.arange(1, 1 << n, dtype=np.uint16), len(adj))
+        got = _deletable(adj, parent, nbrs).tolist()
+        for p, s, deletable in zip(parent.tolist(), nbrs.tolist(), got):
+            child = [a | (s >> u & 1) << n for u, a in enumerate(adj[p].tolist())] + [s]
+            assert deletable == reference_last_is_deletable(child, full), (n, p, s)
 
 
 def test_order_seven_enumeration_work_counts(monkeypatch):
-    # The labellings and deletion tests of the order-7 step, with order 6
-    # cached: every candidate is labelled in one stacked call.  Making
-    # each step cheaper must leave these counts as they are; a change that
-    # prunes more lowers them on purpose.  The cut tests read the parents'
-    # components, so no breadth-first search runs on a child.
+    # The deletion tests and labellings of the order-7 step, with order 6
+    # cached: every candidate is tested in one stacked call and every
+    # child labelled in one more.  Making each step cheaper must leave
+    # these counts as they are; a change that prunes more lowers them on
+    # purpose.  The cut tests read the parents' stacked cut table, so no
+    # breadth-first search runs on a child.
     enumeration._connected_classes(6)
-    counts, stacks = Counter(), []
-
-    def counted(module, name):
-        fn = getattr(module, name)
-
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
-
-        return wrapper
-
-    canonical_masks = enumeration._canonical_masks
+    tested, stacks, searches = [], [], Counter()
+    canonical_masks, deletable = enumeration._canonical_masks, enumeration._deletable
     monkeypatch.setattr(enumeration, "_canonical_masks",
                         lambda adjs, n: stacks.append(len(adjs)) or canonical_masks(adjs, n))
-    for module, name in ((enumeration, "_last_is_deletable"), (graphs, "_connected_within")):
-        monkeypatch.setattr(module, name, counted(module, name))
+    monkeypatch.setattr(enumeration, "_deletable", lambda adj, parent, nbrs:
+                        tested.append(len(nbrs)) or deletable(adj, parent, nbrs))
+    for name in ("_component", "_connected_within"):
+        fn = getattr(graphs, name)
+        monkeypatch.setattr(graphs, name, lambda *args, fn=fn, name=name:
+                            searches.update([name]) or fn(*args))
     enumeration._connected_classes.__wrapped__(7)
     assert stacks == [1177]
-    assert counts == {"_last_is_deletable": 4818}
+    assert tested == [4818]
+    assert not searches
+
+
+def test_candidate_blocks_leave_the_children_unchanged(monkeypatch):
+    # the parents of an order go in blocks of at most ``_CANDIDATES``
+    # candidates; up to order 8 that is one block, so shrink it to split
+    # every order, down to one parent a block
+    whole = [_children(n) for n in range(2, 9)]
+    for size in (1 << 10, 1):
+        monkeypatch.setattr(enumeration, "_CANDIDATES", size)
+        for n, rows in enumerate(whole, start=2):
+            assert np.array_equal(_children(n), rows), (size, n)

@@ -1,8 +1,11 @@
 """Exact invariants against plain subset-enumeration oracles."""
 
+import hashlib
 import random
+from collections import Counter
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,6 +27,7 @@ from hararyspec import (
     vertex_connectivity,
     wheel,
 )
+from hararyspec import invariants
 from hararyspec.extremal import _catalog
 from hararyspec.invariants import _subset_invariants
 
@@ -36,6 +40,33 @@ from conftest import (
     nx_graph,
     random_edges,
 )
+
+# Chromatic numbers of the connected classes per order.  The chi <= 2
+# counts, 1, 1, 1, 3, 5, 17, 44, 182, are the connected bipartite graphs
+# (OEIS A005142).
+CHROMATIC_HISTOGRAMS = {
+    1: {1: 1},
+    2: {2: 1},
+    3: {2: 1, 3: 1},
+    4: {2: 3, 3: 2, 4: 1},
+    5: {2: 5, 3: 12, 4: 3, 5: 1},
+    6: {2: 17, 3: 64, 4: 26, 5: 4, 6: 1},
+    7: {2: 44, 3: 475, 4: 282, 5: 46, 6: 5, 7: 1},
+    8: {2: 182, 3: 5036, 4: 5009, 5: 809, 6: 74, 7: 6, 8: 1},
+}
+
+# sha256 of the newline-joined catalogue lines "graph6 kappa lambda chi
+# alpha delta", in enumeration order.
+CATALOG_SHA256 = {
+    1: "394fbf87e161b554140189ec6f1913606e4d8f386a6fbf8c7bf9687b86b58660",
+    2: "88d48699a6f10d4544f322f02c878d3c2e734a4e11514a7cecec6dc3685620b5",
+    3: "d5f464e4ce926470afe1ad27ebb4b5de701e72ad2d4b6c6edb654f9f29495e71",
+    4: "9ead1c390a01e3f2b1d0d07f4d991179c98be4265fb5e9330e33b2d1607479d9",
+    5: "255fd064b876eaacccf568e8570cef6a73c911311f3342965f426f03b25f86d4",
+    6: "ffb9af6b0b638a2e7598fa36dc8e18e5d43170143fe836df408c65ea90108f81",
+    7: "dbb9e35cc9ff331d323e186ec94fe3341aaf192867e5fe106f7f6a967f7c066d",
+    8: "a3b36f24bef54888804a624f98f74e2682cd309213b069fd64c74942c0eecb40",
+}
 
 
 def test_complete_graph_invariants():
@@ -162,18 +193,23 @@ def test_bipartition_matches_networkx_and_layer_parity():
 
 
 def _networkx_subset_invariants(g):
-    """(vertex connectivity, edge connectivity, independence number) from
-    networkx flows and the clique number of the complement."""
+    """(vertex connectivity, edge connectivity, independence number,
+    clique number, degrees) from networkx flows and maximal cliques of
+    the complement and of the graph."""
     h = nx_graph(g.n, g.edges())
     independence = max(map(len, nx.find_cliques(nx.complement(h))))
+    clique = max(len(c) for c in nx.find_cliques(h))
+    degrees = [d for _, d in sorted(h.degree())]
     if g.n == 1:
-        return 0, 0, independence
-    return nx.node_connectivity(h), nx.edge_connectivity(h), independence
+        return 0, 0, independence, clique, degrees
+    return nx.node_connectivity(h), nx.edge_connectivity(h), independence, clique, degrees
 
 
 def _columns(graphs):
-    """The per-graph (kappa, lambda, alpha) rows of one stacked call."""
-    return list(zip(*(column.tolist() for column in _subset_invariants(graphs))))
+    """The per-graph (kappa, lambda, alpha, omega, degrees) rows of one
+    stacked call."""
+    adj = np.array([g.adj_bits for g in graphs], dtype=np.uint16)
+    return list(zip(*(column.tolist() for column in _subset_invariants(adj))))
 
 
 def test_subset_invariants_match_networkx_on_every_class():
@@ -201,7 +237,7 @@ def any_graphs(draw):
 def test_subset_invariants_match_networkx_on_any_graph(g):
     expected = _networkx_subset_invariants(g)
     assert _columns([g]) == [expected]
-    assert (vertex_connectivity(g), edge_connectivity(g), independence_number(g)) == expected
+    assert (vertex_connectivity(g), edge_connectivity(g), independence_number(g)) == expected[:3]
 
 
 def test_stacked_subset_invariants_are_the_single_graph_calls():
@@ -212,6 +248,42 @@ def test_stacked_subset_invariants_are_the_single_graph_calls():
         assert _columns(graphs) == [_columns([g])[0] for g in graphs]
     for n in range(1, 8):
         assert [inv for _, _, inv in _catalog(n)] == [graph_invariants(g) for g in stacks[n - 1]]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_catalog_invariants_are_pinned(n):
+    catalog = _catalog(n)
+    assert Counter(inv.chromatic_number for _, _, inv in catalog) == CHROMATIC_HISTOGRAMS[n]
+    text = "\n".join(
+        f"{g6} {inv.vertex_connectivity} {inv.edge_connectivity} {inv.chromatic_number} "
+        f"{inv.independence_number} {inv.min_degree}"
+        for _, g6, inv in catalog
+    )
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == CATALOG_SHA256[n]
+
+
+def test_chunked_subset_tables_match_one_pass(monkeypatch):
+    # Every catalogue up to n = 8 fits one chunk; split into chunks of a
+    # few graphs each, or of one graph, the columns are the same.  Random
+    # n = 9 and n = 10 stacks, with a last chunk shorter than the rest,
+    # likewise.
+    rng = random.Random(17)
+    stacks = [enumerate_connected_graphs(n) for n in range(1, 9)]
+    stacks += [[Graph(n, random_edges(rng, n, connected=rng.random() < 0.5)) for _ in range(37)]
+               for n in (9, 10)]
+    chunks = []
+    subset_tables = invariants._subset_tables
+    monkeypatch.setattr(invariants, "_subset_tables",
+                        lambda graphs: chunks.append(len(graphs)) or subset_tables(graphs))
+    whole = [_columns(graphs) for graphs in stacks]
+    assert chunks == [len(graphs) for graphs in stacks]
+    # 2^12 cells: 2^(12 - n) graphs a chunk, so the n = 9 and n = 10
+    # stacks split 8+8+8+8+5 and 4+...+4+1; one cell: one graph a chunk
+    for cells, tail in ((1 << 12, [8] * 4 + [5] + [4] * 9 + [1]), (1, [1] * 74)):
+        monkeypatch.setattr(invariants, "_TABLE_CELLS", cells)
+        chunks.clear()
+        assert [_columns(graphs) for graphs in stacks] == whole, cells
+        assert chunks[-len(tail):] == tail, cells
 
 
 def test_budget_error_over_ten_vertices():

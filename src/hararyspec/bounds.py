@@ -3,13 +3,13 @@
 Reports are schema-stable: every bound a routine knows about is always
 emitted, and when a bound's hypotheses fail for the requested alpha the
 record is flagged applicable=False with a reason rather than dropped,
-so downstream diffs never change shape.
+so downstream diffs never change shape.  The tables ``_BOUNDS`` and
+``_RQ_BOUNDS`` are the one place a record's name, kind and regime live;
+the code behind each report computes only its values.
 
 A report over several weights shares its work: ``_bound_table`` evaluates
-the row-sum and transmission bounds for every weight in one numpy pass,
-and ``_blend_radii`` takes every radius from one stacked solve, reading
-rho(RD) off the blend at 0 (which is RD) and rho(RQ) off the blend at 1/2
-(which is RQ/2).
+every row-sum and transmission bound in one numpy pass, ``_blend_radii``
+takes every radius from one stacked solve, and ``_bound_reports`` joins them.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 
 from .closed_forms import _join_quadratic
 from .eigen import sym_eigen
+from .errors import NotConnectedError
 from .invariants import bipartition
 from .matrices import build_bundle, check_alpha, rd_alpha
 
@@ -45,17 +46,42 @@ class BoundRecord:
 
 # The record of every bound on K_1, where the blend is the 1x1 zero matrix.
 _TRIVIAL = dict(value=0.0, applicable=False, reason="single-vertex graph is trivial")
-# The records of ``bound_report``, in order: (name, kind).
+
+# Regimes: the weights where a bound holds, and why it fails at the others.
+_ANY_ALPHA = (lambda a: True, "")
+_BELOW_ONE = (lambda a: a < 1.0, "blend is diagonal (reducible) at alpha = 1")
+_SMALL_ALPHA = (lambda a: a <= 0.5, "regime needs alpha <= 1/2")
+_LARGE_ALPHA = (lambda a: a >= 0.5, "regime needs alpha >= 1/2")
+
+# The records of ``bound_report``, in order: (name, kind, regime).
 _BOUNDS = (
-    ("row_norm_upper", "upper"),
-    ("weighted_transmission_lower", "lower"),
-    ("weighted_transmission_upper", "upper"),
-    ("rms_transmission_lower", "lower"),
-    ("ratio_row_sum_upper", "upper"),
-    ("harary_lower", "lower"),
-    ("scaled_transmission_lower", "lower"),
-    ("max_transmission_upper", "upper"),
+    ("row_norm_upper", "upper", _BELOW_ONE),
+    ("weighted_transmission_lower", "lower", _ANY_ALPHA),
+    ("weighted_transmission_upper", "upper", _ANY_ALPHA),
+    ("rms_transmission_lower", "lower", _ANY_ALPHA),
+    ("ratio_row_sum_upper", "upper", _ANY_ALPHA),
+    ("harary_lower", "lower", _ANY_ALPHA),
+    ("scaled_transmission_lower", "lower", _ANY_ALPHA),
+    ("max_transmission_upper", "upper", _ANY_ALPHA),
 )
+# The records of ``rq_relation_bounds``, in order.
+_RQ_BOUNDS = (
+    ("rq_blend_lower_small_alpha", "lower", _SMALL_ALPHA),
+    ("rq_blend_upper_small_alpha", "upper", _SMALL_ALPHA),
+    ("rq_blend_lower_large_alpha", "lower", _LARGE_ALPHA),
+    ("rq_blend_upper_large_alpha", "upper", _LARGE_ALPHA),
+    ("rq_sum_lower", "lower", _ANY_ALPHA),
+)
+# The record of ``bipartite_bound``: (name, kind); it holds at every weight.
+_BIPARTITE = ("bipartite_upper", "upper")
+
+
+def _records(table, a, values):
+    """The records of ``table`` at weight ``a``, with ``values`` in table order."""
+    return [
+        BoundRecord(name, kind, value, ok := holds(a), "" if ok else reason)
+        for (name, kind, (holds, reason)), value in zip(table, values)
+    ]
 
 
 def bound_report(g, alpha):
@@ -71,12 +97,7 @@ def bound_report(g, alpha):
     transmission alpha*RTr_max; and the plain maximum transmission
     upper bound.
     """
-    return _bound_records(build_bundle(g), check_alpha(alpha))
-
-
-def _bound_records(bundle, a):
-    """``bound_report`` on a bundle already built, at a checked weight ``a``."""
-    return _bound_table(bundle, [a])[0]
+    return _bound_table(build_bundle(g), [check_alpha(alpha)])[0]
 
 
 def _bound_table(bundle, alphas):
@@ -88,9 +109,8 @@ def _bound_table(bundle, alphas):
     """
     n = bundle.n
     if n == 1:
-        return [[BoundRecord(name, kind, **_TRIVIAL) for name, kind in _BOUNDS] for _ in alphas]
-    tr = bundle.transmissions
-    rd = bundle.rd
+        return [[BoundRecord(name, kind, **_TRIVIAL) for name, kind, _ in _BOUNDS] for _ in alphas]
+    tr, rd = bundle.transmissions, bundle.rd
     a = np.array(alphas, dtype=float)[:, None]
     row_norm = (a * tr + (1.0 - a) * np.sqrt((n - 1.0) * (rd * rd).sum(axis=0))).max(axis=1)
     weighted = a * tr + (1.0 - a) * (rd @ tr) / tr
@@ -101,37 +121,17 @@ def _bound_table(bundle, alphas):
     tr_max = float(tr.max())
     columns = (row_norm, weighted.min(axis=1), weighted.max(axis=1), ratio.max(axis=1))
     return [
-        [
-            BoundRecord(
-                "row_norm_upper",
-                "upper",
-                rn,
-                applicable=x < 1.0,
-                reason="" if x < 1.0 else "blend is diagonal (reducible) at alpha = 1",
-            ),
-            BoundRecord("weighted_transmission_lower", "lower", w_lo),
-            BoundRecord("weighted_transmission_upper", "upper", w_hi),
-            BoundRecord("rms_transmission_lower", "lower", rms),
-            BoundRecord("ratio_row_sum_upper", "upper", r_hi),
-            BoundRecord("harary_lower", "lower", harary),
-            BoundRecord("scaled_transmission_lower", "lower", x * tr_max),
-            BoundRecord("max_transmission_upper", "upper", tr_max),
-        ]
+        _records(_BOUNDS, x, (rn, w_lo, w_hi, rms, r_hi, harary, x * tr_max, tr_max))
         for x, rn, w_lo, w_hi, r_hi in zip(alphas, *(c.tolist() for c in columns))
     ]
 
 
 def _blend_radii(bundle, weights):
     """Spectral radius of the blend at each weight w of ``weights``, at its
-    mirror 1 - w, and at 0 and 1/2, as a dict keyed by weight.
-
-    The blends at the distinct weights of {w, 1 - w for each w} and {0, 1/2}
-    are solved in one stacked ``sym_eigen`` call.  RD and RQ need no solve
-    of their own, as both are points of the same family: the blend at 0 is
-    RD entry for entry (``rd_alpha(b, 0)`` copies ``b.rd`` and writes a zero
-    diagonal), and the blend at 1/2 is exactly RQ/2 (a power-of-two
-    scaling), so rho(RD) = radii[0.0] and rho(RQ) = 2 * radii[0.5] bit for
-    bit.
+    mirror 1 - w, and at 0 and 1/2, keyed by weight, from one stacked
+    ``sym_eigen`` call.  The blend at 0 is RD entry for entry (a copy with a
+    zero diagonal) and the blend at 1/2 is exactly RQ/2 (a power-of-two
+    scaling), so rho(RD) = radii[0.0] and rho(RQ) = 2 * radii[0.5] bit for bit.
     """
     distinct = list(dict.fromkeys([0.0, 0.5, *weights, *(1.0 - w for w in weights)]))
     radii = sym_eigen(np.stack([rd_alpha(bundle, w) for w in distinct])).values[:, 0]
@@ -155,46 +155,17 @@ def rq_relation_bounds(g, alpha):
 def _rq_records(a, tr_max, radii):
     """``rq_relation_bounds`` at ``a`` from the ``_blend_radii`` of a set of weights holding it."""
     rho_rd, rho_rq, rho_mirror = radii[0.0], 2.0 * radii[0.5], radii[1.0 - a]
-    small = a <= 0.5
-    large = a >= 0.5
-    blend_small_lower = (1.0 - a) * rho_rq + (2.0 * a - 1.0) * tr_max
-    blend_small_upper = a * rho_rq + (1.0 - 2.0 * a) * rho_rd
-    return [
-        BoundRecord(
-            "rq_blend_lower_small_alpha",
-            "lower",
-            blend_small_lower,
-            applicable=small,
-            reason="" if small else "regime needs alpha <= 1/2",
-        ),
-        BoundRecord(
-            "rq_blend_upper_small_alpha",
-            "upper",
-            blend_small_upper,
-            applicable=small,
-            reason="" if small else "regime needs alpha <= 1/2",
-        ),
-        BoundRecord(
-            "rq_blend_lower_large_alpha",
-            "lower",
-            blend_small_upper,
-            applicable=large,
-            reason="" if large else "regime needs alpha >= 1/2",
-        ),
-        BoundRecord(
-            "rq_blend_upper_large_alpha",
-            "upper",
-            blend_small_lower,
-            applicable=large,
-            reason="" if large else "regime needs alpha >= 1/2",
-        ),
-        BoundRecord("rq_sum_lower", "lower", rho_rq - rho_mirror),
-    ]
+    # The large-alpha pair is the small-alpha pair with its sides swapped.
+    lower = (1.0 - a) * rho_rq + (2.0 * a - 1.0) * tr_max
+    upper = a * rho_rq + (1.0 - 2.0 * a) * rho_rd
+    return _records(_RQ_BOUNDS, a, (lower, upper, upper, lower, rho_rq - rho_mirror))
 
 
 def bipartite_bound(g, alpha):
     """Upper bound for connected bipartite graphs, tight exactly on K_{a,n-a}."""
     a = check_alpha(alpha)
+    if not g.is_connected():
+        raise NotConnectedError("graph not connected")
     is_bip, sizes = bipartition(g)
     if not is_bip:
         raise ValueError("graph is not bipartite")
@@ -202,11 +173,26 @@ def bipartite_bound(g, alpha):
 
 
 def _bipartite_record(g, sizes, a):
-    """``bipartite_bound`` for a bipartite g with part sizes ``sizes``."""
+    """``bipartite_bound`` for a connected bipartite g with part sizes ``sizes``."""
     small, large = sizes
     if g.n == 1:
-        return BoundRecord("bipartite_upper", "upper", **_TRIVIAL)
+        return BoundRecord(*_BIPARTITE, **_TRIVIAL)
     # A connected bipartite graph with parts a, b is K_{a,b} iff it has all a*b edges.
     tight = g.edge_count == small * large
     value = _join_quadratic(small, 0, large, 0, a)[0]  # the radius of K_{small,large}
-    return BoundRecord("bipartite_upper", "upper", value, tight=tight)
+    return BoundRecord(*_BIPARTITE, value, tight=tight)
+
+
+def _bound_reports(g, alphas):
+    """Yield (rho, records), the ``bounds`` report of g, at each checked weight of
+    ``alphas``: ``bound_report``'s records, then ``rq_relation_bounds``', then
+    ``bipartite_bound``'s when g is bipartite.  One ``_blend_radii`` solve."""
+    bundle = build_bundle(g)
+    is_bipartite, sizes = bipartition(g)
+    radii = _blend_radii(bundle, alphas)
+    tr_max = float(bundle.transmissions.max())
+    for a, records in zip(alphas, _bound_table(bundle, alphas)):
+        records += _rq_records(a, tr_max, radii)
+        if is_bipartite:
+            records.append(_bipartite_record(g, sizes, a))
+        yield radii[a], records

@@ -18,10 +18,9 @@ pass; table lines are built only for ``--format table``.  It finds each
 scalar's encoder by exact type, caches each dict layout's sorted encoded
 keys, and writes a float from its ``%.12g`` text (see ``_json_float``).
 
-``spectrum`` solves every alpha in one stacked call.  ``bounds`` takes all
-its radii from one stacked solve per distinct weight (``bounds._blend_radii``:
-the blend at 0 is RD, at 1/2 it is RQ/2) and all its records from one numpy
-pass (``bounds._bound_table``).
+``spectrum`` solves every alpha in one stacked call.  ``bounds`` writes the
+report that ``bounds._bound_reports`` assembles: every radius from one stacked
+solve and every record from one numpy pass.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import closed_forms, extremal, psd
-from .bounds import _bipartite_record, _blend_radii, _bound_table, _rq_records
+from .bounds import _bound_reports
 from .eigen import _energy, sym_eigen
 from .errors import BudgetError, Graph6Error, NotConnectedError
 from .graph6 import _MAX_SHORT_N, load_graph6, parse_edge_list, parse_graph6, to_graph6
@@ -51,7 +50,6 @@ from .graphs import (
     turan,
     wheel,
 )
-from .invariants import bipartition
 from .matrices import build_bundle, check_alpha, rd_alpha
 
 EXIT_OK = 0
@@ -226,18 +224,11 @@ def cmd_spectrum(args):
 
 def cmd_bounds(args):
     g = args.graph
-    alphas = args.alphas
-    bundle = build_bundle(g)
-    is_bipartite, sizes = bipartition(g)
-    radii = _blend_radii(bundle, alphas)  # every radius from one stacked solve
-    tr_max = float(bundle.transmissions.max())
-    reports = []
-    for a, records in zip(alphas, _bound_table(bundle, alphas)):
-        records += _rq_records(a, tr_max, radii)
-        if is_bipartite:
-            records.append(_bipartite_record(g, sizes, a))
-        # vars: a record's fields, without asdict's deep copy (about 12 us a record)
-        reports.append({"n": g.n, "alpha": a, "rho": radii[a], "records": [vars(r) for r in records]})
+    # vars: a record's fields, without asdict's deep copy (about 12 us a record)
+    reports = [
+        {"n": g.n, "alpha": a, "rho": rho, "records": [vars(r) for r in records]}
+        for a, (rho, records) in zip(args.alphas, _bound_reports(g, args.alphas))
+    ]
 
     def table():
         for r in reports:
@@ -268,12 +259,9 @@ def cmd_psd(args):
         name, params = args.family
         if name == "wheel":
             payload["closed_form"] = {"alpha0": psd._wheel_formula(params[0]), "method": "wheel"}
-        elif name == "bipartite":
-            a_part, b_part = sorted(params)
-            n = a_part + b_part
-            if n >= 4:
-                alpha0 = psd._complete_bipartite_formula(a_part, n)
-                payload["closed_form"] = {"alpha0": alpha0, "method": "complete_bipartite"}
+        elif name == "bipartite" and sum(params) >= 4:
+            alpha0 = psd._complete_bipartite_formula(min(params), sum(params))
+            payload["closed_form"] = {"alpha0": alpha0, "method": "complete_bipartite"}
 
     def table():
         yield f"alpha0 = {_fmt(result.alpha0)} ({result.method}), residual {_fmt(result.residual)}"

@@ -45,7 +45,7 @@ from .graph6 import _pack_graph6
 from .graphs import (_distance_stack, _reciprocal_distances, complete, disjoint_union, edgeless,
                      join, turan)
 from .invariants import _stack_invariants
-from .matrices import check_alpha
+from .matrices import _blend, check_alpha
 
 __all__ = [
     "TIE_TOL",
@@ -155,10 +155,7 @@ def _rho_table(n, alpha):
     its Collatz-Wielandt bound, an upper bound on its radius."""
     rd, rt, _ = _stack(n)
     keep, _, radii = _contenders(n, alpha)
-    blend = (1.0 - alpha) * rd[keep]
-    diag = np.arange(n)
-    blend[:, diag, diag] = alpha * rt[keep]
-    spectrum = sym_eigen(blend)
+    spectrum = sym_eigen(_blend(rd[keep], rt[keep], alpha))
     if spectrum.residual > TIE_TOL:
         raise RuntimeError(f"stacked solve residual {spectrum.residual:.3g} exceeds the tie tolerance")
     radii[keep] = spectrum.values[:, 0]

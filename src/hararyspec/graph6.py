@@ -3,7 +3,8 @@
 The edge mask of a graph holds one bit per pair i < j in column-major order
 (0,1),(0,2),(1,2),(0,3),..., first pair most significant; graph6 writes it
 zero-padded, six bits per byte.  ``_edge_mask`` encodes, ``_mask_graph``
-decodes and ``_pack_graph6`` writes text: the package's one edge-mask codec.
+decodes and ``_pack_graph6`` writes text, one graph at a time; labelling
+codes whole stacks of masks (``enumeration._leaf_masks`` and ``_mask_rows``).
 
 Only the short graph6 form (n <= 62) is supported; the long form starts
 with '~' and is rejected with an explicit error.  Parse errors always

@@ -75,9 +75,15 @@ def build_bundle(g):
 
 def rd_alpha(bundle, alpha):
     """The blend alpha*RT + (1-alpha)*RD as a fresh symmetric matrix."""
-    a = check_alpha(alpha)
-    m = (1.0 - a) * bundle.rd
-    m[np.diag_indices(bundle.n)] = a * bundle.transmissions
+    return _blend(bundle.rd, bundle.transmissions, check_alpha(alpha))
+
+
+def _blend(rd, transmissions, a):
+    """The blend at a checked weight ``a`` from RD and its row sums, for one
+    matrix or a ``(k, n, n)`` stack with ``(k, n)`` transmissions."""
+    m = (1.0 - a) * rd
+    diag = np.arange(rd.shape[-1])
+    m[..., diag, diag] = a * transmissions
     return m
 
 

@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 
 from hararyspec import (
+    Graph,
+    NotConnectedError,
     bipartite_bound,
+    bipartition,
     bound_report,
     complete,
     complete_bipartite,
     cycle,
+    disjoint_union,
     is_transmission_regular,
     path,
     rd_alpha,
@@ -19,7 +23,7 @@ from hararyspec import (
     star,
     sym_eigen,
 )
-from hararyspec.bounds import _blend_radii, _bound_records, _bound_table
+from hararyspec.bounds import _blend_radii, _bound_reports, _bound_table
 
 from conftest import ALPHA_GRID
 
@@ -51,12 +55,6 @@ def test_row_norm_upper_tight_on_complete_graph():
     rec = next(r for r in bound_report(complete(4), 0.5) if r.name == "row_norm_upper")
     assert rec.value == pytest.approx(3.0, abs=1e-12)
     assert spectral_radius(complete(4), 0.5) == pytest.approx(3.0, abs=1e-12)
-
-
-def test_row_norm_upper_inapplicable_at_alpha_one():
-    rec = next(r for r in bound_report(path(4), 1.0) if r.name == "row_norm_upper")
-    assert not rec.applicable
-    assert "alpha = 1" in rec.reason
 
 
 def test_sandwich_on_catalog(catalog):
@@ -97,6 +95,27 @@ def test_rq_blend_identities():
     )
     assert not recs0["rq_blend_lower_large_alpha"].applicable
     assert "alpha >= 1/2" in recs0["rq_blend_lower_large_alpha"].reason
+
+
+# Each regime rule, (applies at alpha, reason when not); every other record always applies.
+REGIMES = {
+    "row_norm_upper": (lambda a: a < 1.0, "blend is diagonal (reducible) at alpha = 1"),
+    "rq_blend_lower_small_alpha": (lambda a: a <= 0.5, "regime needs alpha <= 1/2"),
+    "rq_blend_upper_small_alpha": (lambda a: a <= 0.5, "regime needs alpha <= 1/2"),
+    "rq_blend_lower_large_alpha": (lambda a: a >= 0.5, "regime needs alpha >= 1/2"),
+    "rq_blend_upper_large_alpha": (lambda a: a >= 0.5, "regime needs alpha >= 1/2"),
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(set(TABLE_ALPHAS)))
+def test_regimes_at_table_weights(alpha):
+    g = path(4)
+    records = bound_report(g, alpha) + rq_relation_bounds(g, alpha)
+    assert len(records) == 13
+    for rec in records:
+        applies, reason = REGIMES.get(rec.name, (lambda a: True, ""))
+        expected = (True, "") if applies(alpha) else (False, reason)
+        assert (rec.applicable, rec.reason) == expected, (rec.name, alpha)
 
 
 def test_rq_sum_relation(catalog):
@@ -168,9 +187,14 @@ def test_bipartite_bound_rejects_odd_cycles():
         bipartite_bound(cycle(5), 0.0)
 
 
-def test_bipartite_bound_dominates_on_catalog(catalog):
-    from hararyspec import bipartition
+@pytest.mark.parametrize("g", [Graph(2), disjoint_union(path(2), path(3))])
+def test_bipartite_bound_rejects_disconnected_graphs(g):
+    # like every other bound: a disconnected graph has no finite distances
+    with pytest.raises(NotConnectedError):
+        bipartite_bound(g, 0.5)
 
+
+def test_bipartite_bound_dominates_on_catalog(catalog):
     for entry in catalog.up_to(5, start=2):
         if not bipartition(entry.graph)[0]:
             continue
@@ -205,7 +229,7 @@ def test_bound_table_matches_one_weight_records(catalog):
     for entry in catalog.up_to(7):
         b = entry.bundle
         table = _bound_table(b, TABLE_ALPHAS)
-        assert table == [_bound_records(b, a) for a in TABLE_ALPHAS]
+        assert table == [_bound_table(b, [a])[0] for a in TABLE_ALPHAS]
         if b.n == 1:
             continue
         # and each per-vertex bound equals its scalar formula, bit for bit
@@ -220,3 +244,18 @@ def test_bound_table_matches_one_weight_records(catalog):
             assert values["weighted_transmission_upper"] == float(weighted.max())
             assert values["ratio_row_sum_upper"] == float(ratio.max())
             assert values["scaled_transmission_lower"] == float(a * tr.max())
+
+
+def test_bound_reports_join_the_library_reports(catalog):
+    # the CLI's report: each radius and every record as the public calls give them
+    for entry in catalog.up_to(6):
+        g = entry.graph
+        is_bipartite = bipartition(g)[0]
+        reports = list(_bound_reports(g, TABLE_ALPHAS))
+        assert len(reports) == len(TABLE_ALPHAS)
+        for a, (rho, records) in zip(TABLE_ALPHAS, reports):
+            expected = bound_report(g, a) + rq_relation_bounds(g, a)
+            if is_bipartite:
+                expected.append(bipartite_bound(g, a))
+            assert records == expected
+            assert rho == _radius(rd_alpha(entry.bundle, a))

@@ -18,9 +18,9 @@ pass; table lines are built only for ``--format table``.  It finds each
 scalar's encoder by exact type, caches each dict layout's sorted encoded
 keys, and writes a float from its ``%.12g`` text (see ``_json_float``).
 
-``spectrum`` solves every alpha in one stacked call.  ``bounds`` writes the
-report that ``bounds._bound_reports`` assembles: every radius from one stacked
-solve and every record from one numpy pass.
+``spectrum`` and ``closed-form`` solve every alpha in one stacked call.
+``bounds`` writes the report that ``bounds._bound_reports`` assembles: every
+radius from one stacked solve and every record from one numpy pass.
 """
 
 from __future__ import annotations
@@ -295,10 +295,10 @@ def cmd_closed_form(args):
         raise ValueError("closed-form requires --construct with a supported family")
     g = args.graph
     bundle = build_bundle(g)
+    spectra = sym_eigen(np.stack([rd_alpha(bundle, a) for a in args.alphas])).values
     reports = []
-    for a in args.alphas:
+    for a, numeric in zip(args.alphas, spectra):
         spec = _closed_form_for(args.family, a)
-        numeric = sym_eigen(rd_alpha(bundle, a)).values
         deviation = float(abs(spec.eigenvalues() - numeric).max())
         reports.append(
             {

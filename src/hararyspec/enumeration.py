@@ -69,7 +69,10 @@ exhaustive generation", J. Algorithms 1998):
   the keys 1, 2, ... of each parent in turn give the generation order.
 
 The kept canonical masks are decoded into the representatives'
-adjacency rows in one step, the inverse of the leaf masks.
+adjacency rows in one step, the inverse of the leaf masks.  The masks
+and rows are the per-order arrays the extremal scans read;
+``enumerate_connected_graphs`` builds its ``Graph`` tuple from the rows
+on first call.
 """
 
 from __future__ import annotations
@@ -256,7 +259,7 @@ def _children(n):
     in generation order, as a (k, n) array: the stack ``_connected_classes``
     labels.  A parent has fewer than 2^(n-1) candidates; the parents go in
     blocks of at most ``_CANDIDATES`` candidates, one block up to n = 8."""
-    adj = _connected_classes(n - 1)[2]
+    adj = _connected_classes(n - 1)[1]
     step = max(1, _CANDIDATES >> n - 1)
     return np.concatenate([_extensions(adj[i:i + step]) for i in range(0, len(adj), step)])
 
@@ -274,9 +277,9 @@ def _mask_rows(masks, n):
 
 @lru_cache(maxsize=None)
 def _connected_classes(n):
-    """Canonical edge masks, representatives and adjacency rows (a
-    read-only (k, n) array) of the connected classes of order n, in
-    enumeration order."""
+    """Canonical edge masks and adjacency rows of the connected classes of
+    order n, in enumeration order, as read-only arrays of shapes (k,) and
+    (k, n)."""
     if n == 1:
         masks = np.zeros(1, dtype=np.int64)
     else:
@@ -284,17 +287,21 @@ def _connected_classes(n):
         masks = masks[np.append(True, masks[1:] != masks[:-1])]  # np.unique imports numpy.ma
         masks = masks[np.argsort(np.bitwise_count(masks), kind="stable")]
     adj = _mask_rows(masks, n)
+    masks.setflags(write=False)
     adj.setflags(write=False)
-    return tuple(masks.tolist()), tuple(Graph._from_adj(n, row) for row in adj.tolist()), adj
+    return masks, adj
 
 
+@lru_cache(maxsize=None)
 def enumerate_connected_graphs(n):
     """One canonically labelled representative per connected isomorphism class.
 
     Deterministic order: by edge count, then by canonical certificate.
     """
-    if not 1 <= n <= ENUMERATION_BUDGET:
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
+    if n > ENUMERATION_BUDGET:
         raise BudgetError(
-            f"budget exceeded: enumeration limited to 1 <= n <= {ENUMERATION_BUDGET}, got n={n}"
+            f"budget exceeded: enumeration limited to n <= {ENUMERATION_BUDGET}, got n={n}"
         )
-    return _connected_classes(n)[1]
+    return tuple(Graph._from_adj(n, row) for row in _connected_classes(n)[1].tolist())

@@ -8,14 +8,17 @@ graph.  Ties within 1e-9 are reported as a tie listing every maximizer
 rather than being broken arbitrarily; isomorphic duplicates cannot
 occur because the stream carries one representative per class.
 
-The search reuses per-order caches: one catalogue of (graph, canonical
-graph6, invariants); per invariant field, an index from each value to
-the catalogue positions holding it; and one spectral-radius table per
-(order, alpha), so a class scan gathers its members' radii with numpy.
-The catalogue's distance matrices come from one stacked breadth-first
-pass and are converted to RD in one step, the same conversion
-``build_bundle`` makes for one graph, and each table solves its stack of
-blends in one eigensolver call.
+The search reuses two caches of arrays, in the enumeration's order.  One
+per order holds every class's canonical edge mask, its invariants (one
+column per field), its RD, r and RD r, and the positions holding each
+value of each invariant; one per (order, alpha) holds the spectral
+radii.  A class scan gathers its members' radii with numpy, its verdict
+compares canonical masks, and graph6 is written only for maximizers
+other than the prediction, whose text is cached with its mask.  The
+distance matrices come from one stacked breadth-first pass over the
+adjacency rows and are converted to RD in one step, the same conversion
+``build_bundle`` makes for one graph, and each radius table solves its
+stack of blends in one eigensolver call.
 
 Only contenders are solved.  The blend A is nonnegative and symmetric,
 and for n >= 2 the transmission vector r is positive, so the Rayleigh
@@ -37,8 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .closed_forms import _join_quadratic
-from .enumeration import (ENUMERATION_BUDGET, _canonical_masks, _connected_classes,
-                          enumerate_connected_graphs)
+from .enumeration import ENUMERATION_BUDGET, _canonical_masks, _connected_classes
 from .errors import BudgetError
 from .eigen import sym_eigen
 from .graph6 import _pack_graph6
@@ -107,44 +109,34 @@ def independence_rho_bound(n, k, alpha):
 
 
 @lru_cache(maxsize=None)
-def _catalog(n):
-    """(graph, canonical graph6, invariants) per connected class of order n,
-    the graph6 written from the canonical mask the enumeration kept."""
-    graphs = enumerate_connected_graphs(n)  # within the budget
-    masks, _, adj = _connected_classes(n)
-    records = zip(graphs, masks, _stack_invariants(adj))
-    return tuple((g, _pack_graph6(n, mask), inv) for g, mask, inv in records)
-
-
-@lru_cache(maxsize=None)
-def _class_index(n, field):
-    """Catalogue positions per value of the invariant ``field``."""
-    values = [getattr(inv, field) for _, _, inv in _catalog(n)]
-    column = np.array(values)
-    return {v: np.flatnonzero(column == v) for v in set(values)}
-
-
-@lru_cache(maxsize=None)
-def _stack(n):
-    """Reciprocal distances RD, transmissions r and the products RD r of
-    every catalogue entry, stacked with shapes (k, n, n), (k, n), (k, n)."""
-    rd = _reciprocal_distances(_distance_stack(enumerate_connected_graphs(n)))
+def _order(n):
+    """Per connected class of order n, in enumeration order: the canonical
+    edge masks (k,), the invariants (k, 5), one column per field of
+    ``GraphInvariants``, RD (k, n, n), r (k, n) and RD r (k, n); last, per
+    ``_FIELDS`` invariant and value 0..n, the positions of the classes holding it."""
+    masks, adj = _connected_classes(n)
+    invariants = _stack_invariants(adj)
+    scanned = invariants.T[:len(_FIELDS)]
+    members = [[np.flatnonzero(column == v) for v in range(n + 1)] for column in scanned]
+    rd = _reciprocal_distances(_distance_stack(adj.tolist(), n))
     rt = rd.sum(axis=2)
-    return rd, rt, np.matmul(rd, rt[:, :, None])[:, :, 0]
+    return masks, invariants, rd, rt, np.matmul(rd, rt[:, :, None])[:, :, 0], members
 
 
 def _contenders(n, alpha):
     """(positions, lower, upper): the Rayleigh lower and Collatz-Wielandt
-    upper bounds on each catalogue entry's blend radius (n >= 2), and the
-    positions whose upper bound reaches, within 2 TIE_TOL, the largest
-    lower bound in some class that holds them."""
-    _, rt, rdr = _stack(n)
+    upper bounds on each class's blend radius (n >= 2), and the positions
+    whose upper bound reaches, within 2 TIE_TOL, the largest lower bound
+    in some class that holds them, taken per invariant column with one
+    ``np.maximum.at``."""
+    _, invariants, _, rt, rdr, _ = _order(n)
     ar = alpha * rt * rt + (1.0 - alpha) * rdr  # A r
     lower, upper = (rt * ar).sum(axis=1) / (rt * rt).sum(axis=1), (ar / rt).max(axis=1)
     keep = np.zeros(len(rt), dtype=bool)
-    for field in _FIELDS:
-        for members in _class_index(n, field).values():
-            keep[members] |= upper[members] >= lower[members].max() - 2 * TIE_TOL
+    for column in invariants.T[:len(_FIELDS)]:
+        top = np.full(n + 1, -np.inf)  # every invariant lies in 0..n
+        np.maximum.at(top, column, lower)
+        keep |= upper >= top[column] - 2 * TIE_TOL
     return np.flatnonzero(keep), lower, upper
 
 
@@ -153,7 +145,7 @@ def _rho_table(n, alpha):
     """Blend spectral radius per contender, from one stacked solve whose
     residual must stay within the tie tolerance; every other entry holds
     its Collatz-Wielandt bound, an upper bound on its radius."""
-    rd, rt, _ = _stack(n)
+    rd, rt = _order(n)[2:4]
     keep, _, radii = _contenders(n, alpha)
     spectrum = sym_eigen(_blend(rd[keep], rt[keep], alpha))
     if spectrum.residual > TIE_TOL:
@@ -170,8 +162,9 @@ def _clique_on_independent(n, k):
 
 @lru_cache(maxsize=None)
 def _predicted(n):
-    """Canonical graph6 of every predicted maximizer ``build(n, value)`` of
-    order n, keyed by (build, value), from one stacked labelling."""
+    """Canonical edge mask and graph6 of every predicted maximizer
+    ``build(n, value)`` of order n, keyed by (build, value), from one
+    stacked labelling."""
     graphs = {
         (build, value): build(n, value)
         for build, values in (
@@ -182,7 +175,7 @@ def _predicted(n):
         for value in values
     }
     masks = _canonical_masks([g.adj_bits for g in graphs.values()], n)
-    return {key: _pack_graph6(n, mask) for key, mask in zip(graphs, masks)}
+    return {key: (mask, _pack_graph6(n, mask)) for key, mask in zip(graphs, masks)}
 
 
 def _check(n, alpha, symbol, value, low, slack):
@@ -205,20 +198,20 @@ def _scan(n, alpha, field, value, build, exploratory=False):
     """The class of order-n graphs whose invariant ``field`` equals
     ``value``, maximized and compared with the prediction ``build``."""
     constraint = field.replace("_", "-")
-    members = _class_index(n, field).get(value)
-    if members is None:
+    order = _order(n)
+    masks, members = order[0], order[5][_FIELDS.index(field)][value]
+    if not len(members):
         raise ValueError(f"empty class: no connected graph of order {n} has {constraint} = {value}")
     radii = _rho_table(n, alpha)[members]
     rho_max = float(radii.max())
-    catalog = _catalog(n)
-    maximizers = tuple(sorted(catalog[i][1] for i in members[radii >= rho_max - TIE_TOL]))
-    predicted_canon = _predicted(n)[build, value]
-    if len(maximizers) > 1:
-        verdict = "tie"
-    elif maximizers[0] == predicted_canon:
-        verdict = "confirmed"
+    top = masks[members[radii >= rho_max - TIE_TOL]].tolist()
+    predicted_mask, predicted_canon = _predicted(n)[build, value]
+    if len(top) > 1:
+        verdict, maximizers = "tie", tuple(sorted(_pack_graph6(n, mask) for mask in top))
+    elif top[0] == predicted_mask:
+        verdict, maximizers = "confirmed", (predicted_canon,)
     else:
-        verdict = "refuted"
+        verdict, maximizers = "refuted", (_pack_graph6(n, top[0]),)
     return ExtremalReport(
         n=n,
         constraint=constraint,

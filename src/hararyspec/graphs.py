@@ -275,21 +275,21 @@ def all_pairs_distances(g):
     of unreachable pairs are undefined, and a silent 1/inf = 0 would
     corrupt every transmission downstream.
     """
-    return _distance_stack([g])[0]
+    return _distance_stack([g.adj_bits], g.n)[0]
 
 
-def _distance_stack(graphs):
-    """Distance matrices of graphs of one order, stacked as a (k, n, n)
-    int64 array; NotConnectedError if any of them is disconnected.
+def _distance_stack(adjs, n):
+    """Distance matrices of k graphs on n vertices, given as k rows of
+    adjacency bitmasks (Python ints), stacked as a (k, n, n) int64 array;
+    NotConnectedError if any of them is disconnected.
 
     Breadth-first search from every vertex of every graph at once: the
     frontier rows times the adjacency stack, one batched product per
     distance.  The adjacency is unpacked from the bitmasks into float32:
     a product entry counts at most n neighbours, exact below 2**24.
     """
-    k, n = len(graphs), graphs[0].n
-    width = (n + 7) // 8
-    packed = b"".join([a.to_bytes(width, "little") for g in graphs for a in g.adj_bits])
+    k, width = len(adjs), (n + 7) // 8
+    packed = b"".join([a.to_bytes(width, "little") for row in adjs for a in row])
     bits = np.frombuffer(packed, dtype=np.uint8).reshape(k, n, width)
     adj = np.unpackbits(bits, axis=2, count=n, bitorder="little").astype(np.float32)
     frontier = seen = np.tile(np.eye(n, dtype=bool), (k, 1, 1))

@@ -165,7 +165,7 @@ def chromatic_number(g: Graph):
     """Exact chromatic number: the colouring search between the clique and
     independence lower bounds and the first-fit upper bound."""
     _check_budget(g, "chromatic number")
-    return _stack_invariants(_rows([g]))[0].chromatic_number
+    return int(_stack_invariants(_rows([g]))[0, 2])
 
 
 def bipartition(g: Graph):
@@ -198,7 +198,7 @@ def bipartition(g: Graph):
 def graph_invariants(g: Graph):
     """All exact invariants in one record."""
     _check_budget(g, "invariants")
-    return _stack_invariants(_rows([g]))[0]
+    return GraphInvariants(*_stack_invariants(_rows([g]))[0].tolist())
 
 
 def _first_fit(adj, orders):
@@ -216,19 +216,18 @@ def _first_fit(adj, orders):
 
 def _stack_invariants(adj):
     """``graph_invariants`` of every graph of a (k, n) stack of adjacency
-    rows, from one subset-table pass.  chi lies between max(omega,
-    ceil(n / alpha)), as every colour class is an independent set, and
-    the first-fit colouring by falling degree; the colouring search runs
-    per graph on the values in between."""
+    rows, from one subset-table pass, as a (k, 5) integer array with one
+    column per ``GraphInvariants`` field, in field order.  chi lies
+    between max(omega, ceil(n / alpha)), as every colour class is an
+    independent set, and the first-fit colouring by falling degree; the
+    colouring search runs per graph on the values in between."""
     kappa, lam, alpha, omega, degrees = _subset_invariants(adj)
     n = adj.shape[1]
     orders = np.argsort(-degrees.astype(np.int8), axis=1, kind="stable")
     low = np.maximum(omega, (n - 1) // alpha + 1)  # ceil(n / alpha)
-    high = _first_fit(adj, orders)
-    chi = high.tolist()
-    for i in np.flatnonzero(low < high).tolist():
+    chi = _first_fit(adj, orders)
+    for i in np.flatnonzero(low < chi).tolist():
         order, adj_bits = orders[i].tolist(), adj[i].tolist()
         fits = (k for k in range(low[i], chi[i]) if _k_colorable(adj_bits, k, order))
         chi[i] = next(fits, chi[i])
-    rows = zip(kappa.tolist(), lam.tolist(), chi, alpha.tolist(), degrees.min(axis=1).tolist())
-    return [GraphInvariants(*row) for row in rows]
+    return np.stack([kappa, lam, chi, alpha, degrees.min(axis=1)], axis=1)

@@ -249,6 +249,7 @@ def _count_work(monkeypatch):
         (("psd", "--graph6", "FiCOG"), 2),  # the threshold and its residual
         (("psd", "--construct", "cycle:9"), 3),  # plus lambda_min(RD) for the regular closed form
         (("psd", "--construct", "wheel:6"), 2),  # the wheel closed form is a formula
+        (("closed-form", "--construct", "wheel:6", "--alpha", "0,0.25,0.5,0.75"), 1),
     ],
 )
 def test_each_report_does_its_work_once(capsys, monkeypatch, argv, solves):

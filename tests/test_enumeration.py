@@ -229,6 +229,14 @@ def test_budget_errors():
         canonical_graph(path(11))
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_orders_below_one_are_value_errors(n):
+    # no graph has fewer than one vertex; the budget is for real searches
+    with pytest.raises(ValueError, match="need n >= 1") as caught:
+        enumerate_connected_graphs(n)
+    assert not isinstance(caught.value, BudgetError)
+
+
 def test_count_at_eight():
     assert len(enumerate_connected_graphs(8)) == 11117
 
@@ -395,7 +403,7 @@ def test_incremental_deletion_keys_match_the_direct_test():
     # stacked call per order
     for n in range(1, 7):
         full = (1 << (n + 1)) - 1
-        adj = _connected_classes(n)[2]
+        adj = _connected_classes(n)[1]
         parent = np.repeat(np.arange(len(adj)), full >> 1)
         nbrs = np.tile(np.arange(1, 1 << n, dtype=np.uint16), len(adj))
         got = _deletable(adj, parent, nbrs).tolist()

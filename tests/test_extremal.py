@@ -36,7 +36,7 @@ from hararyspec import (
     verify_independence_extremal,
     verify_vertex_connectivity_extremal,
 )
-from hararyspec.extremal import CHROMATIC_GUARANTEE, TIE_TOL, _rho_table, _stack
+from hararyspec.extremal import CHROMATIC_GUARANTEE, TIE_TOL, _order, _rho_table
 
 from conftest import brute_vertex_connectivity, make_paw
 
@@ -226,42 +226,58 @@ def test_rayleigh_and_collatz_wielandt_bounds_hold_every_radius():
             assert np.all(rho <= upper + 1e-12), (n, alpha)
 
 
-def test_cold_order_seven_work_counts(monkeypatch):
-    # One subset-table pass for the whole catalogue, and at the alphas of
-    # the benchmark's seed-5 extremal stream few blends per rho table.
+def _workloads():
+    """The benchmark's op generator, loaded from its file."""
     spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    alphas = sorted({alpha for _, _, alpha in workloads.extremal_ops(5)})
+    return workloads
+
+
+def test_cold_order_seven_work_counts(monkeypatch):
+    # One subset-table pass for every class of the order, and at the
+    # alphas of the benchmark's seed-5 extremal stream few blends per rho
+    # table.
+    alphas = sorted({alpha for _, _, alpha in _workloads().extremal_ops(5)})
     assert len(alphas) == 5
-    # The rho tables read the cached catalogue through _class_index; warm it
-    # first, so only the explicit cold pass below is counted, in any test order.
-    extremal._catalog(7)
+    # The rho tables read the cached _order(7); warm it first, so only the
+    # explicit cold pass below is counted, in any test order.
+    _order(7)
     passes, stacked = [], []
     subset_invariants = invariants._subset_invariants
     monkeypatch.setattr(invariants, "_subset_invariants",
                         lambda graphs: passes.append(len(graphs)) or subset_invariants(graphs))
     monkeypatch.setattr(extremal, "sym_eigen", lambda blend: stacked.append(len(blend)) or sym_eigen(blend))
-    extremal._catalog.__wrapped__(7)
+    _order.__wrapped__(7)
     for alpha in alphas:
         _rho_table.__wrapped__(7, alpha)
     assert passes == [853]
     assert len(stacked) == 5 and max(stacked) <= 40, stacked
 
 
-def test_cold_sweep_labels_in_stacked_calls(monkeypatch):
-    # The cold n = 7 sweep over the benchmark's seed-5 stream, with fresh
-    # caches: one stacked labelling per enumerated order (its candidate
-    # children) and one for the 17 predicted maximizers, and no other.
-    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+def _cold_sweep(monkeypatch):
+    """The reports of the n = 7 sweep over the benchmark's seed-5 stream,
+    run with fresh enumeration and extremal caches."""
     classes = lru_cache(maxsize=None)(enumeration._connected_classes.__wrapped__)
     monkeypatch.setattr(enumeration, "_connected_classes", classes)
     monkeypatch.setattr(extremal, "_connected_classes", classes)
-    for name in ("_catalog", "_class_index", "_stack", "_rho_table", "_predicted"):
+    for name in ("_order", "_rho_table", "_predicted"):
         fresh = lru_cache(maxsize=None)(getattr(extremal, name).__wrapped__)
         monkeypatch.setattr(extremal, name, fresh)
+    verifiers = {
+        "vertex-connectivity": verify_vertex_connectivity_extremal,
+        "edge-connectivity": verify_edge_connectivity_extremal,
+        "chromatic-number": verify_chromatic_extremal,
+        "independence-number": verify_independence_extremal,
+    }
+    ops = _workloads().extremal_ops(5)
+    assert len(ops) == 110
+    return [verifiers[constraint](7, value, alpha) for constraint, value, alpha in ops]
+
+
+def test_cold_sweep_labels_in_stacked_calls(monkeypatch):
+    # One stacked labelling per enumerated order (its candidate children)
+    # and one for the 17 predicted maximizers, and no other.
     stacks = []
     canonical_masks = enumeration._canonical_masks
 
@@ -271,23 +287,27 @@ def test_cold_sweep_labels_in_stacked_calls(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_canonical_masks", counted)
     monkeypatch.setattr(extremal, "_canonical_masks", counted)
-    verifiers = {
-        "vertex-connectivity": verify_vertex_connectivity_extremal,
-        "edge-connectivity": verify_edge_connectivity_extremal,
-        "chromatic-number": verify_chromatic_extremal,
-        "independence-number": verify_independence_extremal,
-    }
-    ops = workloads.extremal_ops(5)
-    assert len(ops) == 110
-    reports = [verifiers[constraint](7, value, alpha) for constraint, value, alpha in ops]
+    reports = _cold_sweep(monkeypatch)
     assert stacks == [1, 2, 6, 28, 142, 1177, 17]
     assert {r.verdict for r in reports if not r.exploratory} <= {"confirmed", "tie"}
+
+
+def test_cold_sweep_builds_no_graph_per_class(monkeypatch):
+    # The scans read the enumeration's arrays: the only Graph objects are
+    # the predicted maximizers and the pieces their constructors join,
+    # far fewer than the 996 connected classes of orders 1..7.
+    built = []
+    from_adj = Graph._from_adj.__func__
+    monkeypatch.setattr(Graph, "_from_adj",
+                        classmethod(lambda cls, n, adj: built.append(n) or from_adj(cls, n, adj)))
+    _cold_sweep(monkeypatch)
+    assert 0 < len(built) <= 50, len(built)
 
 
 def test_stack_is_the_per_graph_bundles_bit_for_bit():
     for n in range(1, 8):
         bundles = [build_bundle(g) for g in enumerate_connected_graphs(n)]
-        rd, rt, rdr = _stack(n)
+        rd, rt, rdr = _order(n)[2:5]
         assert np.array_equal(rd, np.stack([b.rd for b in bundles]))
         assert np.array_equal(rt, np.stack([b.transmissions for b in bundles]))
         assert np.array_equal(rdr, np.stack([b.rd @ b.transmissions for b in bundles]))

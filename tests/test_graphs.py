@@ -179,7 +179,7 @@ def test_one_stacked_distance_call_is_the_per_graph_results(n, k, seed):
     # a mixed batch: trees, sparse and dense graphs of one order
     rng = random.Random(seed)
     graphs = [Graph(n, random_edges(rng, n, connected=True)) for _ in range(k)]
-    d = _distance_stack(graphs)
+    d = _distance_stack([g.adj_bits for g in graphs], n)
     assert d.dtype == np.int64 and d.shape == (k, n, n)
     for g, dg in zip(graphs, d):
         assert np.array_equal(dg, all_pairs_distances(g))
@@ -190,7 +190,7 @@ def test_one_stacked_distance_call_is_the_per_graph_results(n, k, seed):
         edges = [e for e in graphs[i].edges() if n - 1 not in e]
         graphs[i] = Graph(n, edges)
         with pytest.raises(NotConnectedError, match="not connected"):
-            _distance_stack(graphs)
+            _distance_stack([g.adj_bits for g in graphs], n)
 
 
 def test_is_connected_matches_networkx():

@@ -28,8 +28,9 @@ from hararyspec import (
     wheel,
 )
 from hararyspec import invariants
-from hararyspec.extremal import _catalog
-from hararyspec.invariants import _subset_invariants
+from hararyspec.extremal import _order
+from hararyspec.graph6 import _pack_graph6
+from hararyspec.invariants import GraphInvariants, _subset_invariants
 
 from conftest import (
     brute_chromatic_number,
@@ -55,8 +56,8 @@ CHROMATIC_HISTOGRAMS = {
     8: {2: 182, 3: 5036, 4: 5009, 5: 809, 6: 74, 7: 6, 8: 1},
 }
 
-# sha256 of the newline-joined catalogue lines "graph6 kappa lambda chi
-# alpha delta", in enumeration order.
+# sha256 of the newline-joined lines "graph6 kappa lambda chi alpha
+# delta", one per class in enumeration order.
 CATALOG_SHA256 = {
     1: "394fbf87e161b554140189ec6f1913606e4d8f386a6fbf8c7bf9687b86b58660",
     2: "88d48699a6f10d4544f322f02c878d3c2e734a4e11514a7cecec6dc3685620b5",
@@ -138,8 +139,10 @@ def test_vertex_connectivity_matches_oracle_on_every_class_and_random_graphs():
 def test_edge_connectivity_matches_networkx_on_every_class_and_random_graphs():
     graphs = [g for n in range(1, 8) for g in enumerate_connected_graphs(n)]
     # kappa <= lambda <= delta (Whitney), so kappa < lambda or lambda < delta
-    # needs kappa < delta; the catalogue holds each class's graph_invariants.
-    eight = [g for g, _, inv in _catalog(8) if inv.vertex_connectivity < inv.min_degree]
+    # needs kappa < delta; _order holds each class's graph_invariants, one
+    # column per field, kappa first and delta last.
+    rows = _order(8)[1]
+    eight = [g for g, (kappa, *_, delta) in zip(enumerate_connected_graphs(8), rows) if kappa < delta]
     assert len(eight) == 557
     rng = random.Random(8)
     randoms = []
@@ -247,17 +250,17 @@ def test_stacked_subset_invariants_are_the_single_graph_calls():
     for graphs in stacks:
         assert _columns(graphs) == [_columns([g])[0] for g in graphs]
     for n in range(1, 8):
-        assert [inv for _, _, inv in _catalog(n)] == [graph_invariants(g) for g in stacks[n - 1]]
+        rows = _order(n)[1].tolist()
+        assert [GraphInvariants(*row) for row in rows] == [graph_invariants(g) for g in stacks[n - 1]]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_catalog_invariants_are_pinned(n):
-    catalog = _catalog(n)
-    assert Counter(inv.chromatic_number for _, _, inv in catalog) == CHROMATIC_HISTOGRAMS[n]
+    masks, rows = _order(n)[:2]
+    assert Counter(rows[:, 2].tolist()) == CHROMATIC_HISTOGRAMS[n]
     text = "\n".join(
-        f"{g6} {inv.vertex_connectivity} {inv.edge_connectivity} {inv.chromatic_number} "
-        f"{inv.independence_number} {inv.min_degree}"
-        for _, g6, inv in catalog
+        " ".join(map(str, [_pack_graph6(n, mask), *row]))
+        for mask, row in zip(masks.tolist(), rows.tolist())
     )
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == CATALOG_SHA256[n]
 

@@ -8,17 +8,19 @@ graph.  Ties within 1e-9 are reported as a tie listing every maximizer
 rather than being broken arbitrarily; isomorphic duplicates cannot
 occur because the stream carries one representative per class.
 
-The search reuses two caches of arrays, in the enumeration's order.  One
-per order holds every class's canonical edge mask, its invariants (one
-column per field), its RD, r and RD r, and the positions holding each
-value of each invariant; one per (order, alpha) holds the spectral
-radii.  A class scan gathers its members' radii with numpy, its verdict
-compares canonical masks, and graph6 is written only for maximizers
-other than the prediction, whose text is cached with its mask.  The
-distance matrices come from one stacked breadth-first pass over the
-adjacency rows and are converted to RD in one step, the same conversion
-``build_bundle`` makes for one graph, and each radius table solves its
-stack of blends in one eigensolver call.
+The search reuses three caches, in the enumeration's order.  One per
+order holds every class's canonical edge mask, its invariants (one
+column per field), its RD, r and RD r; one per (order, alpha) holds the
+spectral radii; and one per (order, alpha) holds every class report of
+the order, so each verifier call after the first at an alpha is one dict
+lookup.  The report table takes the class maxima of each scanned
+invariant column with one ``np.maximum.at`` and finds every maximizer
+with one comparison against them; a verdict compares canonical masks,
+and graph6 is written only for maximizers other than the prediction,
+whose text is cached with its mask.  The distance matrices come from one
+stacked breadth-first pass over the adjacency rows and are converted to
+RD in one step, the same conversion ``build_bundle`` makes for one graph,
+and each radius table solves its stack of blends in one eigensolver call.
 
 Only contenders are solved.  The blend A is nonnegative and symmetric,
 and for n >= 2 the transmission vector r is positive, so the Rayleigh
@@ -34,7 +36,7 @@ sets joined to cliques) are labelled in one stacked call on first use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -65,7 +67,6 @@ __all__ = [
 TIE_TOL = 1e-9
 ATTAIN_TOL = 1e-8
 CHROMATIC_GUARANTEE = 7.0 / 16.0
-_FIELDS = ("vertex_connectivity", "edge_connectivity", "chromatic_number", "independence_number")
 
 
 @dataclass(frozen=True)
@@ -95,6 +96,22 @@ def build_kite(n, r):
     return join(complete(r), disjoint_union(complete(1), complete(n - r - 1)))
 
 
+def _clique_on_independent(n, k):
+    """k independent vertices joined to an (n-k)-clique."""
+    return join(edgeless(k), complete(n - k))
+
+
+# Each scanned constraint once: its ``GraphInvariants`` field and predicted
+# maximizer ``build(n, value)``, in field order, so row i scans column i of
+# the order's invariants.
+_SCANNED = (
+    ("vertex_connectivity", build_kite),
+    ("edge_connectivity", build_kite),
+    ("chromatic_number", turan),
+    ("independence_number", _clique_on_independent),
+)
+
+
 def independence_rho_bound(n, k, alpha):
     """Closed-form radius bound for connected graphs with independence number k.
 
@@ -112,30 +129,34 @@ def independence_rho_bound(n, k, alpha):
 def _order(n):
     """Per connected class of order n, in enumeration order: the canonical
     edge masks (k,), the invariants (k, 5), one column per field of
-    ``GraphInvariants``, RD (k, n, n), r (k, n) and RD r (k, n); last, per
-    ``_FIELDS`` invariant and value 0..n, the positions of the classes holding it."""
+    ``GraphInvariants``, RD (k, n, n), r (k, n) and RD r (k, n)."""
     masks, adj = _connected_classes(n)
-    invariants = _stack_invariants(adj)
-    scanned = invariants.T[:len(_FIELDS)]
-    members = [[np.flatnonzero(column == v) for v in range(n + 1)] for column in scanned]
+    invariants = _stack_invariants(adj)  # first: its subset tables and RD never coexist
     rd = _reciprocal_distances(_distance_stack(adj.tolist(), n))
     rt = rd.sum(axis=2)
-    return masks, invariants, rd, rt, np.matmul(rd, rt[:, :, None])[:, :, 0], members
+    return masks, invariants, rd, rt, np.matmul(rd, rt[:, :, None])[:, :, 0]
+
+
+def _class_maxima(n, values):
+    """Per scanned invariant column of order n, in ``_SCANNED`` order: the
+    column and, per value 0..n, the largest of ``values`` over the classes
+    holding it (-inf where none does), from one ``np.maximum.at``."""
+    for column in _order(n)[1].T[:len(_SCANNED)]:
+        top = np.full(n + 1, -np.inf)  # every invariant lies in 0..n
+        np.maximum.at(top, column, values)
+        yield column, top
 
 
 def _contenders(n, alpha):
     """(positions, lower, upper): the Rayleigh lower and Collatz-Wielandt
     upper bounds on each class's blend radius (n >= 2), and the positions
     whose upper bound reaches, within 2 TIE_TOL, the largest lower bound
-    in some class that holds them, taken per invariant column with one
-    ``np.maximum.at``."""
-    _, invariants, _, rt, rdr, _ = _order(n)
+    in some class that holds them."""
+    rt, rdr = _order(n)[3:]
     ar = alpha * rt * rt + (1.0 - alpha) * rdr  # A r
     lower, upper = (rt * ar).sum(axis=1) / (rt * rt).sum(axis=1), (ar / rt).max(axis=1)
     keep = np.zeros(len(rt), dtype=bool)
-    for column in invariants.T[:len(_FIELDS)]:
-        top = np.full(n + 1, -np.inf)  # every invariant lies in 0..n
-        np.maximum.at(top, column, lower)
+    for column, top in _class_maxima(n, lower):
         keep |= upper >= top[column] - 2 * TIE_TOL
     return np.flatnonzero(keep), lower, upper
 
@@ -153,11 +174,6 @@ def _rho_table(n, alpha):
     radii[keep] = spectrum.values[:, 0]
     radii.setflags(write=False)  # the cache hands this array to every caller
     return radii
-
-
-def _clique_on_independent(n, k):
-    """k independent vertices joined to an (n-k)-clique."""
-    return join(edgeless(k), complete(n - k))
 
 
 @lru_cache(maxsize=None)
@@ -194,47 +210,56 @@ def _check(n, alpha, symbol, value, low, slack):
     return a
 
 
-def _scan(n, alpha, field, value, build, exploratory=False):
-    """The class of order-n graphs whose invariant ``field`` equals
-    ``value``, maximized and compared with the prediction ``build``."""
-    constraint = field.replace("_", "-")
-    order = _order(n)
-    masks, members = order[0], order[5][_FIELDS.index(field)][value]
-    if not len(members):
+@lru_cache(maxsize=None)
+def _reports(n, alpha):
+    """Every class report of order n at a checked ``alpha``, keyed by
+    (field, value), for each value a prediction covers: per scanned
+    column, one comparison of the radii with their class maxima marks
+    every maximizer, and each verdict compares canonical masks."""
+    masks, radii, predicted = _order(n)[0], _rho_table(n, alpha), _predicted(n)
+    reports = {}
+    for (field, build), (column, top) in zip(_SCANNED, _class_maxima(n, radii)):
+        hit = np.flatnonzero(radii >= top[column] - TIE_TOL)
+        classes = {}
+        for value, mask in zip(column[hit].tolist(), masks[hit].tolist()):
+            classes.setdefault(value, []).append(mask)
+        for value, tops in classes.items():
+            if (build, value) not in predicted:
+                continue  # outside the verifier's range
+            mask, canon = predicted[build, value]
+            rho_max = float(top[value])
+            verdict = "tie" if len(tops) > 1 else "confirmed" if tops[0] == mask else "refuted"
+            if field == "independence_number":  # the closed-form bound must hold, and be attained
+                bound = independence_rho_bound(n, value, alpha)
+                attained = abs(rho_max - bound) <= ATTAIN_TOL
+                if rho_max > bound + TIE_TOL or (verdict == "confirmed" and not attained):
+                    verdict = "refuted"
+            maximizers = tuple(sorted(canon if m == mask else _pack_graph6(n, m) for m in tops))
+            reports[field, value] = ExtremalReport(
+                n, field.replace("_", "-"), value, alpha, rho_max, maximizers, canon, verdict,
+                exploratory=field == "chromatic_number" and alpha > CHROMATIC_GUARANTEE)
+    return reports
+
+
+def _report(n, alpha, field, value):
+    """The report of the order-n class whose invariant ``field`` equals ``value``."""
+    report = _reports(n, alpha).get((field, value))
+    if report is None:
+        constraint = field.replace("_", "-")
         raise ValueError(f"empty class: no connected graph of order {n} has {constraint} = {value}")
-    radii = _rho_table(n, alpha)[members]
-    rho_max = float(radii.max())
-    top = masks[members[radii >= rho_max - TIE_TOL]].tolist()
-    predicted_mask, predicted_canon = _predicted(n)[build, value]
-    if len(top) > 1:
-        verdict, maximizers = "tie", tuple(sorted(_pack_graph6(n, mask) for mask in top))
-    elif top[0] == predicted_mask:
-        verdict, maximizers = "confirmed", (predicted_canon,)
-    else:
-        verdict, maximizers = "refuted", (_pack_graph6(n, top[0]),)
-    return ExtremalReport(
-        n=n,
-        constraint=constraint,
-        value=value,
-        alpha=float(alpha),
-        rho_max=rho_max,
-        maximizers=maximizers,
-        predicted=predicted_canon,
-        verdict=verdict,
-        exploratory=exploratory,
-    )
+    return report
 
 
 def verify_vertex_connectivity_extremal(n, r, alpha):
     """Scan all connected graphs of order n with vertex connectivity r."""
     a = _check(n, alpha, "r", r, 1, 2)
-    return _scan(n, a, "vertex_connectivity", r, build_kite)
+    return _report(n, a, "vertex_connectivity", r)
 
 
 def verify_edge_connectivity_extremal(n, r, alpha):
     """Scan all connected graphs of order n with edge connectivity r."""
     a = _check(n, alpha, "r", r, 1, 2)
-    return _scan(n, a, "edge_connectivity", r, build_kite)
+    return _report(n, a, "edge_connectivity", r)
 
 
 def verify_chromatic_extremal(n, chi, alpha):
@@ -245,7 +270,7 @@ def verify_chromatic_extremal(n, chi, alpha):
     verdict is data, not a claim.
     """
     a = _check(n, alpha, "chi", chi, 2, 0)
-    return _scan(n, a, "chromatic_number", chi, turan, exploratory=a > CHROMATIC_GUARANTEE)
+    return _report(n, a, "chromatic_number", chi)
 
 
 def verify_independence_extremal(n, k, alpha):
@@ -258,10 +283,4 @@ def verify_independence_extremal(n, k, alpha):
     bound within 1e-8.
     """
     a = _check(n, alpha, "k", k, 1, 1)
-    bound = independence_rho_bound(n, k, a)
-    report = _scan(n, a, "independence_number", k, _clique_on_independent)
-    violated = report.rho_max > bound + TIE_TOL
-    attained = abs(report.rho_max - bound) <= ATTAIN_TOL
-    if violated or (report.verdict == "confirmed" and not attained):
-        report = replace(report, verdict="refuted")
-    return report
+    return _report(n, a, "independence_number", k)

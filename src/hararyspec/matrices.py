@@ -30,7 +30,7 @@ __all__ = [
 
 def check_alpha(alpha):
     """Validate and return the blend weight as a float in [0, 1]."""
-    a = float(alpha)
+    a = float(alpha) + 0.0  # -0.0 becomes +0.0: one cache key, one printed zero
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     return a

@@ -447,6 +447,19 @@ def test_verify_extremal_table(capsys):
     )
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify-extremal", "--n", "5", "--constraint", "vertex-connectivity", "--value", "2"),
+    ("spectrum", "--construct", "complete:3"),
+    ("bounds", "--construct", "complete:3"),
+    ("closed-form", "--construct", "complete:3"),
+])
+def test_negative_zero_alpha_prints_as_zero(capsys, argv):
+    code, out, err = run(capsys, *argv, "--alpha", "-0", "--format", "json")
+    assert code == 0, err
+    assert [report["alpha"] for report in json.loads(out)] == [0.0]
+    assert '"alpha": 0.0' in out and '"alpha": -0.0' not in out
+
+
 def test_options_a_subcommand_does_not_read_exit_one(capsys):
     # verify-extremal takes no graph input; no subcommand reads --tol
     verify = ("verify-extremal", "--n", "5", "--constraint", "vertex-connectivity", "--value", "2")

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
@@ -36,7 +37,7 @@ from hararyspec import (
     verify_independence_extremal,
     verify_vertex_connectivity_extremal,
 )
-from hararyspec.extremal import CHROMATIC_GUARANTEE, TIE_TOL, _order, _rho_table
+from hararyspec.extremal import ATTAIN_TOL, CHROMATIC_GUARANTEE, TIE_TOL, _order, _rho_table
 
 from conftest import brute_vertex_connectivity, make_paw
 
@@ -255,24 +256,43 @@ def test_cold_order_seven_work_counts(monkeypatch):
     assert len(stacked) == 5 and max(stacked) <= 40, stacked
 
 
-def _cold_sweep(monkeypatch):
-    """The reports of the n = 7 sweep over the benchmark's seed-5 stream,
-    run with fresh enumeration and extremal caches."""
+BUILD_REPORTS = extremal._reports.__wrapped__
+VERIFIERS = {
+    "vertex-connectivity": verify_vertex_connectivity_extremal,
+    "edge-connectivity": verify_edge_connectivity_extremal,
+    "chromatic-number": verify_chromatic_extremal,
+    "independence-number": verify_independence_extremal,
+}
+
+
+def _fresh_caches(monkeypatch):
+    """Give the enumeration and every extremal cache a fresh ``lru_cache``;
+    returns the list that collects the (n, alpha) of each report table built."""
     classes = lru_cache(maxsize=None)(enumeration._connected_classes.__wrapped__)
     monkeypatch.setattr(enumeration, "_connected_classes", classes)
     monkeypatch.setattr(extremal, "_connected_classes", classes)
     for name in ("_order", "_rho_table", "_predicted"):
         fresh = lru_cache(maxsize=None)(getattr(extremal, name).__wrapped__)
         monkeypatch.setattr(extremal, name, fresh)
-    verifiers = {
-        "vertex-connectivity": verify_vertex_connectivity_extremal,
-        "edge-connectivity": verify_edge_connectivity_extremal,
-        "chromatic-number": verify_chromatic_extremal,
-        "independence-number": verify_independence_extremal,
-    }
+    tables = []
+    monkeypatch.setattr(extremal, "_reports", lru_cache(maxsize=None)(
+        lambda n, alpha: tables.append((n, alpha)) or BUILD_REPORTS(n, alpha)))
+    return tables
+
+
+def _verify(op):
+    constraint, value, alpha = op
+    return VERIFIERS[constraint](7, value, alpha)
+
+
+def _cold_sweep(monkeypatch):
+    """The reports of the n = 7 sweep over the benchmark's seed-5 stream,
+    run with fresh enumeration and extremal caches, and the (n, alpha) of
+    each report table the sweep built."""
+    tables = _fresh_caches(monkeypatch)
     ops = _workloads().extremal_ops(5)
     assert len(ops) == 110
-    return [verifiers[constraint](7, value, alpha) for constraint, value, alpha in ops]
+    return [_verify(op) for op in ops], tables
 
 
 def test_cold_sweep_labels_in_stacked_calls(monkeypatch):
@@ -287,9 +307,68 @@ def test_cold_sweep_labels_in_stacked_calls(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_canonical_masks", counted)
     monkeypatch.setattr(extremal, "_canonical_masks", counted)
-    reports = _cold_sweep(monkeypatch)
+    reports, _ = _cold_sweep(monkeypatch)
     assert stacks == [1, 2, 6, 28, 142, 1177, 17]
     assert {r.verdict for r in reports if not r.exploratory} <= {"confirmed", "tie"}
+
+
+def test_cold_sweep_builds_one_report_table_per_alpha(monkeypatch):
+    _, tables = _cold_sweep(monkeypatch)
+    alphas = sorted({alpha for _, _, alpha in _workloads().extremal_ops(5)})
+    assert sorted(tables) == [(7, alpha) for alpha in alphas] and len(tables) == 5
+
+
+def test_warm_ops_are_report_table_lookups(monkeypatch):
+    # After the first op at each alpha, no op reads the per-order arrays,
+    # the radius tables or the predictions: each one is a lookup.
+    ops = _workloads().extremal_ops(5)
+    cold, _ = _cold_sweep(monkeypatch)
+    _fresh_caches(monkeypatch)
+    firsts = {}
+    for i, (_, _, alpha) in enumerate(ops):
+        firsts.setdefault(alpha, i)
+    for i in firsts.values():
+        assert _verify(ops[i]) == cold[i]
+
+    def refuse(*args):
+        raise AssertionError(f"a warm op rebuilt a cache entry {args}")
+
+    for name in ("_order", "_rho_table", "_predicted"):
+        monkeypatch.setattr(extremal, name, refuse)
+    warm = [i for i in range(len(ops)) if i not in firsts.values()]
+    assert len(warm) == 105
+    assert [_verify(ops[i]) for i in warm] == [cold[i] for i in warm]
+
+
+def test_negative_zero_alpha_reports_positive_zero_in_any_call_order(monkeypatch):
+    # -0.0 and 0.0 are one report-table key, so whichever comes first,
+    # every report carries +0.0.
+    for first, second in ((-0.0, 0.0), (0.0, -0.0)):
+        _fresh_caches(monkeypatch)
+        reports = [verify_chromatic_extremal(6, 3, first), verify_chromatic_extremal(6, 3, second)]
+        assert [math.copysign(1.0, r.alpha) for r in reports] == [1.0, 1.0], (first, second)
+        assert reports[0] == reports[1]
+
+
+def test_an_empty_class_is_a_value_error(monkeypatch):
+    # No order up to the budget has an empty class within a verifier's
+    # range; a table without the class reports it as empty.
+    monkeypatch.setattr(extremal, "_reports", lambda n, alpha: {})
+    with pytest.raises(ValueError, match="^empty class: no connected graph of order 6 has "
+                                         "chromatic-number = 3$"):
+        verify_chromatic_extremal(6, 3, 0.3)
+
+
+def test_independence_verdict_checks_the_closed_form_bound(monkeypatch):
+    # A confirmed independence report needs its maximum to stay within
+    # TIE_TOL above the closed-form bound and to attain it within ATTAIN_TOL.
+    rho = verify_independence_extremal(6, 2, 0.3).rho_max
+    for bound, verdict in ((rho, "confirmed"), (rho - 0.5 * TIE_TOL, "confirmed"),
+                           (rho + 0.5 * ATTAIN_TOL, "confirmed"), (rho - 2 * TIE_TOL, "refuted"),
+                           (rho + 2 * ATTAIN_TOL, "refuted")):
+        monkeypatch.setattr(extremal, "independence_rho_bound", lambda n, k, a: bound)
+        report = BUILD_REPORTS(6, 0.3)["independence_number", 2]
+        assert (report.rho_max, report.verdict) == (rho, verdict), bound
 
 
 def test_cold_sweep_builds_no_graph_per_class(monkeypatch):

@@ -1,5 +1,7 @@
 """Matrix bundle construction and blend identities."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,13 @@ def test_check_alpha_rejects_out_of_range():
     for bad in (-0.1, 1.0001, 7):
         with pytest.raises(ValueError, match="alpha"):
             check_alpha(bad)
+
+
+def test_check_alpha_returns_positive_zero_for_negative_zero():
+    for zero in (-0.0, "-0", np.float64(-0.0), 0, 0.0):
+        a = check_alpha(zero)
+        assert a == 0.0 and math.copysign(1.0, a) == 1.0, zero
+    assert math.copysign(1.0, check_alpha(5e-324)) == 1.0 and check_alpha(5e-324) == 5e-324
 
 
 def test_build_bundle_requires_connected():

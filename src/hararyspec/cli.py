@@ -58,18 +58,20 @@ EXIT_REFUTED = 2
 EXIT_TIE = 3
 EXIT_BUDGET = 4
 
+# name -> (builder, arity or None for any, closed-form spectrum of (params, alpha) or None)
 _CONSTRUCTORS = {
-    "complete": (complete, 1),
-    "edgeless": (edgeless, 1),
-    "path": (path, 1),
-    "cycle": (cycle, 1),
-    "star": (star, 1),
-    "wheel": (wheel, 1),
-    "bipartite": (complete_bipartite, 2),
-    "split": (complete_split, 2),
-    "turan": (turan, 2),
-    "kite": (extremal.build_kite, 2),
-    "multipartite": (lambda *parts: complete_multipartite(parts), None),
+    "complete": (complete, 1, lambda p, a: closed_forms.spectrum_complete(*p, a)),
+    "edgeless": (edgeless, 1, None),
+    "path": (path, 1, None),
+    "cycle": (cycle, 1, None),
+    "star": (star, 1, None),
+    "wheel": (wheel, 1, lambda p, a: closed_forms.spectrum_wheel(*p, a)),
+    "bipartite": (complete_bipartite, 2, lambda p, a: closed_forms.spectrum_complete_bipartite(*p, a)),
+    "split": (complete_split, 2, lambda p, a: closed_forms.spectrum_complete_split(*p, a)),
+    "turan": (turan, 2, lambda p, a: closed_forms.spectrum_multipartite(_turan_parts(*p), a)),
+    "kite": (extremal.build_kite, 2, None),
+    "multipartite": (lambda *parts: complete_multipartite(parts), None,
+                     closed_forms.spectrum_multipartite),
 }
 
 
@@ -151,7 +153,7 @@ def _parse_construct(spec):
     if name not in _CONSTRUCTORS:
         known = ", ".join(sorted(_CONSTRUCTORS))
         raise ValueError(f"unknown constructor {name!r} (known: {known})")
-    builder, arity = _CONSTRUCTORS[name]
+    builder, arity, _ = _CONSTRUCTORS[name]
     if arity is not None and len(args) != arity:
         raise ValueError(f"constructor {name!r} takes {arity} integer parameter(s), got {len(args)}")
     return name, args, builder(*args)
@@ -273,32 +275,19 @@ def cmd_psd(args):
     return EXIT_OK
 
 
-def _closed_form_for(family, alpha):
-    name, params = family
-    if name == "complete":
-        return closed_forms.spectrum_complete(params[0], alpha)
-    if name == "bipartite":
-        return closed_forms.spectrum_complete_bipartite(params[0], params[1], alpha)
-    if name == "split":
-        return closed_forms.spectrum_complete_split(params[0], params[1], alpha)
-    if name == "wheel":
-        return closed_forms.spectrum_wheel(params[0], alpha)
-    if name == "multipartite":
-        return closed_forms.spectrum_multipartite(params, alpha)
-    if name == "turan":
-        return closed_forms.spectrum_multipartite(_turan_parts(*params), alpha)
-    raise ValueError(f"no closed-form spectrum for constructor {name!r}")
-
-
 def cmd_closed_form(args):
     if args.family is None:
         raise ValueError("closed-form requires --construct with a supported family")
     g = args.graph
     bundle = build_bundle(g)
     spectra = sym_eigen(np.stack([rd_alpha(bundle, a) for a in args.alphas])).values
+    name, params = args.family
+    closed_form = _CONSTRUCTORS[name][2]
+    if closed_form is None:
+        raise ValueError(f"no closed-form spectrum for constructor {name!r}")
     reports = []
     for a, numeric in zip(args.alphas, spectra):
-        spec = _closed_form_for(args.family, a)
+        spec = closed_form(params, a)
         deviation = float(abs(spec.eigenvalues() - numeric).max())
         reports.append(
             {

@@ -128,14 +128,22 @@ def _join_quadratic(n1, r1, n2, r2, a):
     return _stable_quadratic(lin1 + lin2, lin1 * lin2 - cross, disc)
 
 
+def _join_entries(n1, r1, spec1, n2, r2, spec2, a):
+    """Blend (value, multiplicity) entries of the join of an r1-regular
+    graph on n1 vertices and an r2-regular one on n2, from their adjacency
+    spectra, Perron value first.  With n = n1 + n2, each other adjacency
+    eigenvalue lambda of side i gives (a*(n + n_other + r_i) +
+    (1-a)*lambda - 1)/2, and the coupling quadratic the last two."""
+    entries = [(0.5 * (a * (n1 + n2 + n_other + r) + (1.0 - a) * lam - 1.0), 1)
+               for r, spec, n_other in ((r1, spec1, n2), (r2, spec2, n1)) for lam in spec[1:]]
+    return entries + [(root, 1) for root in _join_quadratic(n1, r1, n2, r2, a)]
+
+
 def spectrum_join_regular(n1, r1, adj_spectrum1, n2, r2, adj_spectrum2, alpha):
     """Blend spectrum of the join of an r1-regular and an r2-regular graph.
 
     Inputs are the full adjacency spectra of the two sides with the
-    Perron value r_i first.  Each non-principal adjacency eigenvalue
-    lambda of side i contributes
-    (alpha*(n + n_other + r_i) + (1-alpha)*lambda - 1)/2, and the two
-    remaining eigenvalues solve the coupling quadratic.
+    Perron value r_i first; ``_join_entries`` turns them into the blend's.
     """
     a = check_alpha(alpha)
     spec1 = np.sort(np.asarray(adj_spectrum1, dtype=float))[::-1]
@@ -147,59 +155,35 @@ def spectrum_join_regular(n1, r1, adj_spectrum1, n2, r2, adj_spectrum2, alpha):
             raise ValueError(f"inconsistent {name} spectrum: largest eigenvalue != degree")
         if np.abs(spec).max() > r_i + 1e-8:
             raise ValueError(f"inconsistent {name} spectrum: |eigenvalue| exceeds degree")
-    n = n1 + n2
-    entries = [
-        (0.5 * (a * (n + n2 + r1) + (1.0 - a) * lam - 1.0), 1) for lam in spec1[1:]
-    ]
-    entries += [
-        (0.5 * (a * (n + n1 + r2) + (1.0 - a) * lam - 1.0), 1) for lam in spec2[1:]
-    ]
-    hi, lo = _join_quadratic(n1, r1, n2, r2, a)
-    entries += [(hi, 1), (lo, 1)]
-    return ClosedFormSpectrum(_pairs(entries), "join_regular")
+    return ClosedFormSpectrum(_pairs(_join_entries(n1, r1, spec1, n2, r2, spec2, a)), "join_regular")
 
 
 def spectrum_complete_bipartite(a_part, b_part, alpha):
-    """Two repeated families plus the coupling quadratic for K_{a,b}."""
+    """K_{a,b} as the join of two edgeless graphs."""
     a = check_alpha(alpha)
     if a_part < 1 or b_part < 1:
         raise ValueError("both parts must be nonempty")
-    n = a_part + b_part
-    entries = [
-        (0.5 * (a * (n + b_part) - 1.0), a_part - 1),
-        (0.5 * (a * (n + a_part) - 1.0), b_part - 1),
-    ]
-    hi, lo = _join_quadratic(a_part, 0, b_part, 0, a)
-    entries += [(hi, 1), (lo, 1)]
+    entries = _join_entries(a_part, 0, adjacency_spectrum_edgeless(a_part),
+                            b_part, 0, adjacency_spectrum_edgeless(b_part), a)
     return ClosedFormSpectrum(_pairs(entries), "complete_bipartite")
 
 
 def spectrum_complete_split(a_part, b_part, alpha):
-    """Repeated clique and independent-part families plus the quadratic for CS_{a,b}."""
+    """CS_{a,b} as the join of an a-clique and b independent vertices."""
     a = check_alpha(alpha)
     if a_part < 1 or b_part < 2:
         raise ValueError("complete split spectrum needs a >= 1 and b >= 2")
-    n = a_part + b_part
-    entries = [
-        (a * n - 1.0, a_part - 1),
-        (0.5 * (a * (n + a_part) - 1.0), b_part - 1),
-    ]
-    hi, lo = _join_quadratic(a_part, a_part - 1, b_part, 0, a)
-    entries += [(hi, 1), (lo, 1)]
+    entries = _join_entries(a_part, a_part - 1, adjacency_spectrum_complete(a_part),
+                            b_part, 0, adjacency_spectrum_edgeless(b_part), a)
     return ClosedFormSpectrum(_pairs(entries), "complete_split")
 
 
 def spectrum_wheel(n, alpha):
-    """Cosine family from the rim cycle plus the hub coupling quadratic."""
+    """The wheel as the join of a hub and its rim cycle C_{n-1}."""
     a = check_alpha(alpha)
     if n < 4:
         raise ValueError("wheel needs at least 4 vertices")
-    entries = [
-        (0.5 * (a * (n + 3) - 1.0 + 2.0 * (1.0 - a) * math.cos(2.0 * math.pi * j / (n - 1))), 1)
-        for j in range(1, n - 1)
-    ]
-    hi, lo = _join_quadratic(1, 0, n - 1, 2, a)
-    entries += [(hi, 1), (lo, 1)]
+    entries = _join_entries(1, 0, [0.0], n - 1, 2, adjacency_spectrum_cycle(n - 1), a)
     return ClosedFormSpectrum(_pairs(entries), "wheel")
 
 

@@ -8,28 +8,32 @@ graph.  Ties within 1e-9 are reported as a tie listing every maximizer
 rather than being broken arbitrarily; isomorphic duplicates cannot
 occur because the stream carries one representative per class.
 
-The search reuses three caches, in the enumeration's order.  One per
-order holds every class's canonical edge mask, its invariants (one
-column per field), its RD, r and RD r; one per (order, alpha) holds the
-spectral radii; and one per (order, alpha) holds every class report of
-the order, so each verifier call after the first at an alpha is one dict
-lookup.  The report table takes the class maxima of each scanned
-invariant column with one ``np.maximum.at`` and finds every maximizer
-with one comparison against them; a verdict compares canonical masks,
-and graph6 is written only for maximizers other than the prediction,
-whose text is cached with its mask.  The distance matrices come from one
-stacked breadth-first pass over the adjacency rows and are converted to
-RD in one step, the same conversion ``build_bundle`` makes for one graph,
-and each radius table solves its stack of blends in one eigensolver call.
+The search reuses two caches, in the enumeration's order.  One per order
+holds every class's canonical edge mask, its invariants (one column per
+field), its RD, r and RD r; one per (order, alpha) holds every class
+report of the order, so each verifier call after the first at an alpha
+is one dict lookup.  Building the reports of an alpha solves the
+contenders below in one eigensolver call and scans only their rows: the
+class maxima of each scanned invariant column come from one
+``np.maximum.at`` and every maximizer from one comparison against them;
+a verdict compares canonical masks, and graph6 is written only for
+maximizers other than the prediction, whose text is cached with its
+mask.  The distance matrices come from one stacked breadth-first pass
+over the adjacency rows and are converted to RD in one step, the same
+conversion ``build_bundle`` makes for one graph.
 
-Only contenders are solved.  The blend A is nonnegative and symmetric,
-and for n >= 2 the transmission vector r is positive, so the Rayleigh
-quotient and the Collatz-Wielandt bound (Horn & Johnson, Matrix
-Analysis, 8.1) give r'Ar / r'r <= rho <= max_i (Ar)_i / r_i, where
-Ar = alpha r*r + (1 - alpha) RD r costs one product per table.  At
-each alpha, a graph whose upper bound is more than 2 TIE_TOL below the
-largest lower bound of every class holding it can neither attain nor
-tie a maximum, and stores its upper bound; only the rest are solved.
+Only contenders are solved, and no radius is kept past its alpha's
+reports.  The blend A is nonnegative and symmetric, and for n >= 2 the
+transmission vector r is positive, so the Rayleigh quotient and the
+Collatz-Wielandt bound (Horn & Johnson, Matrix Analysis, 8.1) give
+r'Ar / r'r <= rho <= max_i (Ar)_i / r_i, where Ar = alpha r*r +
+(1 - alpha) RD r needs no matrix product once RD r is cached.  A graph
+whose upper bound is more than 2 TIE_TOL below the largest lower bound
+of every class holding it can neither attain nor tie a maximum; the rest
+are the contenders.  Every nonempty class holds one, the member with its
+largest lower bound, so the contender rows hold every class maximum and
+every maximizer.
+
 The predicted maximizers of an order (kites, Turan graphs and independent
 sets joined to cliques) are labelled in one stacked call on first use.
 """
@@ -137,43 +141,32 @@ def _order(n):
     return masks, invariants, rd, rt, np.matmul(rd, rt[:, :, None])[:, :, 0]
 
 
-def _class_maxima(n, values):
+def _class_maxima(n, invariants, values):
     """Per scanned invariant column of order n, in ``_SCANNED`` order: the
-    column and, per value 0..n, the largest of ``values`` over the classes
-    holding it (-inf where none does), from one ``np.maximum.at``."""
-    for column in _order(n)[1].T[:len(_SCANNED)]:
+    column of the ``invariants`` rows and, per value 0..n, the largest of
+    ``values`` over those rows holding it (-inf where none does), from
+    one ``np.maximum.at``."""
+    for column in invariants.T[:len(_SCANNED)]:
         top = np.full(n + 1, -np.inf)  # every invariant lies in 0..n
         np.maximum.at(top, column, values)
         yield column, top
 
 
-def _contenders(n, alpha):
-    """(positions, lower, upper): the Rayleigh lower and Collatz-Wielandt
-    upper bounds on each class's blend radius (n >= 2), and the positions
-    whose upper bound reaches, within 2 TIE_TOL, the largest lower bound
-    in some class that holds them."""
-    rt, rdr = _order(n)[3:]
+def _contender_radii(n, alpha):
+    """(positions, radii): the classes of order n whose Collatz-Wielandt
+    upper bound reaches, within 2 TIE_TOL, the largest Rayleigh lower bound
+    in some class that holds them, and their blend radii from one stacked
+    solve whose residual must stay within the tie tolerance."""
+    _, invariants, rd, rt, rdr = _order(n)
     ar = alpha * rt * rt + (1.0 - alpha) * rdr  # A r
     lower, upper = (rt * ar).sum(axis=1) / (rt * rt).sum(axis=1), (ar / rt).max(axis=1)
     keep = np.zeros(len(rt), dtype=bool)
-    for column, top in _class_maxima(n, lower):
+    for column, top in _class_maxima(n, invariants, lower):
         keep |= upper >= top[column] - 2 * TIE_TOL
-    return np.flatnonzero(keep), lower, upper
-
-
-@lru_cache(maxsize=None)
-def _rho_table(n, alpha):
-    """Blend spectral radius per contender, from one stacked solve whose
-    residual must stay within the tie tolerance; every other entry holds
-    its Collatz-Wielandt bound, an upper bound on its radius."""
-    rd, rt = _order(n)[2:4]
-    keep, _, radii = _contenders(n, alpha)
     spectrum = sym_eigen(_blend(rd[keep], rt[keep], alpha))
     if spectrum.residual > TIE_TOL:
         raise RuntimeError(f"stacked solve residual {spectrum.residual:.3g} exceeds the tie tolerance")
-    radii[keep] = spectrum.values[:, 0]
-    radii.setflags(write=False)  # the cache hands this array to every caller
-    return radii
+    return np.flatnonzero(keep), spectrum.values[:, 0]
 
 
 @lru_cache(maxsize=None)
@@ -214,11 +207,13 @@ def _check(n, alpha, symbol, value, low, slack):
 def _reports(n, alpha):
     """Every class report of order n at a checked ``alpha``, keyed by
     (field, value), for each value a prediction covers: per scanned
-    column, one comparison of the radii with their class maxima marks
-    every maximizer, and each verdict compares canonical masks."""
-    masks, radii, predicted = _order(n)[0], _rho_table(n, alpha), _predicted(n)
-    reports = {}
-    for (field, build), (column, top) in zip(_SCANNED, _class_maxima(n, radii)):
+    column, one comparison of the contenders' radii with their class
+    maxima marks every maximizer, and each verdict compares canonical
+    masks."""
+    positions, radii = _contender_radii(n, alpha)
+    masks, invariants = (array[positions] for array in _order(n)[:2])
+    predicted, reports = _predicted(n), {}
+    for (field, build), (column, top) in zip(_SCANNED, _class_maxima(n, invariants, radii)):
         hit = np.flatnonzero(radii >= top[column] - TIE_TOL)
         classes = {}
         for value, mask in zip(column[hit].tolist(), masks[hit].tolist()):

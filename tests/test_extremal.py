@@ -37,7 +37,7 @@ from hararyspec import (
     verify_independence_extremal,
     verify_vertex_connectivity_extremal,
 )
-from hararyspec.extremal import ATTAIN_TOL, CHROMATIC_GUARANTEE, TIE_TOL, _order, _rho_table
+from hararyspec.extremal import ATTAIN_TOL, CHROMATIC_GUARANTEE, TIE_TOL, _contender_radii, _order
 
 from conftest import brute_vertex_connectivity, make_paw
 
@@ -187,44 +187,57 @@ CONTENDER_COUNTS = {3: [2, 2, 2, 2], 4: [5, 5, 5, 5], 5: [9, 8, 14, 14], 6: [19,
                     7: [35, 15, 355, 409], 8: [61, 19, 2002, 2913]}
 
 
-def test_stacked_rho_table_matches_single_solves():
-    # A contender's entry is its radius; any other entry is an upper bound
-    # on its radius that sits more than the tie tolerance below the
-    # maximum of every class holding it, so no scan can pick it.
-    fields = ("vertex_connectivity", "edge_connectivity", "chromatic_number",
-              "independence_number")
+FIELDS = ("vertex_connectivity", "edge_connectivity", "chromatic_number", "independence_number")
+
+
+def test_contender_radii_match_single_solves():
+    # A contender's radius is its single-graph radius; every other graph's
+    # radius sits more than the tie tolerance below the maximum of every
+    # class holding it, so no scan of the contenders alone can miss it.
     for n in range(2, 8):
         graphs = enumerate_connected_graphs(n)
         invariants = [graph_invariants(g) for g in graphs]
         for alpha in RHO_ALPHAS:
-            keep = set(extremal._contenders(n, alpha)[0].tolist())
-            table = _rho_table(n, alpha)
-            assert len(table) == len(graphs)
+            positions, radii = _contender_radii(n, alpha)
+            assert len(positions) == len(radii)
             rho = [spectral_radius(g, alpha) for g in graphs]
-            classes = [[(field, getattr(inv, field)) for field in fields] for inv in invariants]
+            classes = [[(field, getattr(inv, field)) for field in FIELDS] for inv in invariants]
             top = {}
             for r, held in zip(rho, classes):
                 for c in held:
                     top[c] = max(top.get(c, r), r)
-            for i, held in enumerate(classes):
-                if i in keep:
-                    assert abs(table[i] - rho[i]) <= 1e-12, (n, alpha, i)
-                    continue
-                assert table[i] >= rho[i] - 1e-12, (n, alpha, i)  # rho's rounding
-                for c in held:
-                    assert table[i] < top[c] - TIE_TOL, (n, alpha, i, c)
-    counts = {n: [len(extremal._contenders(n, a)[0]) for a in RHO_ALPHAS] for n in CONTENDER_COUNTS}
+            for i, radius in zip(positions.tolist(), radii):
+                assert abs(radius - rho[i]) <= 1e-12, (n, alpha, i)
+            for i in set(range(len(graphs))) - set(positions.tolist()):
+                for c in classes[i]:
+                    assert rho[i] < top[c] - TIE_TOL, (n, alpha, i, c)
+    counts = {n: [len(_contender_radii(n, a)[0]) for a in RHO_ALPHAS] for n in CONTENDER_COUNTS}
     assert counts == CONTENDER_COUNTS
 
 
 def test_rayleigh_and_collatz_wielandt_bounds_hold_every_radius():
+    # r'Ar / r'r <= rho <= max_i (Ar)_i / r_i on every graph, and in every
+    # class the member with the largest lower bound is a contender.
     for n in range(2, 8):
         graphs = enumerate_connected_graphs(n)
+        bundles = [build_bundle(g) for g in graphs]
+        invariants = [graph_invariants(g) for g in graphs]
         for alpha in RHO_ALPHAS + (CHROMATIC_GUARANTEE,):
-            _, lower, upper = extremal._contenders(n, alpha)
             rho = np.array([spectral_radius(g, alpha) for g in graphs])
-            assert np.all(lower <= rho + 1e-12), (n, alpha)
-            assert np.all(rho <= upper + 1e-12), (n, alpha)
+            lower, upper = [], []
+            for b in bundles:
+                r = b.transmissions
+                ar = alpha * r * r + (1.0 - alpha) * (b.rd @ r)
+                lower.append(r @ ar / (r @ r))
+                upper.append(max(ar / r))
+            assert np.all(np.array(lower) <= rho + 1e-12), (n, alpha)
+            assert np.all(rho <= np.array(upper) + 1e-12), (n, alpha)
+            best = {}
+            for i, inv in enumerate(invariants):
+                for c in ((field, getattr(inv, field)) for field in FIELDS):
+                    if c not in best or lower[i] > lower[best[c]]:
+                        best[c] = i
+            assert set(best.values()) <= set(_contender_radii(n, alpha)[0].tolist()), (n, alpha)
 
 
 def _workloads():
@@ -237,12 +250,12 @@ def _workloads():
 
 def test_cold_order_seven_work_counts(monkeypatch):
     # One subset-table pass for every class of the order, and at the
-    # alphas of the benchmark's seed-5 extremal stream few blends per rho
-    # table.
+    # alphas of the benchmark's seed-5 extremal stream few blends per
+    # contender solve.
     alphas = sorted({alpha for _, _, alpha in _workloads().extremal_ops(5)})
     assert len(alphas) == 5
-    # The rho tables read the cached _order(7); warm it first, so only the
-    # explicit cold pass below is counted, in any test order.
+    # The contender solves read the cached _order(7); warm it first, so only
+    # the explicit cold pass below is counted, in any test order.
     _order(7)
     passes, stacked = [], []
     subset_invariants = invariants._subset_invariants
@@ -251,7 +264,7 @@ def test_cold_order_seven_work_counts(monkeypatch):
     monkeypatch.setattr(extremal, "sym_eigen", lambda blend: stacked.append(len(blend)) or sym_eigen(blend))
     _order.__wrapped__(7)
     for alpha in alphas:
-        _rho_table.__wrapped__(7, alpha)
+        _contender_radii(7, alpha)
     assert passes == [853]
     assert len(stacked) == 5 and max(stacked) <= 40, stacked
 
@@ -271,7 +284,7 @@ def _fresh_caches(monkeypatch):
     classes = lru_cache(maxsize=None)(enumeration._connected_classes.__wrapped__)
     monkeypatch.setattr(enumeration, "_connected_classes", classes)
     monkeypatch.setattr(extremal, "_connected_classes", classes)
-    for name in ("_order", "_rho_table", "_predicted"):
+    for name in ("_order", "_predicted"):
         fresh = lru_cache(maxsize=None)(getattr(extremal, name).__wrapped__)
         monkeypatch.setattr(extremal, name, fresh)
     tables = []
@@ -320,7 +333,7 @@ def test_cold_sweep_builds_one_report_table_per_alpha(monkeypatch):
 
 def test_warm_ops_are_report_table_lookups(monkeypatch):
     # After the first op at each alpha, no op reads the per-order arrays,
-    # the radius tables or the predictions: each one is a lookup.
+    # solves contenders or reads the predictions: each one is a lookup.
     ops = _workloads().extremal_ops(5)
     cold, _ = _cold_sweep(monkeypatch)
     _fresh_caches(monkeypatch)
@@ -333,7 +346,7 @@ def test_warm_ops_are_report_table_lookups(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"a warm op rebuilt a cache entry {args}")
 
-    for name in ("_order", "_rho_table", "_predicted"):
+    for name in ("_order", "_contender_radii", "_predicted"):
         monkeypatch.setattr(extremal, name, refuse)
     warm = [i for i in range(len(ops)) if i not in firsts.values()]
     assert len(warm) == 105
@@ -390,21 +403,29 @@ def test_stack_is_the_per_graph_bundles_bit_for_bit():
         assert np.array_equal(rd, np.stack([b.rd for b in bundles]))
         assert np.array_equal(rt, np.stack([b.transmissions for b in bundles]))
         assert np.array_equal(rdr, np.stack([b.rd @ b.transmissions for b in bundles]))
-    assert not _rho_table(5, 0.3).flags.writeable
 
 
-def test_rho_table_refuses_a_residual_above_the_tie_tolerance(monkeypatch):
+def test_contender_radii_refuse_a_residual_above_the_tie_tolerance(monkeypatch):
     def solver_with_residual(residual):
         return lambda matrix: replace(sym_eigen(matrix), residual=residual)
 
-    expected = _rho_table(5, 0.3)
+    expected = _contender_radii(5, 0.3)
     monkeypatch.setattr(extremal, "sym_eigen", solver_with_residual(TIE_TOL))
-    assert np.array_equal(_rho_table.__wrapped__(5, 0.3), expected)
+    for got, want in zip(_contender_radii(5, 0.3), expected):
+        assert np.array_equal(got, want)
     monkeypatch.setattr(extremal, "sym_eigen", solver_with_residual(2 * TIE_TOL))
     with pytest.raises(RuntimeError, match="exceeds the tie tolerance"):
-        _rho_table.__wrapped__(5, 0.3)
+        _contender_radii(5, 0.3)
     with pytest.raises(RuntimeError, match="exceeds the tie tolerance"):
-        verify_vertex_connectivity_extremal(5, 2, 0.3001)  # an alpha no table holds yet
+        verify_vertex_connectivity_extremal(5, 2, 0.3001)  # an alpha no report table holds yet
+
+
+def test_only_the_order_predictions_and_reports_are_cached():
+    # Radii live only while their alpha's reports are built: the report
+    # table is the one cache keyed by alpha.
+    cached = {name for name, value in vars(extremal).items()
+              if hasattr(value, "cache_info") and value.__module__ == extremal.__name__}
+    assert cached == {"_order", "_predicted", "_reports"}
 
 
 # -- an exhaustive scan that shares no code with the package -------------------

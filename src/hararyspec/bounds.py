@@ -10,6 +10,9 @@ the code behind each report computes only its values.
 A report over several weights shares its work: ``_bound_table`` evaluates
 every row-sum and transmission bound in one numpy pass, ``_blend_radii``
 takes every radius from one stacked solve, and ``_bound_reports`` joins them.
+The code behind the reports builds each record once, as the plain dict
+row the ``bounds`` command prints, with ``BoundRecord``'s fields in field
+order; the public functions wrap those rows in ``BoundRecord``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .closed_forms import _join_quadratic
 from .eigen import sym_eigen
 from .errors import NotConnectedError
 from .invariants import bipartition
-from .matrices import build_bundle, check_alpha, rd_alpha
+from .matrices import _blend, build_bundle, check_alpha
 
 __all__ = [
     "BoundRecord",
@@ -44,8 +47,8 @@ class BoundRecord:
     tight: bool | None = None
 
 
-# The record of every bound on K_1, where the blend is the 1x1 zero matrix.
-_TRIVIAL = dict(value=0.0, applicable=False, reason="single-vertex graph is trivial")
+# The row of every bound on K_1, less its name and kind: the blend is the 1x1 zero matrix.
+_TRIVIAL = dict(value=0.0, applicable=False, reason="single-vertex graph is trivial", tight=None)
 
 # Regimes: the weights where a bound holds, and why it fails at the others.
 _ANY_ALPHA = (lambda a: True, "")
@@ -77,9 +80,10 @@ _BIPARTITE = ("bipartite_upper", "upper")
 
 
 def _records(table, a, values):
-    """The records of ``table`` at weight ``a``, with ``values`` in table order."""
+    """The record rows of ``table`` at weight ``a``, with ``values`` in table order."""
     return [
-        BoundRecord(name, kind, value, ok := holds(a), "" if ok else reason)
+        {"name": name, "kind": kind, "value": value, "applicable": (ok := holds(a)),
+         "reason": "" if ok else reason, "tight": None}
         for (name, kind, (holds, reason)), value in zip(table, values)
     ]
 
@@ -97,11 +101,11 @@ def bound_report(g, alpha):
     transmission alpha*RTr_max; and the plain maximum transmission
     upper bound.
     """
-    return _bound_table(build_bundle(g), [check_alpha(alpha)])[0]
+    return [BoundRecord(**row) for row in _bound_table(build_bundle(g), [check_alpha(alpha)])[0]]
 
 
 def _bound_table(bundle, alphas):
-    """``bound_report``'s records at each checked weight of ``alphas``, one list per weight.
+    """``bound_report``'s record rows at each checked weight of ``alphas``, one list per weight.
 
     Each per-vertex expression is evaluated for every weight at once, as a
     ``(len(alphas), n)`` array, in the same operation order as the scalar
@@ -109,7 +113,8 @@ def _bound_table(bundle, alphas):
     """
     n = bundle.n
     if n == 1:
-        return [[BoundRecord(name, kind, **_TRIVIAL) for name, kind, _ in _BOUNDS] for _ in alphas]
+        return [[{"name": name, "kind": kind, **_TRIVIAL} for name, kind, _ in _BOUNDS]
+                for _ in alphas]
     tr, rd = bundle.transmissions, bundle.rd
     a = np.array(alphas, dtype=float)[:, None]
     row_norm = (a * tr + (1.0 - a) * np.sqrt((n - 1.0) * (rd * rd).sum(axis=0))).max(axis=1)
@@ -128,14 +133,18 @@ def _bound_table(bundle, alphas):
 
 def _blend_radii(bundle, weights):
     """Spectral radius of the blend at each weight w of ``weights``, at its
-    mirror 1 - w, and at 0 and 1/2, keyed by weight, from one stacked
-    ``sym_eigen`` call.  The blend at 0 is RD entry for entry (a copy with a
-    zero diagonal) and the blend at 1/2 is exactly RQ/2 (a power-of-two
-    scaling), so rho(RD) = radii[0.0] and rho(RQ) = 2 * radii[0.5] bit for bit.
+    mirror 1 - w, and at 0, 1/2 and 1, keyed by weight, from one stacked
+    ``sym_eigen`` call of one ``_blend`` broadcast.  The blend at 0 is RD
+    entry for entry (a copy with a zero diagonal) and the blend at 1/2 is
+    exactly RQ/2 (a power-of-two scaling), so rho(RD) = radii[0.0] and
+    rho(RQ) = 2 * radii[0.5] bit for bit.  The blend at 1 is diag(RT), whose
+    eigenvalues LAPACK returns exactly as its entries, so it is not solved:
+    radii[1.0] is the largest transmission.
     """
-    distinct = list(dict.fromkeys([0.0, 0.5, *weights, *(1.0 - w for w in weights)]))
-    radii = sym_eigen(np.stack([rd_alpha(bundle, w) for w in distinct])).values[:, 0]
-    return dict(zip(distinct, radii.tolist()))
+    distinct = dict.fromkeys([0.0, 0.5, *weights, *(1.0 - w for w in weights)])
+    solved = [w for w in distinct if w != 1.0]
+    radii = sym_eigen(_blend(bundle.rd, bundle.transmissions, solved)).values[:, 0]
+    return {**dict(zip(solved, radii.tolist())), 1.0: float(bundle.transmissions.max())}
 
 
 def rq_relation_bounds(g, alpha):
@@ -149,12 +158,13 @@ def rq_relation_bounds(g, alpha):
     """
     a = check_alpha(alpha)
     bundle = build_bundle(g)
-    return _rq_records(a, float(bundle.transmissions.max()), _blend_radii(bundle, [a]))
+    return [BoundRecord(**row) for row in _rq_records(a, _blend_radii(bundle, [a]))]
 
 
-def _rq_records(a, tr_max, radii):
-    """``rq_relation_bounds`` at ``a`` from the ``_blend_radii`` of a set of weights holding it."""
-    rho_rd, rho_rq, rho_mirror = radii[0.0], 2.0 * radii[0.5], radii[1.0 - a]
+def _rq_records(a, radii):
+    """``rq_relation_bounds``' record rows at ``a`` from the ``_blend_radii``
+    of a set of weights holding it."""
+    rho_rd, rho_rq, rho_mirror, tr_max = radii[0.0], 2.0 * radii[0.5], radii[1.0 - a], radii[1.0]
     # The large-alpha pair is the small-alpha pair with its sides swapped.
     lower = (1.0 - a) * rho_rq + (2.0 * a - 1.0) * tr_max
     upper = a * rho_rq + (1.0 - 2.0 * a) * rho_rd
@@ -169,30 +179,32 @@ def bipartite_bound(g, alpha):
     is_bip, sizes = bipartition(g)
     if not is_bip:
         raise ValueError("graph is not bipartite")
-    return _bipartite_record(g, sizes, a)
+    return BoundRecord(**_bipartite_record(g, sizes, a))
 
 
 def _bipartite_record(g, sizes, a):
-    """``bipartite_bound`` for a connected bipartite g with part sizes ``sizes``."""
+    """``bipartite_bound``'s row for a connected bipartite g with part sizes ``sizes``."""
     small, large = sizes
+    name, kind = _BIPARTITE
     if g.n == 1:
-        return BoundRecord(*_BIPARTITE, **_TRIVIAL)
+        return {"name": name, "kind": kind, **_TRIVIAL}
     # A connected bipartite graph with parts a, b is K_{a,b} iff it has all a*b edges.
     tight = g.edge_count == small * large
     value = _join_quadratic(small, 0, large, 0, a)[0]  # the radius of K_{small,large}
-    return BoundRecord(*_BIPARTITE, value, tight=tight)
+    return {"name": name, "kind": kind, "value": value, "applicable": True, "reason": "",
+            "tight": tight}
 
 
 def _bound_reports(g, alphas):
-    """Yield (rho, records), the ``bounds`` report of g, at each checked weight of
-    ``alphas``: ``bound_report``'s records, then ``rq_relation_bounds``', then
-    ``bipartite_bound``'s when g is bipartite.  One ``_blend_radii`` solve."""
+    """Yield (rho, rows), the ``bounds`` report of g, at each checked weight of
+    ``alphas``: ``bound_report``'s record rows, then ``rq_relation_bounds``',
+    then ``bipartite_bound``'s when g is bipartite, each a dict of
+    ``BoundRecord``'s fields.  One ``_blend_radii`` solve."""
     bundle = build_bundle(g)
     is_bipartite, sizes = bipartition(g)
     radii = _blend_radii(bundle, alphas)
-    tr_max = float(bundle.transmissions.max())
     for a, records in zip(alphas, _bound_table(bundle, alphas)):
-        records += _rq_records(a, tr_max, radii)
+        records += _rq_records(a, radii)
         if is_bipartite:
             records.append(_bipartite_record(g, sizes, a))
         yield radii[a], records

@@ -5,7 +5,10 @@ Graphs come from a graph6 string or file, an edge-list file, or a named
 constructor like ``complete:4`` / ``bipartite:2,3`` / ``multipartite:2,2,2``;
 verify-extremal takes no graph.  One table, ``_COMMANDS``, registers each
 subcommand's options and dispatches to it; the parser is built once per
-process, on first use.
+process, on first use.  An argv that starts with a subcommand's name is
+parsed once, by that subcommand's parser; every other argv (empty, ``-h``,
+an unknown name, an option before the subcommand) goes to the root parser,
+which prints the same usage errors either way.
 
 Exit codes: 0 success or confirmed, 1 usage/parse error, 2 refuted,
 3 tie, 4 budget exceeded.  All floats print with 12 significant digits
@@ -18,9 +21,10 @@ pass; table lines are built only for ``--format table``.  It finds each
 scalar's encoder by exact type, caches each dict layout's sorted encoded
 keys, and writes a float from its ``%.12g`` text (see ``_json_float``).
 
-``spectrum`` and ``closed-form`` solve every alpha in one stacked call.
-``bounds`` writes the report that ``bounds._bound_reports`` assembles: every
-radius from one stacked solve and every record from one numpy pass.
+``spectrum`` and ``closed-form`` blend every alpha in one broadcast and
+solve them in one stacked call.  ``bounds`` writes the report that
+``bounds._bound_reports`` assembles: every radius from one stacked solve and
+every record, already a dict row, from one numpy pass.
 """
 
 from __future__ import annotations
@@ -29,8 +33,6 @@ import argparse
 import functools
 import sys
 from json.encoder import encode_basestring_ascii
-
-import numpy as np
 
 from . import closed_forms, extremal, psd
 from .bounds import _bound_reports
@@ -50,7 +52,7 @@ from .graphs import (
     turan,
     wheel,
 )
-from .matrices import build_bundle, check_alpha, rd_alpha
+from .matrices import _blend, build_bundle, check_alpha
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -203,7 +205,7 @@ def _emit(args, payload, table):
 def cmd_spectrum(args):
     g = args.graph
     bundle = build_bundle(g)
-    spectra = sym_eigen(np.stack([rd_alpha(bundle, a) for a in args.alphas])).values
+    spectra = sym_eigen(_blend(bundle.rd, bundle.transmissions, args.alphas)).values
     reports = [
         {"n": g.n, "alpha": a, "eigenvalues": values.tolist(), "harary": bundle.harary,
          "energy": _energy(bundle, a, values)}
@@ -226,9 +228,8 @@ def cmd_spectrum(args):
 
 def cmd_bounds(args):
     g = args.graph
-    # vars: a record's fields, without asdict's deep copy (about 12 us a record)
     reports = [
-        {"n": g.n, "alpha": a, "rho": rho, "records": [vars(r) for r in records]}
+        {"n": g.n, "alpha": a, "rho": rho, "records": records}
         for a, (rho, records) in zip(args.alphas, _bound_reports(g, args.alphas))
     ]
 
@@ -280,7 +281,7 @@ def cmd_closed_form(args):
         raise ValueError("closed-form requires --construct with a supported family")
     g = args.graph
     bundle = build_bundle(g)
-    spectra = sym_eigen(np.stack([rd_alpha(bundle, a) for a in args.alphas])).values
+    spectra = sym_eigen(_blend(bundle.rd, bundle.transmissions, args.alphas)).values
     name, params = args.family
     closed_form = _CONSTRUCTORS[name][2]
     if closed_form is None:
@@ -368,8 +369,13 @@ _COMMANDS = {
 }
 
 
+# subcommand name -> its parser, filled by ``_build_parser``
+_SUBPARSERS = {}
+
+
 @functools.cache
 def _build_parser():
+    """The root parser; each subcommand's parser also goes into ``_SUBPARSERS``."""
     parser = argparse.ArgumentParser(
         prog="hararyspec",
         description="Spectra, bounds, PSD thresholds and extremal checks "
@@ -377,16 +383,30 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, options) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = _SUBPARSERS[name] = sub.add_parser(name, help=help_text)
         for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
     return parser
 
 
-def main(argv=None):
+def _parse(argv):
+    """The namespace of ``argv``, parsed once.  When argv[0] names a
+    subcommand, its own parser reads the rest, and leftover arguments fail
+    through the root parser with the text its ``parse_args`` would print."""
     parser = _build_parser()
+    sub = _SUBPARSERS.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
+def main(argv=None):
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:

@@ -115,25 +115,38 @@ def _equitable(adj, cells):
         for cell in members.T:
             key <<= width
             key |= np.bitwise_count(nbrs & cell[:, None])
-        order = np.argsort(key, axis=1)
-        ranked = np.take_along_axis(key, order, axis=1)
+        order = key.argsort(axis=1)
+        node = np.arange(len(rows))[:, None]
+        ranked = key[node, order]
         rank = np.zeros(part.shape, dtype=np.int8)
         np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1, out=rank[:, 1:])
-        np.put_along_axis(part, order, rank, axis=1)
+        part[node, order] = rank
         cells[rows] = part
         rows = rows[(rank[:, -1] > top) & (rank[:, -1] < n - 1)]
     return cells
 
 
+@lru_cache(maxsize=None)
+def _pairs(n):
+    """The vertex pairs (i, j), i < j, of order n in ``triangle_pairs``
+    order, as read-only index arrays i and j, with each pair's bit position
+    and bit in an edge mask, the first pair most significant."""
+    j, i = np.tril_indices(n, -1)
+    shifts = np.arange(len(i) - 1, -1, -1)
+    arrays = i, j, shifts, np.left_shift(1, shifts)
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 def _leaf_masks(adj, cells):
     """Edge masks of a stack of graphs relabelled by their discrete
     partitions: the vertex in cell i becomes i."""
-    n = cells.shape[1]
-    order = np.argsort(cells, axis=1).astype(np.uint8)
-    rows = np.take_along_axis(adj, order, axis=1)
-    j, i = np.tril_indices(n, -1)  # the pairs (i, j) in ``triangle_pairs`` order
+    i, j, _, weights = _pairs(cells.shape[1])
+    order = cells.argsort(axis=1).astype(np.uint8)
+    rows = adj[np.arange(len(adj))[:, None], order]
     pairs = rows[:, j] >> order[:, i] & 1
-    return pairs @ np.left_shift(1, np.arange(len(i) - 1, -1, -1))
+    return pairs @ weights
 
 
 def _twin_classes(adj):
@@ -267,8 +280,8 @@ def _children(n):
 def _mask_rows(masks, n):
     """Adjacency rows of the graphs on n vertices with the given edge masks
     (the inverse of ``_leaf_masks`` on the identity order)."""
-    j, i = np.tril_indices(n, -1)  # the pairs (i, j) in ``triangle_pairs`` order
-    pairs = masks[:, None] >> np.arange(len(i) - 1, -1, -1) & 1
+    i, j, shifts, _ = _pairs(n)
+    pairs = masks[:, None] >> shifts & 1
     weights = np.zeros((len(i), n), dtype=np.int64)
     weights[np.arange(len(i)), i] = 1 << j
     weights[np.arange(len(i)), j] = 1 << i

@@ -12,13 +12,15 @@ The search reuses two caches, in the enumeration's order.  One per order
 holds every class's canonical edge mask, its invariants (one column per
 field), its RD, r and RD r; one per (order, alpha) holds every class
 report of the order, so each verifier call after the first at an alpha
-is one dict lookup.  Building the reports of an alpha solves the
-contenders below in one eigensolver call and scans only their rows: the
-class maxima of each scanned invariant column come from one
-``np.maximum.at`` and every maximizer from one comparison against them;
-a verdict compares canonical masks, and graph6 is written only for
-maximizers other than the prediction, whose text is cached with its
-mask.  The distance matrices come from one stacked breadth-first pass
+is one dict lookup.  The report cache keeps the ``_REPORT_TABLES`` most
+recently used (order, alpha) tables, so a process that verifies at many
+alphas does not keep them all; an evicted table is rebuilt on demand.
+Building the reports of an alpha solves the contenders below in one
+eigensolver call and scans only their rows: the class maxima of each
+scanned invariant column come from one ``np.maximum.at`` and every
+maximizer from one comparison against them; a verdict compares canonical
+masks, and graph6 is written only for maximizers other than the
+prediction, whose text is cached with its mask.  The distance matrices come from one stacked breadth-first pass
 over the adjacency rows and are converted to RD in one step, the same
 conversion ``build_bundle`` makes for one graph.
 
@@ -71,6 +73,7 @@ __all__ = [
 TIE_TOL = 1e-9
 ATTAIN_TOL = 1e-8
 CHROMATIC_GUARANTEE = 7.0 / 16.0
+_REPORT_TABLES = 8  # (order, alpha) report tables kept; an extremal-cold stream uses 5
 
 
 @dataclass(frozen=True)
@@ -203,7 +206,7 @@ def _check(n, alpha, symbol, value, low, slack):
     return a
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_REPORT_TABLES)
 def _reports(n, alpha):
     """Every class report of order n at a checked ``alpha``, keyed by
     (field, value), for each value a prediction covers: per scanned

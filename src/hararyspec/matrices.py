@@ -79,9 +79,15 @@ def rd_alpha(bundle, alpha):
 
 
 def _blend(rd, transmissions, a):
-    """The blend at a checked weight ``a`` from RD and its row sums, for one
-    matrix or a ``(k, n, n)`` stack with ``(k, n)`` transmissions."""
-    m = (1.0 - a) * rd
+    """The blend at checked weights ``a`` from RD and its row sums.
+
+    ``a`` is one weight, for one matrix or a ``(k, n, n)`` stack with
+    ``(k, n)`` transmissions, or a vector of k weights, which blends one
+    matrix into a ``(k, n, n)`` stack in one broadcast.  Each slice equals
+    its one-weight blend bit for bit.
+    """
+    a = np.asarray(a, dtype=float)[..., None]
+    m = (1.0 - a[..., None]) * rd
     diag = np.arange(rd.shape[-1])
     m[..., diag, diag] = a * transmissions
     return m

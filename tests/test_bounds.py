@@ -1,6 +1,7 @@
 """Bound records: sandwich validity, equality cases, applicability flags."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -23,13 +24,14 @@ from hararyspec import (
     star,
     sym_eigen,
 )
-from hararyspec.bounds import _blend_radii, _bound_reports, _bound_table
+from hararyspec.bounds import BoundRecord, _blend_radii, _bound_reports, _bound_table
 
 from conftest import ALPHA_GRID
 
 P3_RHO = 1.6861406616345072
 # Weights whose mirrors 1 - w are partly outside the list, with a repeat.
 TABLE_ALPHAS = (0.0, 0.25, 0.3, 0.5, 0.9, 1.0, 0.25)
+FIELDS = [f.name for f in fields(BoundRecord)]
 
 
 def _applicable(records):
@@ -230,12 +232,14 @@ def test_bound_table_matches_one_weight_records(catalog):
         b = entry.bundle
         table = _bound_table(b, TABLE_ALPHAS)
         assert table == [_bound_table(b, [a])[0] for a in TABLE_ALPHAS]
+        # each record is a dict row of BoundRecord's fields, in field order
+        assert all(list(row) == FIELDS for rows in table for row in rows)
         if b.n == 1:
             continue
         # and each per-vertex bound equals its scalar formula, bit for bit
         n, tr, rd = b.n, b.transmissions, b.rd
         for a, records in zip(TABLE_ALPHAS, table):
-            values = {r.name: r.value for r in records}
+            values = {r["name"]: r["value"] for r in records}
             row_norm = a * tr + (1.0 - a) * np.sqrt((n - 1.0) * (rd * rd).sum(axis=0))
             weighted = a * tr + (1.0 - a) * (rd @ tr) / tr
             ratio = a * tr + (1.0 - a) * (rd @ np.sqrt(tr)) / np.sqrt(tr)
@@ -257,5 +261,6 @@ def test_bound_reports_join_the_library_reports(catalog):
             expected = bound_report(g, a) + rq_relation_bounds(g, a)
             if is_bipartite:
                 expected.append(bipartite_bound(g, a))
-            assert records == expected
+            assert all(list(row) == FIELDS for row in records)
+            assert [BoundRecord(**row) for row in records] == expected
             assert rho == _radius(rd_alpha(entry.bundle, a))

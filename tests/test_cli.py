@@ -223,47 +223,77 @@ def test_bounds_json_matches_library_records(capsys, graph6):
         assert report["records"] == expected
 
 
+@pytest.mark.parametrize("spec", ["path:5", "wheel:6", "complete:1"])  # a tree, an odd wheel, K_1
+def test_bounds_command_builds_no_record_objects(capsys, monkeypatch, spec):
+    payloads = []
+    monkeypatch.setattr(cli, "_emit", lambda args, payload, table: payloads.append(payload))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bounds command built a BoundRecord")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bounds, "BoundRecord", refuse)
+        code, _, err = run(capsys, "bounds", "--construct", spec, "--alpha", "0,0.3,0.5,1")
+    assert code == 0, err
+    # the library calls still return BoundRecords, equal to the rows the command printed
+    g = cli._parse_construct(spec)[2]
+    is_bipartite = bipartition(g)[0]
+    for report, a in zip(payloads[0], (0.0, 0.3, 0.5, 1.0), strict=True):
+        expected = bound_report(g, a) + rq_relation_bounds(g, a)
+        if is_bipartite:
+            expected.append(bipartite_bound(g, a))
+        assert all(type(r) is bounds.BoundRecord for r in expected)
+        assert [vars(r) for r in expected] == report["records"]
+
+
 def _count_work(monkeypatch):
-    """Wrap the BFS and every module's eigensolver binding; return the call counts."""
-    counts = {"bfs": 0, "solve": 0}
+    """Wrap the BFS and every module's eigensolver binding; return the call
+    counts and the number of matrices solved."""
+    counts = {"bfs": 0, "solve": 0, "matrices": 0}
+    bfs, solve = graphs.all_pairs_distances, eigen.sym_eigen
 
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted_bfs(*args, **kwargs):
+        counts["bfs"] += 1
+        return bfs(*args, **kwargs)
 
-    monkeypatch.setattr(graphs, "all_pairs_distances", counted("bfs", graphs.all_pairs_distances))
-    solver = counted("solve", eigen.sym_eigen)
+    def counted_solve(matrix, *args, **kwargs):
+        counts["solve"] += 1
+        counts["matrices"] += len(matrix) if np.ndim(matrix) == 3 else 1
+        return solve(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(graphs, "all_pairs_distances", counted_bfs)
     for module in (cli, bounds, eigen, psd):
-        monkeypatch.setattr(module, "sym_eigen", solver)
+        monkeypatch.setattr(module, "sym_eigen", counted_solve)
     return counts
 
 
 @pytest.mark.parametrize(
-    "argv, solves",
+    "argv, solves, matrices",
     [
-        (("spectrum", "--graph6", "ExSG", "--alpha", "0,0.5,1"), 1),  # every alpha in one stack
-        (("bounds", "--graph6", "ExSG", "--alpha", "0,0.5,1"), 1),
-        (("bounds", "--construct", "path:6", "--alpha", "0.25,0.75"), 1),
-        (("psd", "--graph6", "FiCOG"), 2),  # the threshold and its residual
-        (("psd", "--construct", "cycle:9"), 3),  # plus lambda_min(RD) for the regular closed form
-        (("psd", "--construct", "wheel:6"), 2),  # the wheel closed form is a formula
-        (("closed-form", "--construct", "wheel:6", "--alpha", "0,0.25,0.5,0.75"), 1),
+        (("spectrum", "--graph6", "ExSG", "--alpha", "0,0.5,1"), 1, 3),  # every alpha in one stack
+        # the blends at 0 and 1/2; the blend at 1 is diagonal and not solved
+        (("bounds", "--graph6", "ExSG", "--alpha", "0,0.5,1"), 1, 2),
+        (("bounds", "--construct", "path:6", "--alpha", "0.25,0.75"), 1, 4),  # plus 0 and 1/2
+        (("bounds", "--graph6", "ExSG", "--alpha", "0,0.25,0.5,0.75"), 1, 4),  # not the mirror 1
+        (("psd", "--graph6", "FiCOG"), 2, 2),  # the threshold and its residual
+        (("psd", "--construct", "cycle:9"), 3, 3),  # plus lambda_min(RD) for the regular closed form
+        (("psd", "--construct", "wheel:6"), 2, 2),  # the wheel closed form is a formula
+        (("closed-form", "--construct", "wheel:6", "--alpha", "0,0.25,0.5,0.75"), 1, 4),
     ],
 )
-def test_each_report_does_its_work_once(capsys, monkeypatch, argv, solves):
+def test_each_report_does_its_work_once(capsys, monkeypatch, argv, solves, matrices):
     counts = _count_work(monkeypatch)
     code, _, err = run(capsys, *argv)
     assert code == 0, err
-    assert counts == {"bfs": 1, "solve": solves}
+    assert counts == {"bfs": 1, "solve": solves, "matrices": matrices}
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 1.0])
 def test_rq_relation_bounds_solves_once(monkeypatch, alpha):
     counts = _count_work(monkeypatch)
     rq_relation_bounds(parse_graph6("ExSG"), alpha)  # rho(RD), rho(RQ) and the mirror
-    assert counts == {"bfs": 1, "solve": 1}
+    matrices = len({0.0, 0.5, alpha, 1.0 - alpha} - {1.0})  # the diagonal blend at 1 is not solved
+    assert counts == {"bfs": 1, "solve": 1, "matrices": matrices}
 
 
 @pytest.mark.parametrize(
@@ -530,6 +560,37 @@ def test_usage_errors_exit_one(capsys):
     assert run(capsys, "spectrum", "--graph6", "C~~")[0] == 1
     assert run(capsys, "nosuchcommand")[0] == 1
     assert run(capsys, "spectrum", "--graph6", "Bg", "--construct", "path:3")[0] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--construct", "cycle:5", "--alpha", "0,0.5"),
+        ("bounds", "--graph6", "ExSG", "--form", "json"),
+        ("psd", "--construct", "wheel:6"),
+        ("closed-form", "--construct", "complete:4"),
+        ("verify-extremal", "--n", "4", "--constraint", "chromatic-number", "--value", "2"),
+    ],
+)
+def test_well_formed_argv_is_parsed_once(capsys, monkeypatch, argv):
+    # the subcommand's own parser reads it; the root parser parses nothing
+    root = cli._build_parser()
+    calls = []
+
+    def stub(name):
+        def refuse(*args, **kwargs):
+            calls.append(name)
+            raise SystemExit(2)
+        return refuse
+
+    for name in ("parse_args", "parse_known_args"):
+        monkeypatch.setattr(root, name, stub(name))
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    assert calls == []
+    # an argv that names no subcommand still goes to the root parser
+    assert cli.main(["--format", "json", *argv]) == 1
+    assert calls == ["parse_args"]
 
 
 def test_edge_list_file_input(capsys, tmp_path):

@@ -67,6 +67,13 @@ USAGE = (
     ("closed-form", "--construct", "path:4"),
     ("verify-extremal", "--n", "9", "--constraint", "chromatic-number", "--value", "3"),
     ("verify-extremal", "--n", "5", "--constraint", "girth", "--value", "3"),
+    # argv shapes that leave the subcommand's parse with leftovers or send it to the root parser
+    ("spectrum", "--construct", "path:3", "--bogus"),
+    ("bounds", "--construct", "path:3", "extra"),
+    ("spectrum", "--construct", "path:3", "--form", "json"),
+    ("spectrum", "-h"),
+    ("--format", "json", "spectrum", "--construct", "path:3"),
+    ("-h",),
 )
 
 

@@ -428,6 +428,26 @@ def test_only_the_order_predictions_and_reports_are_cached():
     assert cached == {"_order", "_predicted", "_reports"}
 
 
+def test_report_cache_is_bounded():
+    # More alphas than the cache holds: it never keeps more tables than its
+    # bound, and an evicted alpha rebuilds an equal report.
+    reports = extremal._reports
+    bound = reports.cache_parameters()["maxsize"]
+    assert bound >= 5  # the alphas of one benchmark stream
+    alphas = [0.0125 + 0.05 * i for i in range(bound + 3)]
+    reports.cache_clear()
+    try:
+        first = [verify_chromatic_extremal(5, 3, a) for a in alphas]
+        assert reports.cache_info().currsize == bound
+        assert reports.cache_info().misses == len(alphas)
+        again = [verify_chromatic_extremal(5, 3, a) for a in alphas[:3]]  # evicted, rebuilt
+        assert again == first[:3]
+        assert reports.cache_info().misses == len(alphas) + 3
+        assert reports.cache_info().currsize == bound
+    finally:
+        reports.cache_clear()
+
+
 # -- an exhaustive scan that shares no code with the package -------------------
 
 SCAN_ALPHAS = (0.0, 0.3, 7.0 / 16.0, 0.9)

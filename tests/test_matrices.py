@@ -17,6 +17,7 @@ from hararyspec import (
     rd_alpha,
     sym_eigen,
 )
+from hararyspec.matrices import _blend
 
 from conftest import ALPHA_GRID
 
@@ -48,6 +49,21 @@ def test_blend_endpoints_exact():
     assert np.array_equal(rd_alpha(b, 0.0), b.rd)
     assert np.array_equal(rd_alpha(b, 1.0), b.rt)
     assert np.array_equal(2.0 * rd_alpha(b, 0.5), b.rq)
+
+
+def test_weight_vector_blend_is_the_stacked_one_weight_blends(catalog):
+    # one broadcast over k weights gives the k one-weight blends bit for bit
+    weights = [*ALPHA_GRID, 1.0 / 3.0, 0.1, 0.9, 0.25]
+    for entry in catalog.up_to(7):
+        b = entry.bundle
+        stacked = np.stack([rd_alpha(b, a) for a in weights])
+        blended = _blend(b.rd, b.transmissions, weights)
+        assert blended.shape == stacked.shape
+        assert blended.tobytes() == stacked.tobytes()
+        # and one weight over a stack of matrices blends each slice as alone
+        rd, tr = np.stack([b.rd, b.rd]), np.stack([b.transmissions, b.transmissions])
+        for a in weights:
+            assert _blend(rd, tr, a).tobytes() == np.stack([rd_alpha(b, a)] * 2).tobytes()
 
 
 def test_blend_pair_sums_to_rq(catalog):

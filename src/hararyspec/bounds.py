@@ -117,10 +117,11 @@ def _bound_table(bundle, alphas):
                 for _ in alphas]
     tr, rd = bundle.transmissions, bundle.rd
     a = np.array(alphas, dtype=float)[:, None]
-    row_norm = (a * tr + (1.0 - a) * np.sqrt((n - 1.0) * (rd * rd).sum(axis=0))).max(axis=1)
-    weighted = a * tr + (1.0 - a) * (rd @ tr) / tr
+    a_tr, b = a * tr, 1.0 - a
+    row_norm = (a_tr + b * np.sqrt((n - 1.0) * (rd * rd).sum(axis=0))).max(axis=1)
+    weighted = a_tr + b * (rd @ tr) / tr
     sqrt_tr = np.sqrt(tr)
-    ratio = a * tr + (1.0 - a) * (rd @ sqrt_tr) / sqrt_tr
+    ratio = a_tr + b * (rd @ sqrt_tr) / sqrt_tr
     rms = float(np.sqrt((tr * tr).mean()))
     harary = float(tr.mean())
     tr_max = float(tr.max())

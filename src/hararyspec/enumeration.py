@@ -109,14 +109,16 @@ def _equitable(adj, cells):
     while len(rows):
         part, nbrs = cells[rows], adj[rows]
         top = part.max(axis=1)
-        index = np.arange(int(top.max()) + 1, dtype=np.int8)[:, None]
-        members = np.where(part[:, None, :] == index, bits, 0).sum(axis=2, dtype=np.uint16)
+        count = int(top.max()) + 1
+        node = np.arange(len(rows))[:, None]
+        # each cell's member bitmask, one bin per (node, cell); the sums stay exact in float64
+        members = np.bincount((node * count + part).ravel(), np.tile(bits, len(rows)),
+                              len(rows) * count).astype(np.uint16).reshape(-1, count)
         key = part.astype(np.int64)
         for cell in members.T:
             key <<= width
             key |= np.bitwise_count(nbrs & cell[:, None])
         order = key.argsort(axis=1)
-        node = np.arange(len(rows))[:, None]
         ranked = key[node, order]
         rank = np.zeros(part.shape, dtype=np.int8)
         np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1, out=rank[:, 1:])

@@ -76,7 +76,7 @@ CHROMATIC_GUARANTEE = 7.0 / 16.0
 _REPORT_TABLES = 8  # (order, alpha) report tables kept; an extremal-cold stream uses 5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtremalReport:
     """Outcome of one exhaustive class scan."""
 
@@ -91,8 +91,20 @@ class ExtremalReport:
     exploratory: bool = False
 
     def to_json(self):
-        # vars, not asdict: asdict's deep copy costs about 20 us a report
-        return {**vars(self), "maximizers": list(self.maximizers)}
+        # one literal in field order, with a fresh maximizers list: a slotted
+        # report has no __dict__ to copy, and asdict's deep copy costs about
+        # 20 us a report
+        return {
+            "n": self.n,
+            "constraint": self.constraint,
+            "value": self.value,
+            "alpha": self.alpha,
+            "rho_max": self.rho_max,
+            "maximizers": list(self.maximizers),
+            "predicted": self.predicted,
+            "verdict": self.verdict,
+            "exploratory": self.exploratory,
+        }
 
 
 def build_kite(n, r):

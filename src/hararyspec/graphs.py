@@ -308,10 +308,7 @@ def _distance_stack(adjs, n):
 def _reciprocal_distances(d):
     """Reciprocal distances 1/d_ij with zero diagonal, of one distance
     matrix or a ``(k, n, n)`` stack: the one conversion from distances to RD."""
-    rd = np.zeros(d.shape)
-    off = d > 0
-    rd[off] = 1.0 / d[off]
-    return rd
+    return np.divide(1.0, d, out=np.zeros(d.shape), where=d > 0)
 
 
 def _reciprocal_matrix(g):

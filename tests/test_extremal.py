@@ -3,7 +3,7 @@
 import importlib.util
 import json
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from functools import lru_cache
 from pathlib import Path
 from itertools import combinations
@@ -14,6 +14,7 @@ import pytest
 
 from hararyspec import (
     BudgetError,
+    ExtremalReport,
     Graph,
     build_bundle,
     build_kite,
@@ -166,6 +167,47 @@ def test_report_json_schema():
     assert parsed["constraint"] == "vertex-connectivity"
     assert parsed["verdict"] == "confirmed"
     assert isinstance(parsed["maximizers"], list)
+
+
+def _sample_reports():
+    """A confirmed report and an exploratory two-way tie."""
+    return verify_vertex_connectivity_extremal(5, 2, 0.25), verify_chromatic_extremal(7, 5, 0.9)
+
+
+def test_report_json_is_every_field_in_field_order():
+    names = [f.name for f in fields(ExtremalReport)]
+    for report in _sample_reports():
+        payload = report.to_json()
+        assert list(payload) == names
+        for name in names:
+            value = getattr(report, name)
+            expected = list(value) if name == "maximizers" else value
+            assert type(payload[name]) is type(expected)
+            assert payload[name] == expected
+
+
+def test_report_json_maximizers_are_a_fresh_list():
+    confirmed, tie = _sample_reports()
+    assert tie.verdict == "tie" and len(tie.maximizers) == 2
+    for report in (confirmed, tie):
+        kept = report.maximizers
+        payload = report.to_json()
+        payload["maximizers"].append("X")
+        payload["maximizers"].reverse()
+        assert report.maximizers == kept
+        assert report.to_json()["maximizers"] == list(kept)
+        assert report.to_json()["maximizers"] is not report.to_json()["maximizers"]
+
+
+def test_reports_are_slotted_frozen_and_hashable():
+    for report in _sample_reports():
+        assert not hasattr(report, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            report.verdict = "refuted"
+        copy = replace(report)
+        assert copy == report and copy is not report
+        assert hash(copy) == hash(report)
+        assert len({report, copy, replace(report, verdict="refuted")}) == 2
 
 
 def test_parameter_validation():

@@ -311,17 +311,8 @@ def cmd_closed_form(args):
     return EXIT_OK
 
 
-_VERIFIERS = {
-    "vertex-connectivity": extremal.verify_vertex_connectivity_extremal,
-    "edge-connectivity": extremal.verify_edge_connectivity_extremal,
-    "chromatic-number": extremal.verify_chromatic_extremal,
-    "independence-number": extremal.verify_independence_extremal,
-}
-
-
 def cmd_verify_extremal(args):
-    verifier = _VERIFIERS[args.constraint]
-    reports = [verifier(args.n, args.value, a) for a in args.alphas]
+    reports = [extremal._verify(args.constraint, args.n, args.value, a) for a in args.alphas]
     table = (
         f"n={r.n} {r.constraint}={r.value} alpha={_fmt(r.alpha)}: "
         f"{r.verdict}{' (exploratory)' if r.exploratory else ''}, rho_max={_fmt(r.rho_max)}, "
@@ -351,7 +342,7 @@ _REPORT = (
 )
 _CLASS = (
     ("--n", dict(type=int, required=True)),
-    ("--constraint", dict(choices=sorted(_VERIFIERS), required=True)),
+    ("--constraint", dict(choices=sorted(extremal._SCANNED), required=True)),
     ("--value", dict(type=int, required=True)),
 )
 

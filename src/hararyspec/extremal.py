@@ -1,12 +1,14 @@
 """Exhaustive verification of the predicted spectral-radius maximizers.
 
-Each verifier filters one enumeration stream per order by an exact
-invariant (vertex connectivity, edge connectivity, chromatic number or
-independence number), maximizes the blend's spectral radius over the
-class, and compares the maximizer set against the predicted extremal
-graph.  Ties within 1e-9 are reported as a tie listing every maximizer
-rather than being broken arbitrarily; isomorphic duplicates cannot
-occur because the stream carries one representative per class.
+Each scanned constraint (vertex connectivity, edge connectivity,
+chromatic number, independence number) is one row of ``_SCANNED``: its
+name, the symbol and range low..n-slack of its values, and its predicted
+maximizer.  A verification maximizes the blend's spectral radius over
+the connected graphs of order n whose exact invariant takes the value,
+and compares the maximizer set against the predicted extremal graph.
+Ties within 1e-9 are reported as a tie listing every maximizer rather
+than being broken arbitrarily; isomorphic duplicates cannot occur
+because the enumeration holds one representative per class.
 
 The search reuses two caches, in the enumeration's order.  One per order
 holds every class's canonical edge mask, its invariants (one column per
@@ -20,9 +22,10 @@ eigensolver call and scans only their rows: the class maxima of each
 scanned invariant column come from one ``np.maximum.at`` and every
 maximizer from one comparison against them; a verdict compares canonical
 masks, and graph6 is written only for maximizers other than the
-prediction, whose text is cached with its mask.  The distance matrices come from one stacked breadth-first pass
-over the adjacency rows and are converted to RD in one step, the same
-conversion ``build_bundle`` makes for one graph.
+prediction, whose text is cached with its mask.  The distance matrices
+come from one stacked breadth-first pass over the adjacency rows and are
+converted to RD in one step, the same conversion ``build_bundle`` makes
+for one graph.
 
 Only contenders are solved, and no radius is kept past its alpha's
 reports.  The blend A is nonnegative and symmetric, and for n >= 2 the
@@ -120,15 +123,16 @@ def _clique_on_independent(n, k):
     return join(edgeless(k), complete(n - k))
 
 
-# Each scanned constraint once: its ``GraphInvariants`` field and predicted
-# maximizer ``build(n, value)``, in field order, so row i scans column i of
-# the order's invariants.
-_SCANNED = (
-    ("vertex_connectivity", build_kite),
-    ("edge_connectivity", build_kite),
-    ("chromatic_number", turan),
-    ("independence_number", _clique_on_independent),
-)
+# Each scanned constraint once, in ``GraphInvariants`` field order, so row i
+# scans column i of the order's invariants: name -> (symbol, low, slack,
+# build), where the values low..n-slack are verified and ``build(n, value)``
+# is the predicted maximizer.
+_SCANNED = {
+    "vertex-connectivity": ("r", 1, 2, build_kite),
+    "edge-connectivity": ("r", 1, 2, build_kite),
+    "chromatic-number": ("chi", 2, 0, turan),
+    "independence-number": ("k", 1, 1, _clique_on_independent),
+}
 
 
 def independence_rho_bound(n, k, alpha):
@@ -189,46 +193,24 @@ def _predicted(n):
     """Canonical edge mask and graph6 of every predicted maximizer
     ``build(n, value)`` of order n, keyed by (build, value), from one
     stacked labelling."""
-    graphs = {
-        (build, value): build(n, value)
-        for build, values in (
-            (build_kite, range(1, n - 1)),
-            (turan, range(2, n + 1)),
-            (_clique_on_independent, range(1, n)),
-        )
-        for value in values
-    }
-    masks = _canonical_masks([g.adj_bits for g in graphs.values()], n)
-    return {key: (mask, _pack_graph6(n, mask)) for key, mask in zip(graphs, masks)}
-
-
-def _check(n, alpha, symbol, value, low, slack):
-    """The verifiers' shared preamble: the order budget, alpha in [0, 1)
-    and ``low <= value <= n - slack``; returns alpha as a float."""
-    if n > ENUMERATION_BUDGET:
-        raise BudgetError(
-            f"budget exceeded: extremal search limited to n <= {ENUMERATION_BUDGET}, got n={n}"
-        )
-    a = check_alpha(alpha)
-    if a >= 1.0:
-        raise ValueError("maximizer prediction needs alpha < 1")
-    if not low <= value <= n - slack:
-        top = f"n-{slack}" if slack else "n"
-        raise ValueError(f"need {low} <= {symbol} <= {top}, got {symbol}={value}, n={n}")
-    return a
+    keys = dict.fromkeys((build, value) for _, low, slack, build in _SCANNED.values()
+                         for value in range(low, n - slack + 1))
+    masks = _canonical_masks([build(n, value).adj_bits for build, value in keys], n)
+    return {key: (mask, _pack_graph6(n, mask)) for key, mask in zip(keys, masks)}
 
 
 @lru_cache(maxsize=_REPORT_TABLES)
 def _reports(n, alpha):
     """Every class report of order n at a checked ``alpha``, keyed by
-    (field, value), for each value a prediction covers: per scanned
+    (constraint, value), for each value a prediction covers: per scanned
     column, one comparison of the contenders' radii with their class
     maxima marks every maximizer, and each verdict compares canonical
     masks."""
     positions, radii = _contender_radii(n, alpha)
     masks, invariants = (array[positions] for array in _order(n)[:2])
     predicted, reports = _predicted(n), {}
-    for (field, build), (column, top) in zip(_SCANNED, _class_maxima(n, invariants, radii)):
+    maxima = _class_maxima(n, invariants, radii)
+    for (name, (*_, build)), (column, top) in zip(_SCANNED.items(), maxima):
         hit = np.flatnonzero(radii >= top[column] - TIE_TOL)
         classes = {}
         for value, mask in zip(column[hit].tolist(), masks[hit].tolist()):
@@ -239,37 +221,47 @@ def _reports(n, alpha):
             mask, canon = predicted[build, value]
             rho_max = float(top[value])
             verdict = "tie" if len(tops) > 1 else "confirmed" if tops[0] == mask else "refuted"
-            if field == "independence_number":  # the closed-form bound must hold, and be attained
+            if name == "independence-number":  # the closed-form bound must hold, and be attained
                 bound = independence_rho_bound(n, value, alpha)
                 attained = abs(rho_max - bound) <= ATTAIN_TOL
                 if rho_max > bound + TIE_TOL or (verdict == "confirmed" and not attained):
                     verdict = "refuted"
             maximizers = tuple(sorted(canon if m == mask else _pack_graph6(n, m) for m in tops))
-            reports[field, value] = ExtremalReport(
-                n, field.replace("_", "-"), value, alpha, rho_max, maximizers, canon, verdict,
-                exploratory=field == "chromatic_number" and alpha > CHROMATIC_GUARANTEE)
+            reports[name, value] = ExtremalReport(
+                n, name, value, alpha, rho_max, maximizers, canon, verdict,
+                exploratory=name == "chromatic-number" and alpha > CHROMATIC_GUARANTEE)
     return reports
 
 
-def _report(n, alpha, field, value):
-    """The report of the order-n class whose invariant ``field`` equals ``value``."""
-    report = _reports(n, alpha).get((field, value))
+def _verify(constraint, n, value, alpha):
+    """The report of the order-n class whose ``constraint`` equals ``value``,
+    after checking the order budget, alpha in [0, 1) and the constraint's
+    ``_SCANNED`` range, in that order."""
+    symbol, low, slack, _ = _SCANNED[constraint]
+    if n > ENUMERATION_BUDGET:
+        raise BudgetError(
+            f"budget exceeded: extremal search limited to n <= {ENUMERATION_BUDGET}, got n={n}"
+        )
+    a = check_alpha(alpha)
+    if a >= 1.0:
+        raise ValueError("maximizer prediction needs alpha < 1")
+    if not low <= value <= n - slack:
+        top = f"n-{slack}" if slack else "n"
+        raise ValueError(f"need {low} <= {symbol} <= {top}, got {symbol}={value}, n={n}")
+    report = _reports(n, a).get((constraint, value))
     if report is None:
-        constraint = field.replace("_", "-")
         raise ValueError(f"empty class: no connected graph of order {n} has {constraint} = {value}")
     return report
 
 
 def verify_vertex_connectivity_extremal(n, r, alpha):
     """Scan all connected graphs of order n with vertex connectivity r."""
-    a = _check(n, alpha, "r", r, 1, 2)
-    return _report(n, a, "vertex_connectivity", r)
+    return _verify("vertex-connectivity", n, r, alpha)
 
 
 def verify_edge_connectivity_extremal(n, r, alpha):
     """Scan all connected graphs of order n with edge connectivity r."""
-    a = _check(n, alpha, "r", r, 1, 2)
-    return _report(n, a, "edge_connectivity", r)
+    return _verify("edge-connectivity", n, r, alpha)
 
 
 def verify_chromatic_extremal(n, chi, alpha):
@@ -279,8 +271,7 @@ def verify_chromatic_extremal(n, chi, alpha):
     alpha <= 7/16; beyond that the report is marked exploratory and its
     verdict is data, not a claim.
     """
-    a = _check(n, alpha, "chi", chi, 2, 0)
-    return _report(n, a, "chromatic_number", chi)
+    return _verify("chromatic-number", n, chi, alpha)
 
 
 def verify_independence_extremal(n, k, alpha):
@@ -292,5 +283,4 @@ def verify_independence_extremal(n, k, alpha):
     k independent vertices with an (n-k)-clique, and it attains the
     bound within 1e-8.
     """
-    a = _check(n, alpha, "k", k, 1, 1)
-    return _report(n, a, "independence_number", k)
+    return _verify("independence-number", n, k, alpha)

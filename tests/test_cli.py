@@ -528,7 +528,8 @@ def _fake_report(verdict):
 
 
 def test_verify_extremal_refuted_exit_two(capsys, monkeypatch):
-    monkeypatch.setitem(cli._VERIFIERS, "vertex-connectivity", lambda n, v, a: _fake_report("refuted"))
+    monkeypatch.setattr(cli.extremal, "_verify",
+                        lambda constraint, n, value, alpha: _fake_report("refuted"))
     code, _, _ = run(
         capsys,
         "verify-extremal",
@@ -541,7 +542,8 @@ def test_verify_extremal_refuted_exit_two(capsys, monkeypatch):
 
 
 def test_verify_extremal_tie_exit_three(capsys, monkeypatch):
-    monkeypatch.setitem(cli._VERIFIERS, "vertex-connectivity", lambda n, v, a: _fake_report("tie"))
+    monkeypatch.setattr(cli.extremal, "_verify",
+                        lambda constraint, n, value, alpha: _fake_report("tie"))
     code, _, _ = run(
         capsys,
         "verify-extremal",

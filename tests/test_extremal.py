@@ -208,19 +208,38 @@ def test_reports_are_slotted_frozen_and_hashable():
         assert copy == report and copy is not report
         assert hash(copy) == hash(report)
         assert len({report, copy, replace(report, verdict="refuted")}) == 2
+        # A name that is no field cannot be set either.  Python 3.11's frozen,
+        # slotted dataclass raises TypeError here rather than FrozenInstanceError.
+        with pytest.raises((FrozenInstanceError, TypeError)):
+            report.note = 1
+        assert not hasattr(report, "note")
+
+
+def test_scanned_rows_follow_the_invariant_columns():
+    # _class_maxima reads the first len(_SCANNED) invariant columns, so row i
+    # of the table must name field i of GraphInvariants.
+    names = [name.replace("-", "_") for name in extremal._SCANNED]
+    assert names == [f.name for f in fields(invariants.GraphInvariants)][:len(names)]
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
-        verify_vertex_connectivity_extremal(5, 4, 0.0)  # r > n-2
-    with pytest.raises(ValueError):
-        verify_vertex_connectivity_extremal(5, 2, 1.0)  # alpha = 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need 1 <= r <= n-2, got r=4, n=5$"):
+        verify_vertex_connectivity_extremal(5, 4, 0.0)
+    with pytest.raises(ValueError, match=r"^need 1 <= r <= n-2, got r=0, n=5$"):
+        verify_edge_connectivity_extremal(5, 0, 0.0)
+    with pytest.raises(ValueError, match=r"^maximizer prediction needs alpha < 1$"):
+        verify_vertex_connectivity_extremal(5, 2, 1.0)
+    with pytest.raises(ValueError, match=r"^need 2 <= chi <= n, got chi=1, n=5$"):
         verify_chromatic_extremal(5, 1, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need 1 <= k <= n-1, got k=5, n=5$"):
         verify_independence_extremal(5, 5, 0.0)
     with pytest.raises(BudgetError):
         verify_vertex_connectivity_extremal(9, 2, 0.0)
+    # The checks run in order: the budget, then alpha, then the range.
+    with pytest.raises(BudgetError):
+        verify_chromatic_extremal(9, 1, 1.0)
+    with pytest.raises(ValueError, match=r"^maximizer prediction needs alpha < 1$"):
+        verify_chromatic_extremal(5, 1, 1.0)
 
 
 RHO_ALPHAS = (0.0, 0.3, 0.9, 0.99)
@@ -422,7 +441,7 @@ def test_independence_verdict_checks_the_closed_form_bound(monkeypatch):
                            (rho + 0.5 * ATTAIN_TOL, "confirmed"), (rho - 2 * TIE_TOL, "refuted"),
                            (rho + 2 * ATTAIN_TOL, "refuted")):
         monkeypatch.setattr(extremal, "independence_rho_bound", lambda n, k, a: bound)
-        report = BUILD_REPORTS(6, 0.3)["independence_number", 2]
+        report = BUILD_REPORTS(6, 0.3)["independence-number", 2]
         assert (report.rho_max, report.verdict) == (rho, verdict), bound
 
 

@@ -34,7 +34,7 @@ from .eigen import (
     spectral_radius,
     sym_eigen,
 )
-from .enumeration import canonical_form, canonical_graph, enumerate_connected_graphs
+from .enumeration import canonical_form, enumerate_connected_graphs
 from .errors import BudgetError, Graph6Error, NotConnectedError
 from .extremal import (
     ExtremalReport,
@@ -46,7 +46,6 @@ from .extremal import (
     verify_vertex_connectivity_extremal,
 )
 from .graph6 import (
-    format_edge_list,
     load_graph6,
     parse_edge_list,
     parse_graph6,

@@ -20,6 +20,9 @@ and writes the text of ``json.dumps(..., indent=2, sort_keys=True)`` in one
 pass; table lines are built only for ``--format table``.  It finds each
 scalar's encoder by exact type, caches each dict layout's sorted encoded
 keys, and writes a float from its ``%.12g`` text (see ``_json_float``).
+``bounds`` JSON is the same text, written by ``_bounds_json``: a bound
+record's text changes between reports only in its value, so each record is
+its cached text, cut once from ``_json``'s, around ``_json_float(value)``.
 
 ``spectrum`` and ``closed-form`` blend every alpha in one broadcast and
 solve them in one stacked call.  ``bounds`` writes the report that
@@ -146,6 +149,49 @@ def _json(obj, indent="\n"):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+# A bound record's (name, kind, applicable, reason, tight) -> its JSON text before its value.
+_RECORD_HEADS = {}
+_REPORT_INDENT = "\n    "  # the level of a ``bounds`` report's keys
+_RECORD_INDENT = _REPORT_INDENT + "  "  # the level of its records
+
+
+def _bounds_json(reports):
+    """``_json(reports)`` for the ``bounds`` payload, whose records are dicts
+    of ``BoundRecord``'s six fields.  ``value`` sorts last of them, so a
+    record's text is a head fixed by its other five fields, then
+    ``_json_float(value)`` and the closing brace.  Each head is cut from
+    ``_json``'s text of the first record with those fields, once that text
+    is checked to end with the value; a record whose value is not a float
+    is written by ``_json``."""
+    texts = []
+    for r in reports:
+        items = []
+        for rec in r["records"]:
+            value = rec["value"]
+            if type(value) is not float:
+                items.append(_json(rec, _RECORD_INDENT))
+                continue
+            tail = _json_float(value) + _RECORD_INDENT + "}"
+            key = (rec["name"], rec["kind"], rec["applicable"], rec["reason"], rec["tight"])
+            head = _RECORD_HEADS.get(key)
+            if head is None:
+                text = _json(rec, _RECORD_INDENT)
+                if not text.endswith(tail):  # value is not the last key: nothing to cache
+                    items.append(text)
+                    continue
+                head = _RECORD_HEADS[key] = text[:-len(tail)]
+            items.append(head + tail)
+        records = ("[" + _RECORD_INDENT + ("," + _RECORD_INDENT).join(items) + _REPORT_INDENT + "]"
+                   if items else "[]")
+        texts.append(
+            '{\n    "alpha": ' + _json(r["alpha"], _REPORT_INDENT)
+            + ',\n    "n": ' + _json(r["n"], _REPORT_INDENT)
+            + ',\n    "records": ' + records
+            + ',\n    "rho": ' + _json(r["rho"], _REPORT_INDENT) + "\n  }"
+        )
+    return "[\n  " + ",\n  ".join(texts) + "\n]"
+
+
 def _parse_construct(spec):
     if ":" in spec:
         name, _, arg_text = spec.partition(":")
@@ -189,10 +235,10 @@ def _parse_alphas(text):
     return alphas
 
 
-def _emit(args, payload, table):
-    """Write the report: ``payload`` as JSON, or the lines of the lazy
-    iterable ``table``, which JSON output never starts."""
-    text = _json(payload) if args.format == "json" else "\n".join(table)
+def _emit(args, payload, table, write=_json):
+    """Write the report: ``write(payload)``, the JSON text of ``payload``, or
+    the lines of the lazy iterable ``table``, which JSON output never starts."""
+    text = write(payload) if args.format == "json" else "\n".join(table)
     if not text.endswith("\n"):
         text += "\n"
     if args.output:
@@ -241,7 +287,7 @@ def cmd_bounds(args):
                 tight = "  [tight]" if rec["tight"] else ""
                 yield f"  {rec['name']:<32} {rec['kind']:<5} {_fmt(rec['value']):>18}{tight}{status}"
 
-    _emit(args, reports, table())
+    _emit(args, reports, table(), _bounds_json)
     return EXIT_OK
 
 

@@ -82,14 +82,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BudgetError
-from .graph6 import _mask_graph, _pack_graph6
+from .graph6 import _pack_graph6
 from .graphs import Graph
 
 __all__ = [
     "CANONICAL_BUDGET",
     "ENUMERATION_BUDGET",
     "canonical_form",
-    "canonical_graph",
     "enumerate_connected_graphs",
 ]
 
@@ -190,11 +189,6 @@ def _canonical_masks(adjs, n):
         cells += cells >= first[:, None]
         cells[np.arange(len(node)), v] = first
     return best.tolist()
-
-
-def canonical_graph(g):
-    """A canonically labelled representative of g's isomorphism class."""
-    return _mask_graph(g.n, _canonical_masks([g.adj_bits], g.n)[0])
 
 
 def canonical_form(g):

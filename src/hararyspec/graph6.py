@@ -22,7 +22,6 @@ __all__ = [
     "to_graph6",
     "load_graph6",
     "parse_edge_list",
-    "format_edge_list",
 ]
 
 GRAPH6_HEADER = ">>graph6<<"
@@ -148,10 +147,3 @@ def parse_edge_list(text):
             raise ValueError(f"repeated edge {edge} in edge list")
         edges[edge] = None
     return Graph(n, edges)
-
-
-def format_edge_list(g):
-    """Serialize a graph in the edge-list format."""
-    lines = [f"{g.n} {g.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"

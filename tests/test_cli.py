@@ -20,6 +20,7 @@ from hararyspec import (
     psd,
     rq_relation_bounds,
 )
+from hararyspec.enumeration import enumerate_connected_graphs
 from hararyspec.extremal import ExtremalReport
 
 
@@ -67,6 +68,45 @@ _PAYLOADS = st.recursive(
 @given(_PAYLOADS)
 def test_json_emitter_matches_json_dumps(payload):
     assert cli._json(payload) == json.dumps(round12(payload), indent=2, sort_keys=True)
+
+
+_ANY_FLOAT = st.one_of(
+    st.floats(allow_subnormal=True),
+    st.sampled_from([-0.0, 5e-324, -5e-324, float("nan"), float("inf"), float("-inf")]),
+)
+_BOUND_RECORDS = st.fixed_dictionaries({
+    "name": st.text(), "kind": st.text(), "applicable": st.booleans(),
+    # the command's values are floats; any other scalar is written by ``_json``
+    "value": st.one_of(_ANY_FLOAT, st.floats().map(np.float64), st.integers(), st.none()),
+    "reason": st.text(), "tight": st.sampled_from([None, True, False]),
+})
+_BOUNDS_PAYLOADS = st.lists(
+    st.fixed_dictionaries({"n": st.integers(), "alpha": _ANY_FLOAT, "rho": _ANY_FLOAT,
+                           "records": st.lists(_BOUND_RECORDS, max_size=6)}),
+    min_size=1, max_size=4,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_BOUNDS_PAYLOADS)
+def test_bounds_writer_matches_json_dumps(payload):
+    # the record cache persists across examples, so later ones reuse cached heads
+    assert cli._bounds_json(payload) == json.dumps(round12(payload), indent=2, sort_keys=True)
+
+
+def test_bounds_writer_matches_emitter_on_every_small_class(monkeypatch):
+    monkeypatch.setattr(cli, "_RECORD_HEADS", {})
+    alpha_lists = ([0.0, 0.25, 0.5, 0.75, 1.0, 0.123456], [0.0], [1.0], [0.5, 0.3])
+    for n in range(1, 8):
+        for g in enumerate_connected_graphs(n):
+            for alphas in alpha_lists:
+                payload = [{"n": g.n, "alpha": a, "rho": rho, "records": records}
+                           for a, (rho, records) in zip(alphas, bounds._bound_reports(g, alphas))]
+                assert cli._bounds_json(payload) == cli._json(payload)
+    # One head per table row and applicability outcome (9 bound_report rows, 9
+    # rq_relation_bounds rows), per tight value of the bipartite row (2), and
+    # one per K_1 row (9).
+    assert len(cli._RECORD_HEADS) == 29
 
 
 def _float_by_repr(x):
@@ -226,7 +266,7 @@ def test_bounds_json_matches_library_records(capsys, graph6):
 @pytest.mark.parametrize("spec", ["path:5", "wheel:6", "complete:1"])  # a tree, an odd wheel, K_1
 def test_bounds_command_builds_no_record_objects(capsys, monkeypatch, spec):
     payloads = []
-    monkeypatch.setattr(cli, "_emit", lambda args, payload, table: payloads.append(payload))
+    monkeypatch.setattr(cli, "_emit", lambda args, payload, table, write: payloads.append(payload))
 
     def refuse(*args, **kwargs):
         raise AssertionError("the bounds command built a BoundRecord")

@@ -1,5 +1,6 @@
 """Exhaustive extremal verification against the predicted maximizers."""
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -610,3 +611,30 @@ def test_full_sweep_at_eight():
     reports += [verify_independence_extremal(n, k, 0.0) for k in range(1, n)]
     assert len(reports) == 26
     assert [r for r in reports if r.verdict != "confirmed"] == []
+
+
+def test_reports_match_the_pinned_hash():
+    # Every report (or its error) of orders 2..8 at six weights, in a fixed order.
+    digest = hashlib.sha256()
+    verifiers = (verify_vertex_connectivity_extremal, verify_edge_connectivity_extremal,
+                 verify_chromatic_extremal, verify_independence_extremal)
+    for n in range(2, 9):
+        for a in (0, 0.3, 7 / 16, 0.9, 0.123456, 0.99):
+            for verify in verifiers:
+                for value in range(n + 2):
+                    try:
+                        text = repr(verify(n, value, a).to_json())
+                    except ValueError as exc:
+                        text = repr(exc)
+                    digest.update(text.encode("utf-8"))
+    assert digest.hexdigest() == "0ac3ccf1a0a08697189d258f6cb8550d1da547bba1d329fd8b7f1a3edf9c5a78"
+
+
+def test_contender_radii_match_the_pinned_hash():
+    digest = hashlib.sha256()
+    for n in range(2, 9):
+        for a in (0, 0.3, 7 / 16, 0.9):
+            positions, radii = _contender_radii(n, a)
+            digest.update(positions.astype(np.int64).tobytes())
+            digest.update(radii.astype(np.float64).tobytes())
+    assert digest.hexdigest() == "7814def97bb9529623c0a058aa9ebe161a4675d02368c15cfecebb21af7ef35d"

@@ -9,7 +9,8 @@ the code behind each report computes only its values.
 
 A report over several weights shares its work: ``_bound_table`` evaluates
 every row-sum and transmission bound in one numpy pass, ``_blend_radii``
-takes every radius from one stacked solve, and ``_bound_reports`` joins them.
+reads every radius from the graph's solved blends (one stacked solve of
+the weights no earlier report solved), and ``_bound_reports`` joins them.
 The code behind the reports builds each record once, as the plain dict
 row the ``bounds`` command prints, with ``BoundRecord``'s fields in field
 order; the public functions wrap those rows in ``BoundRecord``.
@@ -22,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_forms import _join_quadratic
-from .eigen import sym_eigen
+from .eigen import _blend_values
 from .errors import NotConnectedError
 from .invariants import bipartition
-from .matrices import _blend, build_bundle, check_alpha
+from .matrices import build_bundle, check_alpha
 
 __all__ = [
     "BoundRecord",
@@ -134,18 +135,20 @@ def _bound_table(bundle, alphas):
 
 def _blend_radii(bundle, weights):
     """Spectral radius of the blend at each weight w of ``weights``, at its
-    mirror 1 - w, and at 0, 1/2 and 1, keyed by weight, from one stacked
-    ``sym_eigen`` call of one ``_blend`` broadcast.  The blend at 0 is RD
-    entry for entry (a copy with a zero diagonal) and the blend at 1/2 is
-    exactly RQ/2 (a power-of-two scaling), so rho(RD) = radii[0.0] and
-    rho(RQ) = 2 * radii[0.5] bit for bit.  The blend at 1 is diag(RT), whose
+    mirror 1 - w, and at 0, 1/2 and 1, keyed by weight, read from the
+    bundle's solved blends (``_blend_values``: one stacked solve of the
+    weights not solved before).  The blend at 0 is RD entry for entry (a
+    copy with a zero diagonal) and the blend at 1/2 is exactly RQ/2 (a
+    power-of-two scaling), so rho(RD) = radii[0.0] and rho(RQ) =
+    2 * radii[0.5] bit for bit.  The blend at 1 is diag(RT), whose
     eigenvalues LAPACK returns exactly as its entries, so it is not solved:
     radii[1.0] is the largest transmission.
     """
     distinct = dict.fromkeys([0.0, 0.5, *weights, *(1.0 - w for w in weights)])
     solved = [w for w in distinct if w != 1.0]
-    radii = sym_eigen(_blend(bundle.rd, bundle.transmissions, solved)).values[:, 0]
-    return {**dict(zip(solved, radii.tolist())), 1.0: float(bundle.transmissions.max())}
+    radii = {w: float(values[0]) for w, values in zip(solved, _blend_values(bundle, solved))}
+    radii[1.0] = float(bundle.transmissions.max())
+    return radii
 
 
 def rq_relation_bounds(g, alpha):

@@ -24,10 +24,13 @@ keys, and writes a float from its ``%.12g`` text (see ``_json_float``).
 record's text changes between reports only in its value, so each record is
 its cached text, cut once from ``_json``'s, around ``_json_float(value)``.
 
-``spectrum`` and ``closed-form`` blend every alpha in one broadcast and
-solve them in one stacked call.  ``bounds`` writes the report that
-``bounds._bound_reports`` assembles: every radius from one stacked solve and
-every record, already a dict row, from one numpy pass.
+``spectrum`` and ``closed-form`` read their eigenvalues from
+``eigen._blend_values``, which blends the alphas no earlier report of the
+graph solved in one broadcast and solves them in one stacked call.
+``bounds`` writes the report that ``bounds._bound_reports`` assembles: every
+radius from the same solved blends and every record, already a dict row,
+from one numpy pass.  Reports of one graph in one process share its cached
+bundle (``matrices.build_bundle``), whatever input form named the graph.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import closed_forms, extremal, psd
 from .bounds import _bound_reports
-from .eigen import _energy, sym_eigen
+from .eigen import _blend_values, _energy
 from .errors import BudgetError, Graph6Error, NotConnectedError
 from .graph6 import _MAX_SHORT_N, load_graph6, parse_edge_list, parse_graph6, to_graph6
 from .graphs import (
@@ -55,7 +58,7 @@ from .graphs import (
     turan,
     wheel,
 )
-from .matrices import _blend, build_bundle, check_alpha
+from .matrices import build_bundle, check_alpha
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -63,20 +66,24 @@ EXIT_REFUTED = 2
 EXIT_TIE = 3
 EXIT_BUDGET = 4
 
-# name -> (builder, arity or None for any, closed-form spectrum of (params, alpha) or None)
+# name -> (builder, arity or None for any, closed-form spectrum of (params, alpha) or None,
+#          closed-form PSD threshold of params as (method, alpha0), None where it has none)
 _CONSTRUCTORS = {
-    "complete": (complete, 1, lambda p, a: closed_forms.spectrum_complete(*p, a)),
-    "edgeless": (edgeless, 1, None),
-    "path": (path, 1, None),
-    "cycle": (cycle, 1, None),
-    "star": (star, 1, None),
-    "wheel": (wheel, 1, lambda p, a: closed_forms.spectrum_wheel(*p, a)),
-    "bipartite": (complete_bipartite, 2, lambda p, a: closed_forms.spectrum_complete_bipartite(*p, a)),
-    "split": (complete_split, 2, lambda p, a: closed_forms.spectrum_complete_split(*p, a)),
-    "turan": (turan, 2, lambda p, a: closed_forms.spectrum_multipartite(_turan_parts(*p), a)),
-    "kite": (extremal.build_kite, 2, None),
+    "complete": (complete, 1, lambda p, a: closed_forms.spectrum_complete(*p, a), None),
+    "edgeless": (edgeless, 1, None, None),
+    "path": (path, 1, None, None),
+    "cycle": (cycle, 1, None, None),
+    "star": (star, 1, None, None),
+    "wheel": (wheel, 1, lambda p, a: closed_forms.spectrum_wheel(*p, a),
+              lambda p: ("wheel", psd._wheel_formula(*p))),
+    "bipartite": (complete_bipartite, 2, lambda p, a: closed_forms.spectrum_complete_bipartite(*p, a),
+                  lambda p: ("complete_bipartite", psd._complete_bipartite_formula(min(p), sum(p)))
+                  if sum(p) >= 4 else None),
+    "split": (complete_split, 2, lambda p, a: closed_forms.spectrum_complete_split(*p, a), None),
+    "turan": (turan, 2, lambda p, a: closed_forms.spectrum_multipartite(_turan_parts(*p), a), None),
+    "kite": (extremal.build_kite, 2, None, None),
     "multipartite": (lambda *parts: complete_multipartite(parts), None,
-                     closed_forms.spectrum_multipartite),
+                     closed_forms.spectrum_multipartite, None),
 }
 
 
@@ -201,7 +208,7 @@ def _parse_construct(spec):
     if name not in _CONSTRUCTORS:
         known = ", ".join(sorted(_CONSTRUCTORS))
         raise ValueError(f"unknown constructor {name!r} (known: {known})")
-    builder, arity, _ = _CONSTRUCTORS[name]
+    builder, arity, *_ = _CONSTRUCTORS[name]
     if arity is not None and len(args) != arity:
         raise ValueError(f"constructor {name!r} takes {arity} integer parameter(s), got {len(args)}")
     return name, args, builder(*args)
@@ -251,7 +258,7 @@ def _emit(args, payload, table, write=_json):
 def cmd_spectrum(args):
     g = args.graph
     bundle = build_bundle(g)
-    spectra = sym_eigen(_blend(bundle.rd, bundle.transmissions, args.alphas)).values
+    spectra = _blend_values(bundle, args.alphas)
     reports = [
         {"n": g.n, "alpha": a, "eigenvalues": values.tolist(), "harary": bundle.harary,
          "energy": _energy(bundle, a, values)}
@@ -304,13 +311,11 @@ def cmd_psd(args):
     regular = psd._transmission_regular_formula(bundle)
     if regular is not None:
         payload["closed_form"] = {"alpha0": regular, "method": "transmission_regular"}
-    if args.family:
-        name, params = args.family
-        if name == "wheel":
-            payload["closed_form"] = {"alpha0": psd._wheel_formula(params[0]), "method": "wheel"}
-        elif name == "bipartite" and sum(params) >= 4:
-            alpha0 = psd._complete_bipartite_formula(min(params), sum(params))
-            payload["closed_form"] = {"alpha0": alpha0, "method": "complete_bipartite"}
+    threshold = args.family and _CONSTRUCTORS[args.family[0]][3]
+    found = threshold and threshold(args.family[1])
+    if found:
+        method, alpha0 = found
+        payload["closed_form"] = {"alpha0": alpha0, "method": method}
 
     def table():
         yield f"alpha0 = {_fmt(result.alpha0)} ({result.method}), residual {_fmt(result.residual)}"
@@ -326,8 +331,7 @@ def cmd_closed_form(args):
     if args.family is None:
         raise ValueError("closed-form requires --construct with a supported family")
     g = args.graph
-    bundle = build_bundle(g)
-    spectra = sym_eigen(_blend(bundle.rd, bundle.transmissions, args.alphas)).values
+    spectra = _blend_values(build_bundle(g), args.alphas)
     name, params = args.family
     closed_form = _CONSTRUCTORS[name][2]
     if closed_form is None:

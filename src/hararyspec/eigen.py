@@ -5,6 +5,12 @@ through ``numpy.linalg.eigh``.  Every solve reports the residual
 ||A V - V diag(lambda)||_F of the full eigendecomposition, so each
 numeric answer carries a check.  Eigenvalues come back in descending
 order; a stack of matrices is solved in one call.
+
+The reports of one graph share their blend solves: ``_blend_values`` keeps
+each weight's eigenvalues on the graph's cached bundle (at most
+``_BLEND_ROWS`` weights per bundle) and solves only the weights not seen
+yet, in one stacked call.  A slice's eigenvalues do not depend on the rest
+of its stack, so a row read back equals a fresh solve bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import build_bundle, check_alpha, rd_alpha
+from .matrices import _blend, build_bundle, check_alpha, rd_alpha
 
 __all__ = [
     "Spectrum",
@@ -27,6 +33,7 @@ __all__ = [
 ]
 
 _SYMMETRY_RTOL = 1e-12
+_BLEND_ROWS = 16  # blend eigenvalue rows kept per bundle
 
 
 @dataclass(frozen=True)
@@ -75,6 +82,27 @@ def sym_eigen(matrix, want_vectors=False):
     residual = math.sqrt(float(gap.sum(axis=(-2, -1), keepdims=True).max()))
     values, vecs = values[..., ::-1], vecs[..., ::-1]
     return Spectrum(values, vecs if want_vectors else None, residual)
+
+
+def _blend_values(bundle, weights):
+    """The blend eigenvalues, descending and write-locked, at each checked
+    weight of ``weights``, in order.  Rows already solved from ``bundle``
+    are read back; the unseen weights are blended in one ``_blend``
+    broadcast and solved in one stacked ``sym_eigen`` call.  The bundle then
+    keeps its ``_BLEND_ROWS`` most recently solved rows.  The answer is read
+    from a local table, so no other call's eviction can remove a row from it."""
+    rows = bundle._blends
+    found = {w: row for w in weights if (row := rows.get(w)) is not None}
+    unseen = [w for w in dict.fromkeys(weights) if w not in found]
+    if unseen:
+        values = sym_eigen(_blend(bundle.rd, bundle.transmissions, unseen)).values
+        values.setflags(write=False)
+        solved = dict(zip(unseen, values))
+        found.update(solved)
+        rows.update(solved)
+        while len(rows) > _BLEND_ROWS:
+            rows.popitem(last=False)
+    return [found[w] for w in weights]
 
 
 def rd_alpha_spectrum(g, alpha, want_vectors=False):

@@ -9,11 +9,20 @@ alpha*RT + (1-alpha)*RD walks from RD (alpha=0) through RQ/2
 Reciprocal distances 1, 1/2, 1/4 are exact binary fractions; 1/3, 1/6,
 ... are not, so every comparison downstream goes through an explicit
 tolerance.
+
+``build_bundle`` is the one route from a graph to its bundle, and it is
+cached: a graph compares and hashes by its value ``(n, adj_bits)``, so every
+input form of one graph maps to one bundle object, and the ``_BUNDLES`` most
+recently used graphs keep theirs.  Each bundle also holds the blend
+eigenvalue rows already solved from it (see ``eigen._blend_values``).  A
+bundle compares by identity; its arrays and rows are write-locked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,13 +45,21 @@ def check_alpha(alpha):
     return a
 
 
-@dataclass(frozen=True)
+_BUNDLES = 64  # graphs whose bundles ``build_bundle`` keeps
+
+
+@dataclass(frozen=True, eq=False)
 class MatrixBundle:
-    """Immutable matrices derived from one graph (arrays are write-locked)."""
+    """Immutable matrices derived from one graph (arrays are write-locked).
+
+    ``_blends`` maps a checked weight to the blend's eigenvalues there,
+    descending and write-locked, for the weights solved so far, oldest
+    first."""
 
     n: int
     rd: np.ndarray
     transmissions: np.ndarray
+    _blends: OrderedDict = field(default_factory=OrderedDict, repr=False)
 
     @property
     def rt(self):
@@ -66,8 +83,10 @@ def _lock(a):
     return a
 
 
+@lru_cache(maxsize=_BUNDLES)
 def build_bundle(g):
-    """Reciprocal distances and reciprocal transmissions of g."""
+    """Reciprocal distances and reciprocal transmissions of g, one bundle
+    per graph value among the ``_BUNDLES`` most recently used."""
     rd = _reciprocal_matrix(g)
     tr = rd.sum(axis=1)
     return MatrixBundle(n=g.n, rd=_lock(rd), transmissions=_lock(tr))

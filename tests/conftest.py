@@ -28,6 +28,13 @@ from hararyspec.graphs import _bit_indices, _connected_within, triangle_pairs
 ALPHA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
+@pytest.fixture(autouse=True)
+def cold_bundles():
+    """Start every test with no cached bundle, and so no solved blend rows
+    (they live on their bundles), whatever ran before it."""
+    build_bundle.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # Named graphs
 # ---------------------------------------------------------------------------

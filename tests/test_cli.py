@@ -19,6 +19,8 @@ from hararyspec import (
     parse_graph6,
     psd,
     rq_relation_bounds,
+    to_graph6,
+    wheel,
 )
 from hararyspec.enumeration import enumerate_connected_graphs
 from hararyspec.extremal import ExtremalReport
@@ -287,8 +289,9 @@ def test_bounds_command_builds_no_record_objects(capsys, monkeypatch, spec):
 
 
 def _count_work(monkeypatch):
-    """Wrap the BFS and every module's eigensolver binding; return the call
-    counts and the number of matrices solved."""
+    """Wrap the BFS and every module's eigensolver binding (the CLI and the
+    bounds solve through ``eigen._blend_values``); return the call counts and
+    the number of matrices solved."""
     counts = {"bfs": 0, "solve": 0, "matrices": 0}
     bfs, solve = graphs.all_pairs_distances, eigen.sym_eigen
 
@@ -302,7 +305,7 @@ def _count_work(monkeypatch):
         return solve(matrix, *args, **kwargs)
 
     monkeypatch.setattr(graphs, "all_pairs_distances", counted_bfs)
-    for module in (cli, bounds, eigen, psd):
+    for module in (eigen, psd):
         monkeypatch.setattr(module, "sym_eigen", counted_solve)
     return counts
 
@@ -334,6 +337,40 @@ def test_rq_relation_bounds_solves_once(monkeypatch, alpha):
     rq_relation_bounds(parse_graph6("ExSG"), alpha)  # rho(RD), rho(RQ) and the mirror
     matrices = len({0.0, 0.5, alpha, 1.0 - alpha} - {1.0})  # the diagonal blend at 1 is not solved
     assert counts == {"bfs": 1, "solve": 1, "matrices": matrices}
+
+
+def test_second_report_of_a_graph_solves_only_unseen_weights(capsys, monkeypatch):
+    counts = _count_work(monkeypatch)
+    reports = [
+        (("spectrum", "--graph6", "ExSG", "--alpha", "0,0.25"), {"bfs": 1, "solve": 1, "matrices": 2}),
+        # 0 and 1/4 are solved, as the mirror 3/4 of 1/4 is not; the blend at 1 is never solved
+        (("bounds", "--graph6", "ExSG", "--alpha", "0,0.25,0.5,0.75"),
+         {"bfs": 0, "solve": 1, "matrices": 2}),
+        (("psd", "--graph6", "ExSG"), {"bfs": 0, "solve": 2, "matrices": 2}),  # its own two solves
+        (("spectrum", "--graph6", "ExSG", "--alpha", "0.5,1"), {"bfs": 0, "solve": 1, "matrices": 1}),
+    ]
+    for argv, expected in reports:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        assert counts == expected, argv
+        counts.update(bfs=0, solve=0, matrices=0)
+
+
+def test_input_forms_of_one_graph_share_its_bundle(capsys, monkeypatch, tmp_path):
+    edge_list = tmp_path / "wheel.txt"
+    edges = wheel(6).edges()
+    edge_list.write_text(f"6 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    counts = _count_work(monkeypatch)
+    forms = [
+        ("spectrum", "--construct", "wheel:6", "--alpha", "0,0.5"),
+        ("bounds", "--graph6", to_graph6(wheel(6)), "--alpha", "0,0.5"),
+        ("spectrum", "--edge-list", str(edge_list), "--alpha", "0.5,0"),
+        ("closed-form", "--construct", "wheel:6", "--alpha", "0,0.5"),
+    ]
+    for argv in forms:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+    assert counts == {"bfs": 1, "solve": 1, "matrices": 2}
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ import hashlib
 import io
 import json
 import os
+import random
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,16 @@ def test_golden_covers_every_case(golden):
 def test_cli_bytes_match_golden(golden, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", COLUMNS)
     assert _outcome(argv) == golden[_key(argv)]
+
+
+def test_warm_reports_match_golden(golden, monkeypatch):
+    # one process, graphs' bundles and solved blends cached across reports
+    monkeypatch.setenv("COLUMNS", COLUMNS)
+    reports = [argv for argv in CASES if argv and argv[0] in ("spectrum", "bounds", "psd", "closed-form")]
+    order = reports * 2
+    random.Random(27).shuffle(order)
+    for argv in order:
+        assert _outcome(argv) == golden[_key(argv)], argv
 
 
 if __name__ == "__main__":

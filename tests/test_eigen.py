@@ -9,6 +9,10 @@ largest root of x^3 - 2.25x - 1, isolated by bisection and frozen here,
 the closed-form families, and the trace identity.
 """
 
+import random
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +20,7 @@ from hypothesis import strategies as st
 
 from hararyspec import (
     build_bundle,
+    eigen,
     complete,
     cycle,
     eigenvalue_multiplicity,
@@ -31,6 +36,8 @@ from hararyspec import (
     star,
     sym_eigen,
 )
+
+from hararyspec.eigen import _BLEND_ROWS, _blend_values
 
 from conftest import ALPHA_GRID, assert_spectra_close, connected_graphs
 
@@ -89,6 +96,81 @@ def test_stacked_solve_matches_separate_calls():
         scale = max(1.0, float(np.abs(m).max()))
         assert spec.residual <= 1e-12 * n * scale
         assert sym_eigen(m).vectors is None
+
+
+def test_blend_values_are_fresh_solves_bit_for_bit(catalog):
+    # a row read back, or solved in a stack of other weights, is the one-weight solve
+    weights = [*ALPHA_GRID, 1.0 / 3.0, 0.9]
+    for entry in catalog.up_to(6):
+        b = entry.bundle
+        first = _blend_values(b, weights[::2])
+        rows = _blend_values(b, weights)
+        assert all(x is y for x, y in zip(first, rows[::2]))
+        for a, row in zip(weights, rows):
+            assert row.tobytes() == sym_eigen(rd_alpha(b, a)).values.tobytes()
+
+
+def test_blend_values_solve_only_unseen_weights(monkeypatch):
+    b = build_bundle(cycle(7))
+    stacks = []
+    monkeypatch.setattr(eigen, "sym_eigen", lambda m: stacks.append(len(m)) or sym_eigen(m))
+    _blend_values(b, [0.0, 0.25, 0.25])
+    _blend_values(b, [0.25, 0.5, 0.0, 0.75])
+    _blend_values(b, [0.75, 0.0])
+    assert stacks == [2, 2]
+
+
+def test_blend_rows_are_write_locked():
+    b = build_bundle(path(5))
+    for row in _blend_values(b, [0.0, 0.5]) + list(b._blends.values()):
+        with pytest.raises(ValueError):
+            row[0] = 1.0
+
+
+def test_blend_rows_per_bundle_are_bounded():
+    b = build_bundle(path(6))
+    weights = [k / (2 * _BLEND_ROWS) for k in range(2 * _BLEND_ROWS)]
+    for w in weights:
+        _blend_values(b, [w])
+        assert len(b._blends) <= _BLEND_ROWS
+    assert list(b._blends) == weights[-_BLEND_ROWS:]  # the most recently solved
+    # one request over more weights than the bound still returns every row
+    b = build_bundle(path(7))
+    rows = _blend_values(b, weights)
+    assert len(b._blends) == _BLEND_ROWS
+    for w, row in zip(weights, rows):
+        assert row.tobytes() == sym_eigen(rd_alpha(b, w)).values.tobytes()
+
+
+def test_blend_values_survive_concurrent_eviction():
+    # more threads than cores, each evicting rows the others may be reading
+    b = build_bundle(cycle(9))
+    weights = [k / (2 * _BLEND_ROWS) for k in range(2 * _BLEND_ROWS)]
+    expected = {w: sym_eigen(rd_alpha(b, w)).values.tobytes() for w in weights}
+    failures = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(150):
+                ws = rng.sample(weights, 3)
+                if [row.tobytes() for row in _blend_values(b, ws)] != [expected[w] for w in ws]:
+                    failures.append(ws)
+        except Exception as exc:  # reported below, with the thread's other failures
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == [] and len(b._blends) <= _BLEND_ROWS
 
 
 def test_stacked_solve_rejects_one_bad_slice():

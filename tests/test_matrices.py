@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from hararyspec import (
+    Graph,
+    MatrixBundle,
     NotConnectedError,
     build_bundle,
     check_alpha,
@@ -17,7 +19,7 @@ from hararyspec import (
     rd_alpha,
     sym_eigen,
 )
-from hararyspec.matrices import _blend
+from hararyspec.matrices import _BUNDLES, _blend
 
 from conftest import ALPHA_GRID
 
@@ -42,6 +44,32 @@ def test_bundle_arrays_are_write_locked():
     b = build_bundle(path(3))
     with pytest.raises(ValueError):
         b.rd[0, 1] = 9.0
+
+
+def test_bundle_compares_and_hashes_by_identity():
+    b = build_bundle(path(3))
+    assert b == b and hash(b) == hash(b) and len({b, b}) == 1
+    same = MatrixBundle(n=b.n, rd=b.rd, transmissions=b.transmissions)
+    assert same != b and len({b, same}) == 2
+
+
+def test_bundle_is_cached_by_graph_value():
+    b = build_bundle(path(4))
+    assert build_bundle(Graph(4, [(2, 3), (1, 2), (0, 1)])) is b  # another object, same value
+    assert build_bundle(Graph(4, [(0, 1), (1, 2), (1, 3)])) is not b
+
+
+def test_bundle_cache_is_bounded(catalog):
+    graphs = [entry.graph for entry in catalog.up_to(6)][:2 * _BUNDLES]
+    assert len(graphs) == 2 * _BUNDLES
+    bundles = []
+    for g in graphs:
+        bundles.append(build_bundle(g))
+        assert build_bundle.cache_info().currsize <= _BUNDLES
+    # the most recent graphs keep their bundles; the first one was evicted
+    assert all(build_bundle(g) is b for g, b in zip(graphs[-_BUNDLES:], bundles[-_BUNDLES:]))
+    assert build_bundle(graphs[0]) is not bundles[0]
+    assert build_bundle.cache_info().currsize == _BUNDLES
 
 
 def test_blend_endpoints_exact():

@@ -2,7 +2,8 @@
 
 The package builds the convex blend alpha*RT + (1-alpha)*RD of the
 reciprocal-distance matrix RD and its transmission diagonal RT, computes
-blend spectra with LAPACK via numpy.linalg.eigh, evaluates the known
+blend spectra with LAPACK (numpy.linalg.eigh, or eigvalsh where only the
+eigenvalues are read), evaluates the known
 closed forms and spectral-radius bounds against the numeric values,
 solves for the smallest alpha making the blend positive semidefinite
 (one eigensolve, by Sylvester's law of inertia),

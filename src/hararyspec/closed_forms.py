@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import sym_eigen
+from .eigen import _eigenvalues
 from .graphs import _reciprocal_matrix, _twins, all_pairs_distances
 from .matrices import check_alpha
 
@@ -113,7 +113,7 @@ def spectrum_regular_diam2(g, alpha):
     if int(all_pairs_distances(g).max()) != 2:
         raise ValueError("graph diameter is not 2")
     n = g.n
-    adj_vals = sym_eigen(g.adjacency()).values
+    adj_vals = _eigenvalues(g.adjacency())
     entries = [(0.5 * (n + r - 1.0), 1)]
     entries += [(0.5 * ((a * (n + r) - 1.0) + (1.0 - a) * lam), 1) for lam in adj_vals[1:]]
     return ClosedFormSpectrum(_pairs(entries), "regular_diameter_2")
@@ -196,7 +196,7 @@ def _twin_quotient(sizes, within, rd, a):
     With o = rd @ c, each class gives a*(o + c*w) - w with multiplicity
     c - 1, and the quotient t_ij = (1-a)*rd_ij*c_j, with diagonal
     a*o + (c-1)*w, gives the rest.  It is solved as t*sqrt(c_i)/sqrt(c_j),
-    symmetric up to rounding, which ``sym_eigen`` checks to 1e-12.
+    symmetric up to rounding, which ``_eigenvalues`` checks to 1e-12.
     """
     c = np.asarray(sizes, dtype=float)
     o = rd @ c
@@ -204,7 +204,7 @@ def _twin_quotient(sizes, within, rd, a):
     t = (1.0 - a) * rd * c
     t[np.diag_indices_from(t)] = a * o + (c - 1.0) * within
     d = np.sqrt(c)
-    entries += [(lam, 1) for lam in sym_eigen(t * d[:, None] / d[None, :]).values]
+    entries += [(lam, 1) for lam in _eigenvalues(t * d[:, None] / d[None, :])]
     return entries
 
 

@@ -1,16 +1,21 @@
 """Dense symmetric eigensolver and spectral quantities of the distance blends.
 
-The solver is LAPACK's divide-and-conquer symmetric driver (``?syevd``)
-through ``numpy.linalg.eigh``.  Every solve reports the residual
-||A V - V diag(lambda)||_F of the full eigendecomposition, so each
-numeric answer carries a check.  Eigenvalues come back in descending
-order; a stack of matrices is solved in one call.
+The solver is LAPACK's divide-and-conquer symmetric driver (``?syevd``).
+``sym_eigen`` runs it with eigenvectors (``numpy.linalg.eigh``) and
+reports the residual ||A V - V diag(lambda)||_F of the decomposition;
+``_eigenvalues`` runs it for the values alone (``numpy.linalg.eigvalsh``),
+skipping the vectors and the residual.  The rule:
+call ``sym_eigen`` when you read vectors or check the residual, otherwise
+call ``_eigenvalues``.  Both run the same input checks, in
+``_symmetrised``.  Eigenvalues come back in descending order; a stack of
+matrices is solved in one call.
 
 The reports of one graph share their blend solves: ``_blend_values`` keeps
 each weight's eigenvalues on the graph's cached bundle (at most
 ``_BLEND_ROWS`` weights per bundle) and solves only the weights not seen
-yet, in one stacked call.  A slice's eigenvalues do not depend on the rest
-of its stack, so a row read back equals a fresh solve bit for bit.
+yet, in one stacked values-only call.  A slice's eigenvalues do not depend
+on the rest of its stack, so a row read back equals a fresh
+``_eigenvalues`` solve bit for bit.
 """
 
 from __future__ import annotations
@@ -36,27 +41,22 @@ _SYMMETRY_RTOL = 1e-12
 _BLEND_ROWS = 16  # blend eigenvalue rows kept per bundle
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigenvalues in descending order, optional orthonormal eigenvector columns,
     and the residual ||A V - V diag(lambda)||_F of the decomposition (for a
-    stack: values and vectors per slice, the largest slice residual)."""
+    stack: values and vectors per slice, the largest slice residual).
+    A spectrum compares and hashes by identity: its fields are arrays."""
 
     values: np.ndarray
     vectors: np.ndarray | None
     residual: float
 
 
-def sym_eigen(matrix, want_vectors=False):
-    """Full spectrum of a symmetric matrix, or of a ``(k, n, n)`` stack of them,
-    by LAPACK (``numpy.linalg.eigh``).
-
-    Input must be finite and each matrix symmetric to 1e-12 relative
-    tolerance; it is symmetrised before the solve.  For a stack, values
-    descend along the last axis, vectors are the columns of each slice,
-    and ``residual`` is the largest per-matrix residual.  LAPACK's
-    ``LinAlgError`` signals non-convergence.
-    """
+def _symmetrised(matrix):
+    """``matrix`` as a float array, symmetrised, after the input checks of
+    both solvers: a non-empty square matrix or ``(k, n, n)`` stack, finite,
+    and each matrix symmetric to 1e-12 relative tolerance."""
     a = np.asarray(matrix, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
         raise ValueError("expected a non-empty square matrix or a stack of them")
@@ -73,10 +73,25 @@ def sym_eigen(matrix, want_vectors=False):
             raise ValueError("matrix is not symmetric within 1e-12 relative tolerance")
     a = a + at
     a *= 0.5
+    return a
+
+
+def sym_eigen(matrix, want_vectors=False):
+    """Full spectrum of a symmetric matrix, or of a ``(k, n, n)`` stack of them,
+    by LAPACK (``numpy.linalg.eigh``).
+
+    Input must be finite and each matrix symmetric to 1e-12 relative
+    tolerance; it is symmetrised before the solve.  For a stack, values
+    descend along the last axis, vectors are the columns of each slice,
+    and ``residual`` is the largest per-matrix residual.  LAPACK's
+    ``LinAlgError`` signals non-convergence.
+    """
+    a = _symmetrised(matrix)
     values, vecs = np.linalg.eigh(a)
-    # In place to keep a large stack's peak memory down (the symmetrised
-    # copy is dead once multiplied); keepdims avoids slow numpy scalars.
-    np.matmul(a, vecs, out=gap)
+    # The symmetrised copy is dead once multiplied, so it is reused as
+    # scratch to keep a large stack's peak memory down; keepdims avoids
+    # slow numpy scalars.
+    gap = np.matmul(a, vecs)
     gap -= np.multiply(vecs, values[..., None, :], out=a)
     np.square(gap, out=gap)
     residual = math.sqrt(float(gap.sum(axis=(-2, -1), keepdims=True).max()))
@@ -84,18 +99,26 @@ def sym_eigen(matrix, want_vectors=False):
     return Spectrum(values, vecs if want_vectors else None, residual)
 
 
+def _eigenvalues(matrix):
+    """Descending eigenvalues of a symmetric matrix, or along the last axis
+    for a ``(k, n, n)`` stack, by LAPACK's values-only driver
+    (``numpy.linalg.eigvalsh``), after ``sym_eigen``'s input checks.  No
+    vectors and no residual: call ``sym_eigen`` to read either."""
+    return np.linalg.eigvalsh(_symmetrised(matrix))[..., ::-1]
+
+
 def _blend_values(bundle, weights):
     """The blend eigenvalues, descending and write-locked, at each checked
     weight of ``weights``, in order.  Rows already solved from ``bundle``
     are read back; the unseen weights are blended in one ``_blend``
-    broadcast and solved in one stacked ``sym_eigen`` call.  The bundle then
+    broadcast and solved in one stacked ``_eigenvalues`` call.  The bundle then
     keeps its ``_BLEND_ROWS`` most recently solved rows.  The answer is read
     from a local table, so no other call's eviction can remove a row from it."""
     rows = bundle._blends
     found = {w: row for w in weights if (row := rows.get(w)) is not None}
     unseen = [w for w in dict.fromkeys(weights) if w not in found]
     if unseen:
-        values = sym_eigen(_blend(bundle.rd, bundle.transmissions, unseen)).values
+        values = _eigenvalues(_blend(bundle.rd, bundle.transmissions, unseen))
         values.setflags(write=False)
         solved = dict(zip(unseen, values))
         found.update(solved)
@@ -114,7 +137,7 @@ def rd_alpha_spectrum(g, alpha, want_vectors=False):
 def spectral_radius(g, alpha):
     """Largest blend eigenvalue; the Perron value of an irreducible
     nonnegative matrix whenever alpha < 1."""
-    return float(rd_alpha_spectrum(g, alpha).values[0])
+    return float(_eigenvalues(rd_alpha(build_bundle(g), alpha))[0])
 
 
 def perron_vector(g, alpha):
@@ -133,7 +156,7 @@ def rd_alpha_energy(g, alpha):
     """Sum of |lambda_i - 2*alpha*H/n| over the blend spectrum, H the Harary index."""
     a = check_alpha(alpha)
     bundle = build_bundle(g)
-    return _energy(bundle, a, sym_eigen(rd_alpha(bundle, a)).values)
+    return _energy(bundle, a, _eigenvalues(rd_alpha(bundle, a)))
 
 
 def _energy(bundle, a, values):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import sym_eigen
+from .eigen import _eigenvalues, sym_eigen
 from .graphs import complete_bipartite, wheel
 from .matrices import build_bundle, rd_alpha
 
@@ -49,7 +49,7 @@ class PsdThreshold:
 
 def _threshold(bundle, alpha0, method="closed_form"):
     """A threshold with |lambda_min| of the blend there as its residual."""
-    residual = abs(float(sym_eigen(rd_alpha(bundle, alpha0)).values[-1]))
+    residual = abs(float(_eigenvalues(rd_alpha(bundle, alpha0))[-1]))
     return PsdThreshold(alpha0, method, residual)
 
 
@@ -58,7 +58,7 @@ def _inertia(bundle):
     if bundle.n == 1:
         return _threshold(bundle, 0.0, "already PSD at 0")
     tr = bundle.transmissions
-    nu_min = float(sym_eigen(bundle.rd / np.sqrt(np.outer(tr, tr))).values[-1])
+    nu_min = float(_eigenvalues(bundle.rd / np.sqrt(np.outer(tr, tr)))[-1])
     return _threshold(bundle, -nu_min / (1.0 - nu_min), "inertia")
 
 
@@ -75,7 +75,8 @@ def alpha0_bisection(g, tol=1e-9):
     eigenvalue for n >= 2 and the blend at 1/2 is half of the PSD matrix
     RQ, so bisection needs nothing beyond continuity.  Returns the PSD
     side of the final bracket, so the reported alpha0 overshoots the
-    true threshold by at most ``tol``.
+    true threshold by at most ``tol``.  As a reference it solves through
+    ``sym_eigen``, apart from the values-only solves of the other routes.
     """
     if tol < 1e-12:
         raise ValueError("tol must be at least 1e-12")
@@ -116,7 +117,7 @@ def _transmission_regular_formula(bundle):
     if bundle.n == 1:  # the 1x1 zero blend is PSD at every alpha
         return 0.0
     k = float(tr.mean())
-    lam_min = float(sym_eigen(bundle.rd).values[-1])
+    lam_min = float(_eigenvalues(bundle.rd)[-1])
     return -lam_min / (k - lam_min)
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: inputs, outputs, schemas and exit codes."""
 
 import json
+from functools import lru_cache
 from http import HTTPStatus  # an int subclass with its own repr
 
 import numpy as np
@@ -15,6 +16,7 @@ from hararyspec import (
     bounds,
     cli,
     eigen,
+    extremal,
     graphs,
     parse_graph6,
     psd,
@@ -289,24 +291,28 @@ def test_bounds_command_builds_no_record_objects(capsys, monkeypatch, spec):
 
 
 def _count_work(monkeypatch):
-    """Wrap the BFS and every module's eigensolver binding (the CLI and the
-    bounds solve through ``eigen._blend_values``); return the call counts and
-    the number of matrices solved."""
+    """Wrap the BFS and both eigensolver bindings, ``sym_eigen`` and the
+    values-only ``_eigenvalues``, in every module that solves for the CLI and
+    the bounds (``eigen``, whose ``_blend_values`` they read, and ``psd``);
+    return the call counts and the number of matrices solved."""
     counts = {"bfs": 0, "solve": 0, "matrices": 0}
-    bfs, solve = graphs.all_pairs_distances, eigen.sym_eigen
+    bfs = graphs.all_pairs_distances
 
     def counted_bfs(*args, **kwargs):
         counts["bfs"] += 1
         return bfs(*args, **kwargs)
 
-    def counted_solve(matrix, *args, **kwargs):
-        counts["solve"] += 1
-        counts["matrices"] += len(matrix) if np.ndim(matrix) == 3 else 1
-        return solve(matrix, *args, **kwargs)
+    def counted(solve):
+        def counted_solve(matrix, *args, **kwargs):
+            counts["solve"] += 1
+            counts["matrices"] += len(matrix) if np.ndim(matrix) == 3 else 1
+            return solve(matrix, *args, **kwargs)
+        return counted_solve
 
     monkeypatch.setattr(graphs, "all_pairs_distances", counted_bfs)
     for module in (eigen, psd):
-        monkeypatch.setattr(module, "sym_eigen", counted_solve)
+        for name in ("sym_eigen", "_eigenvalues"):
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
     return counts
 
 
@@ -371,6 +377,35 @@ def test_input_forms_of_one_graph_share_its_bundle(capsys, monkeypatch, tmp_path
         code, _, err = run(capsys, *argv)
         assert code == 0, err
     assert counts == {"bfs": 1, "solve": 1, "matrices": 2}
+
+
+def test_only_residual_checks_reach_the_full_solver(capsys, monkeypatch):
+    # Reports and library calls that read eigenvalues alone never run numpy.linalg.eigh ...
+    eigh, calls = np.linalg.eigh, []
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a values-only report reached numpy.linalg.eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    for argv in [
+        ("spectrum", "--construct", "wheel:6", "--alpha", "0,0.25,0.5,1"),
+        ("bounds", "--graph6", "ExSG", "--alpha", "0,0.25,0.5,0.75"),
+        ("psd", "--graph6", "FiCOG"),
+        ("psd", "--construct", "cycle:9"),  # plus lambda_min(RD) for the regular closed form
+        ("closed-form", "--construct", "wheel:6", "--alpha", "0,0.5"),
+        ("closed-form", "--construct", "multipartite:1,2,3", "--alpha", "0,0.5"),  # quotient solve
+    ]:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+    eigen.spectral_radius(wheel(6), 0.25)
+    eigen.rd_alpha_energy(wheel(6), 0.25)
+    # ... while the extremal radii, whose residual is checked, do.
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args, **kwargs: calls.append(1) or eigh(*args, **kwargs))
+    monkeypatch.setattr(extremal, "_reports", lru_cache(maxsize=None)(extremal._reports.__wrapped__))
+    code, _, err = run(capsys, "verify-extremal", "--n", "5", "--constraint", "chromatic-number",
+                       "--value", "3", "--alpha", "0.25")
+    assert code == 0, err
+    assert calls
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,8 @@
 The solver is ``numpy.linalg.eigh``, so it is checked by what it reports
 rather than against numpy itself: the residual ||A V - V diag(lambda)||_F
 is recomputed, the vectors must be orthonormal and the values descending.
+The values-only ``_eigenvalues`` (``numpy.linalg.eigvalsh``) is checked
+against it, and both against the same input checks.
 Independent checks are values derived without any eigensolver: the
 spectral radius of the reciprocal-distance matrix of the 3-path is the
 largest root of x^3 - 2.25x - 1, isolated by bisection and frozen here,
@@ -37,7 +39,7 @@ from hararyspec import (
     sym_eigen,
 )
 
-from hararyspec.eigen import _BLEND_ROWS, _blend_values
+from hararyspec.eigen import _BLEND_ROWS, _blend_values, _eigenvalues
 
 from conftest import ALPHA_GRID, assert_spectra_close, connected_graphs
 
@@ -98,8 +100,17 @@ def test_stacked_solve_matches_separate_calls():
         assert sym_eigen(m).vectors is None
 
 
+def test_values_only_solve_agrees_with_full_solve(catalog):
+    for entry in catalog.up_to(7):
+        for alpha in ALPHA_GRID:
+            m = rd_alpha(entry.bundle, alpha)
+            full = sym_eigen(m).values
+            assert np.abs(_eigenvalues(m) - full).max() <= 1e-13 * max(1.0, float(np.abs(full).max()))
+
+
 def test_blend_values_are_fresh_solves_bit_for_bit(catalog):
-    # a row read back, or solved in a stack of other weights, is the one-weight solve
+    # a row read back, or solved in a stack of other weights, is the one-weight
+    # solve by the same values-only driver
     weights = [*ALPHA_GRID, 1.0 / 3.0, 0.9]
     for entry in catalog.up_to(6):
         b = entry.bundle
@@ -107,13 +118,13 @@ def test_blend_values_are_fresh_solves_bit_for_bit(catalog):
         rows = _blend_values(b, weights)
         assert all(x is y for x, y in zip(first, rows[::2]))
         for a, row in zip(weights, rows):
-            assert row.tobytes() == sym_eigen(rd_alpha(b, a)).values.tobytes()
+            assert row.tobytes() == _eigenvalues(rd_alpha(b, a)).tobytes()
 
 
 def test_blend_values_solve_only_unseen_weights(monkeypatch):
     b = build_bundle(cycle(7))
     stacks = []
-    monkeypatch.setattr(eigen, "sym_eigen", lambda m: stacks.append(len(m)) or sym_eigen(m))
+    monkeypatch.setattr(eigen, "_eigenvalues", lambda m: stacks.append(len(m)) or _eigenvalues(m))
     _blend_values(b, [0.0, 0.25, 0.25])
     _blend_values(b, [0.25, 0.5, 0.0, 0.75])
     _blend_values(b, [0.75, 0.0])
@@ -139,14 +150,14 @@ def test_blend_rows_per_bundle_are_bounded():
     rows = _blend_values(b, weights)
     assert len(b._blends) == _BLEND_ROWS
     for w, row in zip(weights, rows):
-        assert row.tobytes() == sym_eigen(rd_alpha(b, w)).values.tobytes()
+        assert row.tobytes() == _eigenvalues(rd_alpha(b, w)).tobytes()
 
 
 def test_blend_values_survive_concurrent_eviction():
     # more threads than cores, each evicting rows the others may be reading
     b = build_bundle(cycle(9))
     weights = [k / (2 * _BLEND_ROWS) for k in range(2 * _BLEND_ROWS)]
-    expected = {w: sym_eigen(rd_alpha(b, w)).values.tobytes() for w in weights}
+    expected = {w: _eigenvalues(rd_alpha(b, w)).tobytes() for w in weights}
     failures = []
 
     def work(seed):
@@ -173,27 +184,33 @@ def test_blend_values_survive_concurrent_eviction():
     assert failures == [] and len(b._blends) <= _BLEND_ROWS
 
 
-def test_stacked_solve_rejects_one_bad_slice():
+# Both solvers run the same input checks; each returns its descending values.
+SOLVERS = pytest.mark.parametrize("values_of", [lambda m: sym_eigen(m).values, _eigenvalues],
+                                  ids=["sym_eigen", "_eigenvalues"])
+
+
+@SOLVERS
+def test_stacked_solve_rejects_one_bad_slice(values_of):
     stack = np.stack([np.eye(3)] * 4)
     for bad in (np.nan, np.inf):
         broken = stack.copy()
         broken[2, 0, 1] = broken[2, 1, 0] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            sym_eigen(broken)
+            values_of(broken)
     broken = stack.copy()
     broken[3, 0, 2] = 0.5
     with pytest.raises(ValueError, match="symmetric"):
-        sym_eigen(broken)
+        values_of(broken)
     # the tolerance is relative to each matrix's own scale
     scaled = stack.copy()
     scaled[0] *= 1e6
     scaled[0, 0, 1] += 1e-8
-    assert sym_eigen(scaled).values.shape == (4, 3)
+    assert values_of(scaled).shape == (4, 3)
     scaled[1, 0, 1] += 1e-8
     with pytest.raises(ValueError, match="symmetric"):
-        sym_eigen(scaled)
+        values_of(scaled)
     with pytest.raises(ValueError, match="square"):
-        sym_eigen(np.zeros((2, 3, 4)))
+        values_of(np.zeros((2, 3, 4)))
 
 
 def test_trace_identity(catalog):
@@ -213,17 +230,19 @@ def test_descending_order(catalog):
             assert np.all(np.diff(values) <= 1e-15)
 
 
-def test_non_finite_input_rejected():
+@SOLVERS
+def test_non_finite_input_rejected(values_of):
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="non-finite"):
-            sym_eigen(np.array([[1.0, bad], [bad, 2.0]]))
+            values_of(np.array([[1.0, bad], [bad, 2.0]]))
 
 
-def test_asymmetric_input_rejected():
+@SOLVERS
+def test_asymmetric_input_rejected(values_of):
     with pytest.raises(ValueError, match="symmetric"):
-        sym_eigen(np.array([[0.0, 1.0], [0.5, 0.0]]))
+        values_of(np.array([[0.0, 1.0], [0.5, 0.0]]))
     with pytest.raises(ValueError, match="square"):
-        sym_eigen(np.zeros((2, 3)))
+        values_of(np.zeros((2, 3)))
 
 
 def test_spectral_radius_examples():

@@ -53,6 +53,13 @@ def test_bundle_compares_and_hashes_by_identity():
     assert same != b and len({b, same}) == 2
 
 
+def test_spectrum_compares_and_hashes_by_identity():
+    spec = sym_eigen(np.eye(3))
+    assert spec == spec and hash(spec) == hash(spec) and len({spec, spec}) == 1
+    same = sym_eigen(np.eye(3))
+    assert same != spec and len({spec, same}) == 2
+
+
 def test_bundle_is_cached_by_graph_value():
     b = build_bundle(path(4))
     assert build_bundle(Graph(4, [(2, 3), (1, 2), (0, 1)])) is b  # another object, same value

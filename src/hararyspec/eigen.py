@@ -43,13 +43,13 @@ _BLEND_ROWS = 16  # blend eigenvalue rows kept per bundle
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigenvalues in descending order, optional orthonormal eigenvector columns,
+    """Eigenvalues in descending order, orthonormal eigenvector columns,
     and the residual ||A V - V diag(lambda)||_F of the decomposition (for a
     stack: values and vectors per slice, the largest slice residual).
     A spectrum compares and hashes by identity: its fields are arrays."""
 
     values: np.ndarray
-    vectors: np.ndarray | None
+    vectors: np.ndarray
     residual: float
 
 
@@ -76,7 +76,7 @@ def _symmetrised(matrix):
     return a
 
 
-def sym_eigen(matrix, want_vectors=False):
+def sym_eigen(matrix):
     """Full spectrum of a symmetric matrix, or of a ``(k, n, n)`` stack of them,
     by LAPACK (``numpy.linalg.eigh``).
 
@@ -96,7 +96,7 @@ def sym_eigen(matrix, want_vectors=False):
     np.square(gap, out=gap)
     residual = math.sqrt(float(gap.sum(axis=(-2, -1), keepdims=True).max()))
     values, vecs = values[..., ::-1], vecs[..., ::-1]
-    return Spectrum(values, vecs if want_vectors else None, residual)
+    return Spectrum(values, vecs, residual)
 
 
 def _eigenvalues(matrix):
@@ -128,10 +128,10 @@ def _blend_values(bundle, weights):
     return [found[w] for w in weights]
 
 
-def rd_alpha_spectrum(g, alpha, want_vectors=False):
+def rd_alpha_spectrum(g, alpha):
     """Spectrum of the reciprocal-distance blend of g at the given alpha."""
     bundle = build_bundle(g)
-    return sym_eigen(rd_alpha(bundle, alpha), want_vectors)
+    return sym_eigen(rd_alpha(bundle, alpha))
 
 
 def spectral_radius(g, alpha):
@@ -145,7 +145,7 @@ def perron_vector(g, alpha):
     a = check_alpha(alpha)
     if a >= 1.0:
         raise ValueError("Perron vector needs alpha < 1; the blend is diagonal at alpha = 1")
-    spec = rd_alpha_spectrum(g, a, want_vectors=True)
+    spec = rd_alpha_spectrum(g, a)
     vec = spec.vectors[:, 0].copy()
     if vec.sum() < 0.0:
         vec = -vec

@@ -86,8 +86,6 @@ from .graph6 import _pack_graph6
 from .graphs import Graph
 
 __all__ = [
-    "CANONICAL_BUDGET",
-    "ENUMERATION_BUDGET",
     "canonical_form",
     "enumerate_connected_graphs",
 ]

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["NotConnectedError", "BudgetError", "Graph6Error"]
+
 
 class NotConnectedError(ValueError):
     """Raised when an operation that needs finite distances gets a disconnected graph."""

@@ -61,9 +61,6 @@ from .invariants import _stack_invariants
 from .matrices import _blend, check_alpha
 
 __all__ = [
-    "TIE_TOL",
-    "ATTAIN_TOL",
-    "CHROMATIC_GUARANTEE",
     "ExtremalReport",
     "build_kite",
     "independence_rho_bound",

@@ -17,7 +17,6 @@ from .errors import Graph6Error
 from .graphs import Graph
 
 __all__ = [
-    "GRAPH6_HEADER",
     "parse_graph6",
     "to_graph6",
     "load_graph6",

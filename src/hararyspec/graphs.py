@@ -16,7 +16,6 @@ from .errors import NotConnectedError
 
 __all__ = [
     "Graph",
-    "triangle_pairs",
     "complete",
     "edgeless",
     "path",

@@ -36,7 +36,6 @@ from .errors import BudgetError
 from .graphs import Graph, _reach
 
 __all__ = [
-    "INVARIANT_BUDGET",
     "GraphInvariants",
     "graph_invariants",
     "vertex_connectivity",

@@ -26,7 +26,6 @@ from .graphs import complete_bipartite, wheel
 from .matrices import build_bundle, rd_alpha
 
 __all__ = [
-    "BISECTION_LIMIT",
     "PsdThreshold",
     "alpha0_inertia",
     "alpha0_bisection",

@@ -667,13 +667,20 @@ def test_verify_extremal_tie_exit_three(capsys, monkeypatch):
     assert code == 3
 
 
-def test_usage_errors_exit_one(capsys):
+def test_usage_errors_exit_one(capsys, tmp_path):
     assert run(capsys, "spectrum")[0] == 1  # no input source
     assert run(capsys, "spectrum", "--construct", "nosuch:3")[0] == 1
     assert run(capsys, "spectrum", "--graph6", "Bg", "--alpha", "2")[0] == 1
     assert run(capsys, "spectrum", "--graph6", "C~~")[0] == 1
     assert run(capsys, "nosuchcommand")[0] == 1
     assert run(capsys, "spectrum", "--graph6", "Bg", "--construct", "path:3")[0] == 1
+    assert run(capsys, "spectrum", "--construct", "complete") == (
+        1, "", "error: constructor 'complete' takes 1 integer parameter(s), got 0\n")
+    assert run(capsys, "closed-form", "--construct", "split:2,1") == (
+        1, "", "error: complete split spectrum needs a >= 1 and b >= 2\n")
+    empty = tmp_path / "empty.edges"
+    empty.write_text("")
+    assert run(capsys, "spectrum", "--edge-list", str(empty)) == (1, "", "error: empty edge-list input\n")
 
 
 @pytest.mark.parametrize(

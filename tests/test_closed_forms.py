@@ -120,6 +120,8 @@ def test_join_discriminant_never_negative():
 def test_join_validates_spectra():
     with pytest.raises(ValueError, match="inconsistent"):
         spectrum_join_regular(2, 1, [0.5, -0.5], 2, 0, [0.0, 0.0], 0.0)
+    with pytest.raises(ValueError, match=r"^inconsistent first spectrum: \|eigenvalue\| exceeds degree$"):
+        spectrum_join_regular(2, 1, [1, -2], 1, 0, [0], 0.2)
     with pytest.raises(ValueError, match="entries"):
         spectrum_join_regular(3, 1, [1.0, -1.0], 2, 0, [0.0, 0.0], 0.0)
 
@@ -236,6 +238,18 @@ def test_multipartite_matches_numeric():
             closed = spectrum_multipartite(parts, alpha).eigenvalues()
             numeric = rd_alpha_spectrum(complete_multipartite(parts), alpha).values
             assert_spectra_close(closed, numeric)
+
+
+@pytest.mark.parametrize("closed, message", [
+    (lambda: spectrum_complete(0, 0.3), "complete graph needs n >= 1"),
+    (lambda: spectrum_complete_bipartite(0, 3, 0.2), "both parts must be nonempty"),
+    (lambda: spectrum_complete_split(1, 1, 0.2), "complete split spectrum needs a >= 1 and b >= 2"),
+    (lambda: spectrum_wheel(3, 0.2), "wheel needs at least 4 vertices"),
+])
+def test_closed_forms_reject_too_small_graphs(closed, message):
+    with pytest.raises(ValueError) as info:
+        closed()
+    assert str(info.value) == message
 
 
 def test_multipartite_validates_input():

@@ -234,6 +234,9 @@ def test_parameter_validation():
         verify_chromatic_extremal(5, 1, 0.0)
     with pytest.raises(ValueError, match=r"^need 1 <= k <= n-1, got k=5, n=5$"):
         verify_independence_extremal(5, 5, 0.0)
+    for k in (0, 5):
+        with pytest.raises(ValueError, match=rf"^need 1 <= k <= n-1, got k={k}, n=5$"):
+            independence_rho_bound(5, k, 0.2)
     with pytest.raises(BudgetError):
         verify_vertex_connectivity_extremal(9, 2, 0.0)
     # The checks run in order: the budget, then alpha, then the range.

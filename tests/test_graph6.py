@@ -77,6 +77,8 @@ def test_header_accepted_and_stripped():
 def test_long_form_rejected():
     with pytest.raises(Graph6Error, match="long-form"):
         parse_graph6("~??~" + "?" * 10)
+    with pytest.raises(ValueError, match=r"^graph6 short form limited to n <= 62, got n=63$"):
+        to_graph6(path(63))
 
 
 def test_out_of_range_byte_names_offset():
@@ -129,6 +131,8 @@ def test_edge_list_round_trip():
 
 
 def test_edge_list_errors():
+    with pytest.raises(ValueError, match="^empty edge-list input$"):
+        parse_edge_list("")
     with pytest.raises(ValueError, match="header"):
         parse_edge_list("3\n0 1\n")
     with pytest.raises(ValueError, match="announces"):

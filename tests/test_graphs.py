@@ -49,6 +49,8 @@ def test_graph_rejects_self_loops_and_bad_edges():
         Graph(3, [(0, 3)])
     with pytest.raises(ValueError):
         Graph(0)
+    with pytest.raises(ValueError, match="^self-loop at vertex 1$"):
+        path(3).with_edge(1, 1)
 
 
 def test_adjacency_is_symmetric_without_loops():

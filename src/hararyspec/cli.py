@@ -308,14 +308,13 @@ def cmd_psd(args):
         "method": result.method,
         "residual": result.residual,
     }
-    regular = psd._transmission_regular_formula(bundle)
-    if regular is not None:
-        payload["closed_form"] = {"alpha0": regular, "method": "transmission_regular"}
     threshold = args.family and _CONSTRUCTORS[args.family[0]][3]
     found = threshold and threshold(args.family[1])
     if found:
         method, alpha0 = found
         payload["closed_form"] = {"alpha0": alpha0, "method": method}
+    elif (regular := psd._transmission_regular_formula(bundle)) is not None:
+        payload["closed_form"] = {"alpha0": regular, "method": "transmission_regular"}
 
     def table():
         yield f"alpha0 = {_fmt(result.alpha0)} ({result.method}), residual {_fmt(result.residual)}"

@@ -81,7 +81,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import _budget_error
 from .graph6 import _pack_graph6
 from .graphs import Graph
 
@@ -162,9 +162,7 @@ def _canonical_masks(adjs, n):
     adjacency bitmasks: every search node of every graph at one depth is
     refined, closed as a leaf or branched in one stacked step."""
     if n > CANONICAL_BUDGET:
-        raise BudgetError(
-            f"budget exceeded: canonical labelling limited to n <= {CANONICAL_BUDGET}, got n={n}"
-        )
+        raise _budget_error("canonical labelling", CANONICAL_BUDGET, n)
     adj = np.asarray(adjs, dtype=np.uint16).reshape(-1, n)
     bits = np.left_shift(1, np.arange(n, dtype=np.uint16))
     lower_twins = _twin_classes(adj) & bits - 1  # the twins u < v of each v
@@ -308,7 +306,5 @@ def enumerate_connected_graphs(n):
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
     if n > ENUMERATION_BUDGET:
-        raise BudgetError(
-            f"budget exceeded: enumeration limited to n <= {ENUMERATION_BUDGET}, got n={n}"
-        )
+        raise _budget_error("enumeration", ENUMERATION_BUDGET, n)
     return tuple(Graph._from_adj(n, row) for row in _connected_classes(n)[1].tolist())

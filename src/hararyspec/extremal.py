@@ -52,11 +52,11 @@ import numpy as np
 
 from .closed_forms import _join_quadratic
 from .enumeration import ENUMERATION_BUDGET, _canonical_masks, _connected_classes
-from .errors import BudgetError
+from .errors import _budget_error
 from .eigen import sym_eigen
 from .graph6 import _pack_graph6
-from .graphs import (_distance_stack, _reciprocal_distances, complete, disjoint_union, edgeless,
-                     join, turan)
+from .graphs import (_distance_stack, _reciprocal_distances, complete, complete_split,
+                     disjoint_union, join, turan)
 from .invariants import _stack_invariants
 from .matrices import _blend, check_alpha
 
@@ -115,11 +115,6 @@ def build_kite(n, r):
     return join(complete(r), disjoint_union(complete(1), complete(n - r - 1)))
 
 
-def _clique_on_independent(n, k):
-    """k independent vertices joined to an (n-k)-clique."""
-    return join(edgeless(k), complete(n - k))
-
-
 # Each scanned constraint once, in ``GraphInvariants`` field order, so row i
 # scans column i of the order's invariants: name -> (symbol, low, slack,
 # build), where the values low..n-slack are verified and ``build(n, value)``
@@ -128,7 +123,7 @@ _SCANNED = {
     "vertex-connectivity": ("r", 1, 2, build_kite),
     "edge-connectivity": ("r", 1, 2, build_kite),
     "chromatic-number": ("chi", 2, 0, turan),
-    "independence-number": ("k", 1, 1, _clique_on_independent),
+    "independence-number": ("k", 1, 1, lambda n, k: complete_split(n - k, k)),
 }
 
 
@@ -236,9 +231,7 @@ def _verify(constraint, n, value, alpha):
     ``_SCANNED`` range, in that order."""
     symbol, low, slack, _ = _SCANNED[constraint]
     if n > ENUMERATION_BUDGET:
-        raise BudgetError(
-            f"budget exceeded: extremal search limited to n <= {ENUMERATION_BUDGET}, got n={n}"
-        )
+        raise _budget_error("extremal search", ENUMERATION_BUDGET, n)
     a = check_alpha(alpha)
     if a >= 1.0:
         raise ValueError("maximizer prediction needs alpha < 1")

@@ -325,10 +325,10 @@ def harary_index(g):
     return float(reciprocal_transmissions(g).sum() / 2.0)
 
 
-def is_transmission_regular(g, tol=1e-8):
-    """True when all reciprocal transmissions agree within ``tol``."""
+def is_transmission_regular(g):
+    """True when all reciprocal transmissions agree within 1e-8."""
     tr = reciprocal_transmissions(g)
-    return bool(tr.max() - tr.min() <= tol)
+    return bool(tr.max() - tr.min() <= 1e-8)
 
 
 def pendant_counts(g):

@@ -32,16 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import _budget_error
 from .graphs import Graph, _reach
 
 __all__ = [
     "GraphInvariants",
     "graph_invariants",
-    "vertex_connectivity",
-    "edge_connectivity",
-    "chromatic_number",
-    "independence_number",
     "bipartition",
 ]
 
@@ -56,13 +52,6 @@ class GraphInvariants:
     chromatic_number: int
     independence_number: int
     min_degree: int
-
-
-def _check_budget(g, what):
-    if g.n > INVARIANT_BUDGET:
-        raise BudgetError(
-            f"budget exceeded: exact {what} limited to n <= {INVARIANT_BUDGET}, got n={g.n}"
-        )
 
 
 def _rows(graphs):
@@ -114,24 +103,6 @@ def _subset_tables(adj):
     return kappa, lam, alpha, omega, degrees
 
 
-def vertex_connectivity(g: Graph):
-    """Minimum number of vertex deletions that disconnect g (n-1 for complete graphs)."""
-    _check_budget(g, "vertex connectivity")
-    return int(_subset_invariants(_rows([g]))[0][0])
-
-
-def edge_connectivity(g: Graph):
-    """Minimum number of edge deletions that disconnect g (0 for K_1)."""
-    _check_budget(g, "edge connectivity")
-    return int(_subset_invariants(_rows([g]))[1][0])
-
-
-def independence_number(g: Graph):
-    """Size of a maximum independent set."""
-    _check_budget(g, "independence number")
-    return int(_subset_invariants(_rows([g]))[2][0])
-
-
 def _k_colorable(adj, k, order):
     """Whether the vertices, placed in ``order``, fit in k colour classes.
     Each tries the classes holding none of its neighbours, then opens a new
@@ -158,13 +129,6 @@ def _k_colorable(adj, k, order):
         return False
 
     return place(0)
-
-
-def chromatic_number(g: Graph):
-    """Exact chromatic number: the colouring search between the clique and
-    independence lower bounds and the first-fit upper bound."""
-    _check_budget(g, "chromatic number")
-    return int(_stack_invariants(_rows([g]))[0, 2])
 
 
 def bipartition(g: Graph):
@@ -195,8 +159,10 @@ def bipartition(g: Graph):
 
 
 def graph_invariants(g: Graph):
-    """All exact invariants in one record."""
-    _check_budget(g, "invariants")
+    """All exact invariants in one record; vertex connectivity is n - 1
+    for complete graphs and edge connectivity 0 for K_1."""
+    if g.n > INVARIANT_BUDGET:
+        raise _budget_error("exact invariants", INVARIANT_BUDGET, g.n)
     return GraphInvariants(*_stack_invariants(_rows([g]))[0].tolist())
 
 

@@ -156,6 +156,4 @@ def _wheel_formula(n):
 
 def alpha0_wheel(n):
     """Closed form for wheels: 3/(n+5) for odd n, a rim-cosine ratio for even n."""
-    if n < 4:
-        raise ValueError("wheel needs at least 4 vertices")
     return _threshold(build_bundle(wheel(n)), _wheel_formula(n))

@@ -177,7 +177,7 @@ def test_criterion_2_psd_thresholds(catalog):
 
     regular_count = 0
     for entry in catalog.up_to(7, start=2):
-        if not is_transmission_regular(entry.graph, tol=1e-8):
+        if not is_transmission_regular(entry.graph):
             continue
         regular_count += 1
         closed = alpha0_transmission_regular(entry.graph).alpha0
@@ -195,7 +195,7 @@ def test_criterion_3_bound_suite(catalog):
     failures = []
     for entry in catalog.up_to(7, start=2):
         g = entry.graph
-        regular = is_transmission_regular(g, tol=1e-8)
+        regular = is_transmission_regular(g)
         is_bip = bipartition(g)[0]
         tr_min = float(entry.bundle.transmissions.min())
         for alpha in ALPHAS_BOUNDS:

@@ -141,7 +141,7 @@ def test_scaled_transmission_pair(catalog):
 def test_weighted_transmission_equality_iff_regular(catalog):
     # equality at alpha >= 1/2 certifies transmission regularity and back
     for entry in catalog.up_to(5, start=2):
-        regular = is_transmission_regular(entry.graph, tol=1e-8)
+        regular = is_transmission_regular(entry.graph)
         for alpha in (0.5, 0.75, 1.0):
             rho = entry.rho(alpha)
             recs = {r.name: r for r in bound_report(entry.graph, alpha)}
@@ -155,7 +155,7 @@ def test_weighted_transmission_equality_iff_regular(catalog):
 
 def test_rms_and_ratio_equality_on_regular(catalog):
     for entry in catalog.up_to(5, start=2):
-        if not is_transmission_regular(entry.graph, tol=1e-8):
+        if not is_transmission_regular(entry.graph):
             continue
         for alpha in ALPHA_GRID:
             rho = entry.rho(alpha)

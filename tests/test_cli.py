@@ -327,6 +327,7 @@ def _count_work(monkeypatch):
         (("psd", "--graph6", "FiCOG"), 2, 2),  # the threshold and its residual
         (("psd", "--construct", "cycle:9"), 3, 3),  # plus lambda_min(RD) for the regular closed form
         (("psd", "--construct", "wheel:6"), 2, 2),  # the wheel closed form is a formula
+        (("psd", "--construct", "bipartite:3,3"), 2, 2),  # regular, but its family's formula comes first
         (("closed-form", "--construct", "wheel:6", "--alpha", "0,0.25,0.5,0.75"), 1, 4),
     ],
 )

@@ -21,12 +21,14 @@ from hararyspec import (
     cycle,
     edgeless,
     enumerate_connected_graphs,
+    graph_invariants,
     join,
     parse_graph6,
     path,
     star,
     to_graph6,
     turan,
+    verify_vertex_connectivity_extremal,
 )
 from hararyspec import enumeration, graphs
 from hararyspec.enumeration import (_canonical_masks, _children, _connected_classes, _cut_table,
@@ -216,6 +218,23 @@ def test_budget_errors():
         enumerate_connected_graphs(9)
     with pytest.raises(BudgetError, match="budget exceeded"):
         canonical_form(path(11))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: enumerate_connected_graphs(9), "enumeration limited to n <= 8, got n=9"),
+        (lambda: canonical_form(path(11)), "canonical labelling limited to n <= 10, got n=11"),
+        (lambda: graph_invariants(path(11)), "exact invariants limited to n <= 10, got n=11"),
+        (lambda: verify_vertex_connectivity_extremal(9, 2, 0.0),
+         "extremal search limited to n <= 8, got n=9"),
+    ],
+    ids=["enumeration", "canonical-labelling", "invariants", "extremal"],
+)
+def test_budget_message_one_past_each_limit(call, message):
+    with pytest.raises(BudgetError) as caught:
+        call()
+    assert str(caught.value) == f"budget exceeded: {message}"
 
 
 @pytest.mark.parametrize("n", [0, -1])

@@ -14,17 +14,13 @@ from hararyspec import (
     BudgetError,
     Graph,
     bipartition,
-    chromatic_number,
     complete,
     complete_bipartite,
     cycle,
-    edge_connectivity,
     enumerate_connected_graphs,
     graph_invariants,
-    independence_number,
     path,
     star,
-    vertex_connectivity,
     wheel,
 )
 from hararyspec import invariants
@@ -99,19 +95,21 @@ def test_paw_invariants():
     ids=["P2", "P4", "K15", "C6", "W5", "K5", "K23"],
 )
 def test_named_graphs_match_oracles(g):
-    assert vertex_connectivity(g) == brute_vertex_connectivity(g)
-    assert edge_connectivity(g) == brute_edge_connectivity(g)
-    assert chromatic_number(g) == brute_chromatic_number(g)
-    assert independence_number(g) == brute_independence_number(g)
+    inv = graph_invariants(g)
+    assert inv.vertex_connectivity == brute_vertex_connectivity(g)
+    assert inv.edge_connectivity == brute_edge_connectivity(g)
+    assert inv.chromatic_number == brute_chromatic_number(g)
+    assert inv.independence_number == brute_independence_number(g)
 
 
 def test_catalog_matches_oracles_up_to_n5(catalog):
     for entry in catalog.up_to(5):
         g = entry.graph
-        assert vertex_connectivity(g) == brute_vertex_connectivity(g)
-        assert edge_connectivity(g) == brute_edge_connectivity(g)
-        assert chromatic_number(g) == brute_chromatic_number(g)
-        assert independence_number(g) == brute_independence_number(g)
+        inv = graph_invariants(g)
+        assert inv.vertex_connectivity == brute_vertex_connectivity(g)
+        assert inv.edge_connectivity == brute_edge_connectivity(g)
+        assert inv.chromatic_number == brute_chromatic_number(g)
+        assert inv.independence_number == brute_independence_number(g)
 
 
 def test_chromatic_number_matches_oracle_on_random_graphs():
@@ -123,7 +121,7 @@ def test_chromatic_number_matches_oracle_on_random_graphs():
         graphs.append(Graph(n, random_edges(rng, n, connected=rng.random() < 0.3)))
     assert sum(not g.is_connected() for g in graphs) > 50
     for g in graphs:
-        assert chromatic_number(g) == brute_chromatic_number(g), g.edges()
+        assert graph_invariants(g).chromatic_number == brute_chromatic_number(g), g.edges()
 
 
 def test_vertex_connectivity_matches_oracle_on_every_class_and_random_graphs():
@@ -133,7 +131,7 @@ def test_vertex_connectivity_matches_oracle_on_every_class_and_random_graphs():
         n = rng.randint(1, 9)
         graphs.append(Graph(n, random_edges(rng, n, connected=rng.random() < 0.7)))
     for g in graphs:
-        assert vertex_connectivity(g) == brute_vertex_connectivity(g), g.edges()
+        assert graph_invariants(g).vertex_connectivity == brute_vertex_connectivity(g), g.edges()
 
 
 def test_edge_connectivity_matches_networkx_on_every_class_and_random_graphs():
@@ -152,7 +150,6 @@ def test_edge_connectivity_matches_networkx_on_every_class_and_random_graphs():
     assert sum(not g.is_connected() for g in randoms) > 50
     for g in graphs + eight + randoms:
         expected = nx.edge_connectivity(nx_graph(g.n, g.edges()))
-        assert edge_connectivity(g) == expected, g.edges()
         assert graph_invariants(g).edge_connectivity == expected, g.edges()
 
 
@@ -240,7 +237,8 @@ def any_graphs(draw):
 def test_subset_invariants_match_networkx_on_any_graph(g):
     expected = _networkx_subset_invariants(g)
     assert _columns([g]) == [expected]
-    assert (vertex_connectivity(g), edge_connectivity(g), independence_number(g)) == expected[:3]
+    inv = graph_invariants(g)
+    assert (inv.vertex_connectivity, inv.edge_connectivity, inv.independence_number) == expected[:3]
 
 
 def test_stacked_subset_invariants_are_the_single_graph_calls():

@@ -85,7 +85,7 @@ def test_bipartite_closed_form_matches_bisection():
 def test_transmission_regular_closed_form_matches_bisection(catalog):
     checked = 0
     for entry in catalog.up_to(6, start=2):
-        if not is_transmission_regular(entry.graph, tol=1e-8):
+        if not is_transmission_regular(entry.graph):
             continue
         closed = alpha0_transmission_regular(entry.graph).alpha0
         numeric = alpha0_bisection(entry.graph, tol=1e-9).alpha0
@@ -132,7 +132,7 @@ def test_range_validation():
         alpha0_complete_bipartite(3, 4)  # a > n/2
     with pytest.raises(ValueError):
         alpha0_complete_bipartite(1, 3)  # n < 4
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^wheel needs at least 4 vertices$"):
         alpha0_wheel(3)
 
 
@@ -155,7 +155,7 @@ def test_inertia_matches_closed_forms(catalog):
             assert got == pytest.approx(closed, abs=1e-12), (a, n)
     checked = 0
     for entry in catalog.up_to(6, start=2):
-        if is_transmission_regular(entry.graph, tol=1e-8):
+        if is_transmission_regular(entry.graph):
             closed = alpha0_transmission_regular(entry.graph).alpha0
             assert alpha0_inertia(entry.graph).alpha0 == pytest.approx(closed, abs=1e-12)
             checked += 1

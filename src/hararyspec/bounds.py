@@ -7,10 +7,12 @@ so downstream diffs never change shape.  The tables ``_BOUNDS`` and
 ``_RQ_BOUNDS`` are the one place a record's name, kind and regime live;
 the code behind each report computes only its values.
 
-A report over several weights shares its work: ``_bound_table`` evaluates
-every row-sum and transmission bound in one numpy pass, ``_blend_radii``
-reads every radius from the graph's solved blends (one stacked solve of
-the weights no earlier report solved), and ``_bound_reports`` joins them.
+The bound table is stack-native: ``_bound_table`` evaluates every row-sum
+and transmission bound of a ``(k, n, n)`` RD stack at several weights in one
+numpy pass, and one graph is a stack of one.  A report over several weights
+shares its work: ``_blend_radii`` reads every radius from the graph's solved
+blends (one stacked solve of the weights no earlier report solved), and
+``_bound_reports`` joins them.
 The code behind the reports builds each record once, as the plain dict
 row the ``bounds`` command prints, with ``BoundRecord``'s fields in field
 order; the public functions wrap those rows in ``BoundRecord``.
@@ -102,34 +104,36 @@ def bound_report(g, alpha):
     transmission alpha*RTr_max; and the plain maximum transmission
     upper bound.
     """
-    return [BoundRecord(**row) for row in _bound_table(build_bundle(g), [check_alpha(alpha)])[0]]
+    bundle = build_bundle(g)
+    rows = _bound_table(bundle.rd[None], bundle.transmissions[None], [check_alpha(alpha)])
+    return [BoundRecord(**row) for row in rows[0][0]]
 
 
-def _bound_table(bundle, alphas):
-    """``bound_report``'s record rows at each checked weight of ``alphas``, one list per weight.
+def _bound_table(rd, tr, alphas):
+    """``bound_report``'s record rows for each graph of a ``(k, n, n)`` RD stack
+    with ``(k, n)`` transmissions ``tr``, at each checked weight of ``alphas``:
+    per graph, one list of rows per weight.
 
-    Each per-vertex expression is evaluated for every weight at once, as a
-    ``(len(alphas), n)`` array, in the same operation order as the scalar
-    formula, so every value equals its one-weight evaluation bit for bit.
+    Each per-vertex expression is evaluated for every graph and weight at
+    once, as a ``(k, len(alphas), n)`` array, in the same operation order as
+    the scalar formula, so every value equals its one-graph, one-weight
+    evaluation bit for bit.
     """
-    n = bundle.n
+    k, n = tr.shape
     if n == 1:
-        return [[{"name": name, "kind": kind, **_TRIVIAL} for name, kind, _ in _BOUNDS]
-                for _ in alphas]
-    tr, rd = bundle.transmissions, bundle.rd
-    a = np.array(alphas, dtype=float)[:, None]
-    a_tr, b = a * tr, 1.0 - a
-    row_norm = (a_tr + b * np.sqrt((n - 1.0) * (rd * rd).sum(axis=0))).max(axis=1)
-    weighted = a_tr + b * (rd @ tr) / tr
-    sqrt_tr = np.sqrt(tr)
-    ratio = a_tr + b * (rd @ sqrt_tr) / sqrt_tr
-    rms = float(np.sqrt((tr * tr).mean()))
-    harary = float(tr.mean())
-    tr_max = float(tr.max())
-    columns = (row_norm, weighted.min(axis=1), weighted.max(axis=1), ratio.max(axis=1))
+        return [[[{"name": name, "kind": kind, **_TRIVIAL} for name, kind, _ in _BOUNDS]
+                 for _ in alphas] for _ in range(k)]
+    a, t = np.array(alphas, dtype=float)[:, None], tr[:, None]  # t: (k, 1, n), for every weight
+    a_tr, b, sqrt_t = a * t, 1.0 - a, np.sqrt(t)
+    row_norm = (a_tr + b * np.sqrt((n - 1.0) * (rd * rd).sum(axis=1))[:, None]).max(axis=2)
+    weighted = a_tr + b * (rd @ t.mT).mT / t
+    ratio = a_tr + b * (rd @ sqrt_t.mT).mT / sqrt_t
+    columns = (row_norm, weighted.min(axis=2), weighted.max(axis=2), ratio.max(axis=2),
+               np.sqrt((tr * tr).sum(axis=1) / n), tr.sum(axis=1) / n, tr.max(axis=1))
     return [
-        _records(_BOUNDS, x, (rn, w_lo, w_hi, rms, r_hi, harary, x * tr_max, tr_max))
-        for x, rn, w_lo, w_hi, r_hi in zip(alphas, *(c.tolist() for c in columns))
+        [_records(_BOUNDS, x, (rn, w_lo, w_hi, rms, r_hi, harary, x * tr_max, tr_max))
+         for x, rn, w_lo, w_hi, r_hi in zip(alphas, *rows)]
+        for *rows, rms, harary, tr_max in zip(*(c.tolist() for c in columns))
     ]
 
 
@@ -207,7 +211,8 @@ def _bound_reports(g, alphas):
     bundle = build_bundle(g)
     is_bipartite, sizes = bipartition(g)
     radii = _blend_radii(bundle, alphas)
-    for a, records in zip(alphas, _bound_table(bundle, alphas)):
+    table = _bound_table(bundle.rd[None], bundle.transmissions[None], alphas)[0]
+    for a, records in zip(alphas, table):
         records += _rq_records(a, radii)
         if is_bipartite:
             records.append(_bipartite_record(g, sizes, a))

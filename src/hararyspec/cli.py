@@ -300,8 +300,7 @@ def cmd_bounds(args):
 
 def cmd_psd(args):
     g = args.graph
-    bundle = build_bundle(g)
-    result = psd._inertia(bundle)
+    result = psd.alpha0_inertia(g)
     payload = {
         "n": g.n,
         "alpha0": result.alpha0,
@@ -313,7 +312,7 @@ def cmd_psd(args):
     if found:
         method, alpha0 = found
         payload["closed_form"] = {"alpha0": alpha0, "method": method}
-    elif (regular := psd._transmission_regular_formula(bundle)) is not None:
+    elif (regular := psd._transmission_regular_formula(build_bundle(g))) is not None:
         payload["closed_form"] = {"alpha0": regular, "method": "transmission_regular"}
 
     def table():

@@ -102,8 +102,9 @@ def _blend(rd, transmissions, a):
 
     ``a`` is one weight, for one matrix or a ``(k, n, n)`` stack with
     ``(k, n)`` transmissions, or a vector of k weights, which blends one
-    matrix into a ``(k, n, n)`` stack in one broadcast.  Each slice equals
-    its one-weight blend bit for bit.
+    matrix into a ``(k, n, n)`` stack in one broadcast, or blends a
+    ``(k, n, n)`` stack slice by slice, each at its own weight.  Each slice
+    equals its one-weight blend bit for bit.
     """
     a = np.asarray(a, dtype=float)[..., None]
     m = (1.0 - a[..., None]) * rd

@@ -9,6 +9,11 @@ I + S is congruent to the PSD matrix RQ, so nu_min >= -1: alpha0 lies
 in (0, 1/2].  One eigensolve of S gives the threshold and one solve of
 the blend there gives its residual |lambda_min|.
 
+The threshold is stack-native: ``_inertia`` solves every S of a
+``(k, n, n)`` RD stack in one call, and ``_threshold`` blends each graph
+at its own weight for one stacked residual solve; one graph is a stack of
+one.
+
 Bisection on lambda_min over [0, 1/2] is kept as an independent
 reference; transmission-regular graphs, complete bipartite graphs and
 wheels have closed forms.
@@ -23,7 +28,7 @@ import numpy as np
 
 from .eigen import _eigenvalues, sym_eigen
 from .graphs import complete_bipartite, wheel
-from .matrices import build_bundle, rd_alpha
+from .matrices import _blend, build_bundle, rd_alpha
 
 __all__ = [
     "PsdThreshold",
@@ -46,24 +51,35 @@ class PsdThreshold:
     residual: float
 
 
-def _threshold(bundle, alpha0, method="closed_form"):
-    """A threshold with |lambda_min| of the blend there as its residual."""
-    residual = abs(float(_eigenvalues(rd_alpha(bundle, alpha0))[-1]))
-    return PsdThreshold(alpha0, method, residual)
+def _threshold(rd, tr, alpha0):
+    """|lambda_min| of each graph's blend at its own weight of ``alpha0``,
+    for a ``(k, n, n)`` RD stack with ``(k, n)`` transmissions."""
+    return np.abs(_eigenvalues(_blend(rd, tr, alpha0))[:, -1])
 
 
-def _inertia(bundle):
-    """The threshold -nu_min / (1 - nu_min), nu_min the smallest eigenvalue of S."""
-    if bundle.n == 1:
-        return _threshold(bundle, 0.0, "already PSD at 0")
-    tr = bundle.transmissions
-    nu_min = float(_eigenvalues(bundle.rd / np.sqrt(np.outer(tr, tr)))[-1])
-    return _threshold(bundle, -nu_min / (1.0 - nu_min), "inertia")
+def _inertia(rd, tr):
+    """(alpha0, residual) per graph of a ``(k, n, n)`` RD stack with ``(k, n)``
+    transmissions: alpha0 = -nu_min / (1 - nu_min), nu_min the smallest
+    eigenvalue of S, and |lambda_min| of the blend there."""
+    alpha0 = np.zeros(len(tr))  # K_1's 1x1 zero blend is PSD at 0, and its S is 0/0
+    if tr.shape[1] > 1:
+        nu_min = _eigenvalues(rd / np.sqrt(tr[:, :, None] * tr[:, None]))[:, -1]
+        alpha0 = -nu_min / (1.0 - nu_min)
+    return alpha0, _threshold(rd, tr, alpha0)
+
+
+def _closed_form(g, alpha0):
+    """A closed-form threshold of g, with |lambda_min| of the blend there."""
+    bundle = build_bundle(g)
+    residual = _threshold(bundle.rd[None], bundle.transmissions[None], alpha0).item()
+    return PsdThreshold(alpha0, "closed_form", residual)
 
 
 def alpha0_inertia(g):
     """The PSD threshold from one eigensolve of RT^{-1/2} RD RT^{-1/2}."""
-    return _inertia(build_bundle(g))
+    bundle = build_bundle(g)
+    alpha0, residual = (x.item() for x in _inertia(bundle.rd[None], bundle.transmissions[None]))
+    return PsdThreshold(alpha0, "inertia" if g.n > 1 else "already PSD at 0", residual)
 
 
 def alpha0_bisection(g, tol=1e-9):
@@ -126,11 +142,10 @@ def alpha0_transmission_regular(g):
     With common transmission k the blend is alpha*k*I + (1-alpha)*RD,
     so lambda_min crosses zero at -lambda_min(RD) / (k - lambda_min(RD)).
     """
-    bundle = build_bundle(g)
-    alpha0 = _transmission_regular_formula(bundle)
+    alpha0 = _transmission_regular_formula(build_bundle(g))
     if alpha0 is None:
         raise ValueError("graph is not transmission regular")
-    return _threshold(bundle, alpha0)
+    return _closed_form(g, alpha0)
 
 
 def _complete_bipartite_formula(a_part, n):
@@ -143,7 +158,7 @@ def alpha0_complete_bipartite(a_part, n):
     if n < 4 or not 1 <= a_part <= n // 2:
         raise ValueError(f"need n >= 4 and 1 <= a <= n/2, got a={a_part}, n={n}")
     graph = complete_bipartite(a_part, n - a_part)
-    return _threshold(build_bundle(graph), _complete_bipartite_formula(a_part, n))
+    return _closed_form(graph, _complete_bipartite_formula(a_part, n))
 
 
 def _wheel_formula(n):
@@ -156,4 +171,4 @@ def _wheel_formula(n):
 
 def alpha0_wheel(n):
     """Closed form for wheels: 3/(n+5) for odd n, a rim-cosine ratio for even n."""
-    return _threshold(build_bundle(wheel(n)), _wheel_formula(n))
+    return _closed_form(wheel(n), _wheel_formula(n))

@@ -1,7 +1,8 @@
 """Bound records: sandwich validity, equality cases, applicability flags."""
 
 import math
-from dataclasses import fields
+import warnings
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -26,12 +27,15 @@ from hararyspec import (
 )
 from hararyspec.bounds import BoundRecord, _blend_radii, _bound_reports, _bound_table
 from hararyspec.eigen import _eigenvalues
+from hararyspec.extremal import _order
 
 from conftest import ALPHA_GRID
 
 P3_RHO = 1.6861406616345072
 # Weights whose mirrors 1 - w are partly outside the list, with a repeat.
 TABLE_ALPHAS = (0.0, 0.25, 0.3, 0.5, 0.9, 1.0, 0.25)
+# The weights of the stacked-table checks: both ends, the midpoint and an irregular weight.
+STACK_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0, 0.123456)
 FIELDS = [f.name for f in fields(BoundRecord)]
 
 
@@ -232,8 +236,9 @@ def test_blend_radii_match_separate_solves(catalog):
 def test_bound_table_matches_one_weight_records(catalog):
     for entry in catalog.up_to(7):
         b = entry.bundle
-        table = _bound_table(b, TABLE_ALPHAS)
-        assert table == [_bound_table(b, [a])[0] for a in TABLE_ALPHAS]
+        rd, tr = b.rd[None], b.transmissions[None]  # a stack of one
+        table = _bound_table(rd, tr, TABLE_ALPHAS)[0]
+        assert table == [_bound_table(rd, tr, [a])[0][0] for a in TABLE_ALPHAS]
         # each record is a dict row of BoundRecord's fields, in field order
         assert all(list(row) == FIELDS for rows in table for row in rows)
         if b.n == 1:
@@ -250,6 +255,30 @@ def test_bound_table_matches_one_weight_records(catalog):
             assert values["weighted_transmission_upper"] == float(weighted.max())
             assert values["ratio_row_sum_upper"] == float(ratio.max())
             assert values["scaled_transmission_lower"] == float(a * tr.max())
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_stacked_bound_table_is_its_stacks_of_one(n):
+    # every class of order n in one call, against one call per class;
+    # repr prints each float exactly, so equal text is equal bits
+    _, _, rd, rt, _ = _order(n)
+    table = _bound_table(rd, rt, STACK_ALPHAS)
+    assert len(table) == len(rd) and all(len(rows) == len(STACK_ALPHAS) for rows in table)
+    for i, rows in enumerate(table):
+        assert repr(rows) == repr(_bound_table(rd[i:i + 1], rt[i:i + 1], STACK_ALPHAS)[0])
+
+
+def test_bound_table_of_a_k1_stack():
+    # the trivial rows for every graph and weight, without dividing by a zero transmission
+    rd, tr = np.zeros((3, 1, 1)), np.zeros((3, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = _bound_table(rd, tr, STACK_ALPHAS)
+    rows = [asdict(r) for r in bound_report(Graph(1), 0.0)]
+    assert len(rows) == 8
+    assert all((r["value"], r["applicable"], r["tight"]) == (0.0, False, None) for r in rows)
+    assert all(r["reason"] == "single-vertex graph is trivial" for r in rows)
+    assert table == [[rows] * len(STACK_ALPHAS)] * 3
 
 
 def test_bound_reports_join_the_library_reports(catalog):

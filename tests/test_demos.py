@@ -1,4 +1,4 @@
-"""Every narrative script in demos/ runs to completion against the source tree."""
+"""Every narrative script in demos/ runs to completion against the source tree, warning-free."""
 
 import os
 import subprocess
@@ -17,8 +17,11 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_exits_zero(demo):
+    # -W error turns any warning, such as a numpy RuntimeWarning, into a failure
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     result = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error", str(demo)], env=env, capture_output=True, text=True,
+        timeout=120,
     )
     assert result.returncode == 0, result.stderr
+    assert result.stderr == ""

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hararyspec import (
-    BudgetError,
     Graph,
     bipartition,
     complete,
@@ -285,8 +284,3 @@ def test_chunked_subset_tables_match_one_pass(monkeypatch):
         chunks.clear()
         assert [_columns(graphs) for graphs in stacks] == whole, cells
         assert chunks[-len(tail):] == tail, cells
-
-
-def test_budget_error_over_ten_vertices():
-    with pytest.raises(BudgetError, match="budget exceeded"):
-        graph_invariants(path(11))

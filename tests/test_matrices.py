@@ -19,6 +19,7 @@ from hararyspec import (
     rd_alpha,
     sym_eigen,
 )
+from hararyspec.extremal import _order
 from hararyspec.matrices import _BUNDLES, _blend
 
 from conftest import ALPHA_GRID
@@ -99,6 +100,17 @@ def test_weight_vector_blend_is_the_stacked_one_weight_blends(catalog):
         rd, tr = np.stack([b.rd, b.rd]), np.stack([b.transmissions, b.transmissions])
         for a in weights:
             assert _blend(rd, tr, a).tobytes() == np.stack([rd_alpha(b, a)] * 2).tobytes()
+
+
+def test_weight_vector_blends_a_stack_slice_by_slice():
+    # k weights over a (k, n, n) stack blend each slice at its own weight, bit for bit
+    _, _, rd, rt, _ = _order(6)
+    assert len(rd) == 112
+    weights = np.linspace(0.0, 1.0, len(rd))
+    blended = _blend(rd, rt, weights)
+    assert blended.shape == rd.shape
+    for i, a in enumerate(weights.tolist()):
+        assert blended[i].tobytes() == _blend(rd[i], rt[i], a).tobytes()
 
 
 def test_blend_pair_sums_to_rq(catalog):

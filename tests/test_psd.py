@@ -1,6 +1,7 @@
 """Positive-semidefiniteness thresholds: inertia vs bisection vs closed forms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from hararyspec import (
     sym_eigen,
     wheel,
 )
+from hararyspec.extremal import _order
+from hararyspec.psd import _inertia
 
 from conftest import connected_graphs
 
@@ -168,6 +171,28 @@ def test_inertia_smallest_graphs():
     edge = alpha0_inertia(complete(2))
     assert edge.alpha0 == pytest.approx(0.5, abs=1e-15)
     assert edge.residual <= 1e-15
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_stacked_inertia_is_its_stacks_of_one(n):
+    # every class of order n in one call, against one call per class, bit for bit
+    _, _, rd, rt, _ = _order(n)
+    alpha0, residual = _inertia(rd, rt)
+    assert alpha0.shape == residual.shape == (len(rd),)
+    one = [_inertia(rd[i:i + 1], rt[i:i + 1]) for i in range(len(rd))]
+    assert alpha0.tobytes() == np.concatenate([a for a, _ in one]).tobytes()
+    assert residual.tobytes() == np.concatenate([r for _, r in one]).tobytes()
+    if n > 1:
+        assert (alpha0 >= 1.0 / n - 1e-12).all() and (alpha0 <= 0.5).all()
+
+
+def test_inertia_of_a_k1_stack():
+    # K_1's blend is the 1x1 zero matrix, PSD at 0; its S (0/0) is never formed
+    for rd, tr in (_order(1)[2:4], (np.zeros((3, 1, 1)), np.zeros((3, 1)))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alpha0, residual = _inertia(rd, tr)
+        assert alpha0.tobytes() == residual.tobytes() == np.zeros(len(rd)).tobytes()
 
 
 def test_transmission_regular_single_vertex():

@@ -312,7 +312,7 @@ def cmd_psd(args):
     if found:
         method, alpha0 = found
         payload["closed_form"] = {"alpha0": alpha0, "method": method}
-    elif (regular := psd._transmission_regular_formula(build_bundle(g))) is not None:
+    elif (regular := psd._transmission_regular_formula(g)) is not None:
         payload["closed_form"] = {"alpha0": regular, "method": "transmission_regular"}
 
     def table():

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import _eigenvalues
-from .graphs import _reciprocal_matrix, _twins, all_pairs_distances
-from .matrices import check_alpha
+from .graphs import _twins
+from .matrices import build_bundle, check_alpha
 
 __all__ = [
     "ClosedFormSpectrum",
@@ -110,7 +110,8 @@ def spectrum_regular_diam2(g, alpha):
     if len(degs) != 1:
         raise ValueError("graph is not regular")
     r = degs.pop()
-    if int(all_pairs_distances(g).max()) != 2:
+    rd = build_bundle(g).rd  # diameter 2: the smallest off-diagonal 1/d_ij is 1/2
+    if float(rd.min(initial=1.0, where=rd > 0.0)) != 0.5:
         raise ValueError("graph diameter is not 2")
     n = g.n
     adj_vals = _eigenvalues(g.adjacency())
@@ -236,7 +237,7 @@ def spectrum_twin_quotient(g, alpha):
         classes.setdefault(twins | 1 << v, v)
     reps = list(classes.values())
     within = np.array([1.0 if g.adj_bits[v] & mask else 0.5 for mask, v in classes.items()])
-    rd = _reciprocal_matrix(g)[np.ix_(reps, reps)]
+    rd = build_bundle(g).rd[np.ix_(reps, reps)]
     entries = _twin_quotient([mask.bit_count() for mask in classes], within, rd, a)
     return ClosedFormSpectrum(_pairs(entries), "twin_quotient")
 

@@ -10,7 +10,8 @@ call ``_eigenvalues``.  Both run the same input checks, in
 ``_symmetrised``.  Eigenvalues come back in descending order; a stack of
 matrices is solved in one call.
 
-The reports of one graph share their blend solves: ``_blend_values`` keeps
+The reports of one graph, ``spectral_radius`` and ``rd_alpha_energy``
+among them, share their blend solves: ``_blend_values`` keeps
 each weight's eigenvalues on the graph's cached bundle (at most
 ``_BLEND_ROWS`` weights per bundle) and solves only the weights not seen
 yet, in one stacked values-only call.  A slice's eigenvalues do not depend
@@ -137,7 +138,7 @@ def rd_alpha_spectrum(g, alpha):
 def spectral_radius(g, alpha):
     """Largest blend eigenvalue; the Perron value of an irreducible
     nonnegative matrix whenever alpha < 1."""
-    return float(_eigenvalues(rd_alpha(build_bundle(g), alpha))[0])
+    return float(_blend_values(build_bundle(g), [check_alpha(alpha)])[0][0])
 
 
 def perron_vector(g, alpha):
@@ -156,7 +157,7 @@ def rd_alpha_energy(g, alpha):
     """Sum of |lambda_i - 2*alpha*H/n| over the blend spectrum, H the Harary index."""
     a = check_alpha(alpha)
     bundle = build_bundle(g)
-    return _energy(bundle, a, _eigenvalues(rd_alpha(bundle, a)))
+    return _energy(bundle, a, _blend_values(bundle, [a])[0])
 
 
 def _energy(bundle, a, values):

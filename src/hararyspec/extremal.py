@@ -6,9 +6,11 @@ name, the symbol and range low..n-slack of its values, and its predicted
 maximizer.  A verification maximizes the blend's spectral radius over
 the connected graphs of order n whose exact invariant takes the value,
 and compares the maximizer set against the predicted extremal graph.
-Ties within 1e-9 are reported as a tie listing every maximizer rather
-than being broken arbitrarily; isomorphic duplicates cannot occur
-because the enumeration holds one representative per class.
+Radii within 1e-9 of the maximum all count as maximizers, and every one
+is listed.  The verdict is ``refuted`` unless the predicted graph is a
+maximizer, else ``tie`` when there are several and ``confirmed`` when it
+is the only one; isomorphic duplicates cannot occur because the
+enumeration holds one representative per class.
 
 The search reuses two caches, in the enumeration's order.  One per order
 holds every class's canonical edge mask, its invariants (one column per
@@ -22,10 +24,9 @@ eigensolver call and scans only their rows: the class maxima of each
 scanned invariant column come from one ``np.maximum.at`` and every
 maximizer from one comparison against them; a verdict compares canonical
 masks, and graph6 is written only for maximizers other than the
-prediction, whose text is cached with its mask.  The distance matrices
-come from one stacked breadth-first pass over the adjacency rows and are
-converted to RD in one step, the same conversion ``build_bundle`` makes
-for one graph.
+prediction, whose text is cached with its mask.  RD and r come from one
+call of ``graphs._reciprocal_stack`` over the adjacency rows, the builder
+``build_bundle`` calls for one graph.
 
 Only contenders are solved, and no radius is kept past its alpha's
 reports.  The blend A is nonnegative and symmetric, and for n >= 2 the
@@ -55,8 +56,7 @@ from .enumeration import ENUMERATION_BUDGET, _canonical_masks, _connected_classe
 from .errors import _budget_error
 from .eigen import sym_eigen
 from .graph6 import _pack_graph6
-from .graphs import (_distance_stack, _reciprocal_distances, complete, complete_split,
-                     disjoint_union, join, turan)
+from .graphs import _reciprocal_stack, complete, complete_split, disjoint_union, join, turan
 from .invariants import _stack_invariants
 from .matrices import _blend, check_alpha
 
@@ -144,11 +144,11 @@ def independence_rho_bound(n, k, alpha):
 def _order(n):
     """Per connected class of order n, in enumeration order: the canonical
     edge masks (k,), the invariants (k, 5), one column per field of
-    ``GraphInvariants``, RD (k, n, n), r (k, n) and RD r (k, n)."""
+    ``GraphInvariants``, RD (k, n, n) and r (k, n) from the shared builder
+    ``graphs._reciprocal_stack``, and RD r (k, n)."""
     masks, adj = _connected_classes(n)
     invariants = _stack_invariants(adj)  # first: its subset tables and RD never coexist
-    rd = _reciprocal_distances(_distance_stack(adj.tolist(), n))
-    rt = rd.sum(axis=2)
+    rd, rt = _reciprocal_stack(adj.tolist(), n)
     return masks, invariants, rd, rt, np.matmul(rd, rt[:, :, None])[:, :, 0]
 
 
@@ -212,7 +212,7 @@ def _reports(n, alpha):
                 continue  # outside the verifier's range
             mask, canon = predicted[build, value]
             rho_max = float(top[value])
-            verdict = "tie" if len(tops) > 1 else "confirmed" if tops[0] == mask else "refuted"
+            verdict = "refuted" if mask not in tops else "tie" if len(tops) > 1 else "confirmed"
             if name == "independence-number":  # the closed-form bound must hold, and be attained
                 bound = independence_rho_bound(n, value, alpha)
                 attained = abs(rho_max - bound) <= ATTAIN_TOL

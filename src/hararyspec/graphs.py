@@ -4,6 +4,11 @@ Vertices are always labelled 0..n-1.  Adjacency is stored as one Python
 integer bitmask per vertex: at the orders this package targets (a few
 dozen vertices) that representation makes breadth-first search, subset
 tests and the isomorphism machinery both simple and fast.
+
+Distances come from one stacked breadth-first routine, ``_distance_stack``,
+and RD and RT from one builder over it, ``_reciprocal_stack``: the cached
+bundle of one graph (``matrices.build_bundle``) and the arrays of a whole
+order (``extremal._order``) are both built there.
 """
 
 from __future__ import annotations
@@ -30,8 +35,6 @@ __all__ = [
     "disjoint_union",
     "all_pairs_distances",
     "reciprocal_transmissions",
-    "harary_index",
-    "is_transmission_regular",
     "pendant_counts",
 ]
 
@@ -54,20 +57,6 @@ def _reach(adj, mask):
         reach |= adj[low.bit_length() - 1]
         mask ^= low
     return reach
-
-
-def _component(adj, seed, mask):
-    """The vertices of the bitmask ``mask`` reachable from ``seed`` inside it."""
-    seen = frontier = seed
-    while frontier:
-        frontier = _reach(adj, frontier) & mask & ~seen
-        seen |= frontier
-    return seen
-
-
-def _connected_within(adj, mask):
-    """Connectivity of the subgraph induced by the vertex bitmask ``mask``."""
-    return mask == 0 or _component(adj, mask & -mask, mask) == mask
 
 
 def _twins(adj):
@@ -164,7 +153,11 @@ class Graph:
         return Graph._from_adj(self.n, adj)
 
     def is_connected(self):
-        return _connected_within(self.adj_bits, (1 << self.n) - 1)
+        seen = frontier = 1  # vertex 0
+        while frontier:
+            frontier = _reach(self.adj_bits, frontier) & ~seen
+            seen |= frontier
+        return seen == (1 << self.n) - 1
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj_bits == other.adj_bits
@@ -304,31 +297,20 @@ def _distance_stack(adjs, n):
     return dist
 
 
-def _reciprocal_distances(d):
-    """Reciprocal distances 1/d_ij with zero diagonal, of one distance
-    matrix or a ``(k, n, n)`` stack: the one conversion from distances to RD."""
-    return np.divide(1.0, d, out=np.zeros(d.shape), where=d > 0)
-
-
-def _reciprocal_matrix(g):
-    """Reciprocal distance matrix of a connected graph."""
-    return _reciprocal_distances(all_pairs_distances(g))
+def _reciprocal_stack(adjs, n):
+    """(RD, RT) of k connected graphs on n vertices, given as k rows of
+    adjacency bitmasks: the ``(k, n, n)`` reciprocal distances 1/d_ij with
+    zero diagonal and their ``(k, n)`` row sums, the reciprocal
+    transmissions.  The one conversion from distances to RD; one graph is
+    a stack of one."""
+    d = _distance_stack(adjs, n)
+    rd = np.divide(1.0, d, out=np.zeros(d.shape), where=d > 0)
+    return rd, rd.sum(axis=2)
 
 
 def reciprocal_transmissions(g):
     """Per-vertex sums of reciprocal distances to all other vertices."""
-    return _reciprocal_matrix(g).sum(axis=1)
-
-
-def harary_index(g):
-    """Sum of reciprocal distances over unordered vertex pairs."""
-    return float(reciprocal_transmissions(g).sum() / 2.0)
-
-
-def is_transmission_regular(g):
-    """True when all reciprocal transmissions agree within 1e-8."""
-    tr = reciprocal_transmissions(g)
-    return bool(tr.max() - tr.min() <= 1e-8)
+    return _reciprocal_stack([g.adj_bits], g.n)[1][0]
 
 
 def pendant_counts(g):

@@ -10,12 +10,15 @@ Reciprocal distances 1, 1/2, 1/4 are exact binary fractions; 1/3, 1/6,
 ... are not, so every comparison downstream goes through an explicit
 tolerance.
 
-``build_bundle`` is the one route from a graph to its bundle, and it is
-cached: a graph compares and hashes by its value ``(n, adj_bits)``, so every
-input form of one graph maps to one bundle object, and the ``_BUNDLES`` most
-recently used graphs keep theirs.  Each bundle also holds the blend
-eigenvalue rows already solved from it (see ``eigen._blend_values``).  A
-bundle compares by identity; its arrays and rows are write-locked.
+``build_bundle`` is the one route from a graph to its bundle, a stack of
+one through ``graphs._reciprocal_stack``, and every per-graph read of RD
+or RT goes through it, ``harary_index`` and ``is_transmission_regular``
+among them.  It is cached: a graph compares and hashes by its value
+``(n, adj_bits)``, so every input form of one graph maps to one bundle
+object, and the ``_BUNDLES`` most recently used graphs keep theirs.  Each
+bundle also holds the blend eigenvalue rows already solved from it (see
+``eigen._blend_values``).  A bundle compares by identity; its arrays and
+rows are write-locked.
 """
 
 from __future__ import annotations
@@ -26,12 +29,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import _reciprocal_matrix
+from .graphs import _reciprocal_stack
 
 __all__ = [
     "check_alpha",
     "MatrixBundle",
     "build_bundle",
+    "harary_index",
+    "is_transmission_regular",
     "rd_alpha",
     "format_matrix",
 ]
@@ -77,7 +82,6 @@ class MatrixBundle:
     def harary(self):
         return float(self.transmissions.sum() / 2.0)
 
-
 def _lock(a):
     a.setflags(write=False)
     return a
@@ -87,9 +91,19 @@ def _lock(a):
 def build_bundle(g):
     """Reciprocal distances and reciprocal transmissions of g, one bundle
     per graph value among the ``_BUNDLES`` most recently used."""
-    rd = _reciprocal_matrix(g)
-    tr = rd.sum(axis=1)
-    return MatrixBundle(n=g.n, rd=_lock(rd), transmissions=_lock(tr))
+    rd, tr = _reciprocal_stack([g.adj_bits], g.n)
+    return MatrixBundle(n=g.n, rd=_lock(rd[0]), transmissions=_lock(tr[0]))
+
+
+def harary_index(g):
+    """Sum of reciprocal distances over unordered vertex pairs."""
+    return build_bundle(g).harary
+
+
+def is_transmission_regular(g):
+    """True when all reciprocal transmissions agree within 1e-8."""
+    tr = build_bundle(g).transmissions
+    return bool(tr.max() - tr.min() <= 1e-8)
 
 
 def rd_alpha(bundle, alpha):

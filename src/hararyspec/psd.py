@@ -28,7 +28,7 @@ import numpy as np
 
 from .eigen import _eigenvalues, sym_eigen
 from .graphs import complete_bipartite, wheel
-from .matrices import _blend, build_bundle, rd_alpha
+from .matrices import _blend, build_bundle, is_transmission_regular, rd_alpha
 
 __all__ = [
     "PsdThreshold",
@@ -123,15 +123,15 @@ def alpha0_bisection(g, tol=1e-9):
     return PsdThreshold(hi, "bisection", abs(lam_min(hi)))
 
 
-def _transmission_regular_formula(bundle):
-    """-lambda_min(RD) / (k - lambda_min(RD)) when every reciprocal
-    transmission is k (within 1e-8), else None."""
-    tr = bundle.transmissions
-    if tr.max() - tr.min() > 1e-8:
+def _transmission_regular_formula(g):
+    """-lambda_min(RD) / (k - lambda_min(RD)) when g is transmission
+    regular, every reciprocal transmission k, else None."""
+    if not is_transmission_regular(g):
         return None
+    bundle = build_bundle(g)
     if bundle.n == 1:  # the 1x1 zero blend is PSD at every alpha
         return 0.0
-    k = float(tr.mean())
+    k = float(bundle.transmissions.mean())
     lam_min = float(_eigenvalues(bundle.rd)[-1])
     return -lam_min / (k - lam_min)
 
@@ -142,7 +142,7 @@ def alpha0_transmission_regular(g):
     With common transmission k the blend is alpha*k*I + (1-alpha)*RD,
     so lambda_min crosses zero at -lambda_min(RD) / (k - lambda_min(RD)).
     """
-    alpha0 = _transmission_regular_formula(build_bundle(g))
+    alpha0 = _transmission_regular_formula(g)
     if alpha0 is None:
         raise ValueError("graph is not transmission regular")
     return _closed_form(g, alpha0)

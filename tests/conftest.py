@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from hararyspec import Graph, build_bundle, rd_alpha, sym_eigen, to_graph6
 from hararyspec.enumeration import enumerate_connected_graphs
-from hararyspec.graphs import _bit_indices, _connected_within, triangle_pairs
+from hararyspec.graphs import _bit_indices, triangle_pairs
 
 ALPHA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -303,16 +303,19 @@ def reference_twins(adj):
 
 def reference_last_is_deletable(adj, full):
     """The deletion-key test on the child's own adjacency: no non-cut
-    vertex outranks the last one by (degree, sum of neighbour degrees)."""
+    vertex outranks the last one by (degree, sum of neighbour degrees).
+    Cut vertices are found by the edge-list component count."""
     deg = [a.bit_count() for a in adj]
     w = len(adj) - 1
     top = (deg[w], sum(deg[v] for v in _bit_indices(adj[w])))
+    edges = [(u, v) for u in range(w + 1) for v in _bit_indices(adj[u]) if u < v]
+    outside = frozenset(v for v in range(w + 1) if not full >> v & 1)
     for u in range(w):
         if deg[u] < top[0]:
             continue
-        if (deg[u], sum(deg[v] for v in _bit_indices(adj[u]))) > top and _connected_within(
-            adj, full & ~(1 << u)
-        ):
+        if (deg[u], sum(deg[v] for v in _bit_indices(adj[u]))) > top and _components(
+            w + 1, edges, outside | {u}
+        ) == 1:
             return False
     return True
 

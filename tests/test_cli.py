@@ -291,12 +291,13 @@ def test_bounds_command_builds_no_record_objects(capsys, monkeypatch, spec):
 
 
 def _count_work(monkeypatch):
-    """Wrap the BFS and both eigensolver bindings, ``sym_eigen`` and the
-    values-only ``_eigenvalues``, in every module that solves for the CLI and
-    the bounds (``eigen``, whose ``_blend_values`` they read, and ``psd``);
-    return the call counts and the number of matrices solved."""
+    """Wrap the one distance routine, ``graphs._distance_stack``, and both
+    eigensolver bindings, ``sym_eigen`` and the values-only ``_eigenvalues``,
+    in every module that solves for the CLI and the bounds (``eigen``, whose
+    ``_blend_values`` they read, and ``psd``); return the call counts and
+    the number of matrices solved."""
     counts = {"bfs": 0, "solve": 0, "matrices": 0}
-    bfs = graphs.all_pairs_distances
+    bfs = graphs._distance_stack
 
     def counted_bfs(*args, **kwargs):
         counts["bfs"] += 1
@@ -309,7 +310,7 @@ def _count_work(monkeypatch):
             return solve(matrix, *args, **kwargs)
         return counted_solve
 
-    monkeypatch.setattr(graphs, "all_pairs_distances", counted_bfs)
+    monkeypatch.setattr(graphs, "_distance_stack", counted_bfs)
     for module in (eigen, psd):
         for name in ("sym_eigen", "_eigenvalues"):
             monkeypatch.setattr(module, name, counted(getattr(module, name)))

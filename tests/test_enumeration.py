@@ -30,7 +30,7 @@ from hararyspec import (
     turan,
     verify_vertex_connectivity_extremal,
 )
-from hararyspec import enumeration, graphs
+from hararyspec import enumeration, graphs, invariants
 from hararyspec.enumeration import (_canonical_masks, _children, _connected_classes, _cut_table,
                                      _deletable, _equitable, _leaf_masks, _twin_classes)
 from hararyspec.graph6 import _edge_mask, _pack_graph6
@@ -428,10 +428,10 @@ def test_order_seven_enumeration_work_counts(monkeypatch):
                         lambda adjs, n: stacks.append(len(adjs)) or canonical_masks(adjs, n))
     monkeypatch.setattr(enumeration, "_deletable", lambda adj, parent, nbrs:
                         tested.append(len(nbrs)) or deletable(adj, parent, nbrs))
-    for name in ("_component", "_connected_within"):
-        fn = getattr(graphs, name)
-        monkeypatch.setattr(graphs, name, lambda *args, fn=fn, name=name:
-                            searches.update([name]) or fn(*args))
+    for module in (graphs, invariants):
+        fn = module._reach
+        monkeypatch.setattr(module, "_reach", lambda *args, fn=fn, module=module:
+                            searches.update([module.__name__]) or fn(*args))
     enumeration._connected_classes.__wrapped__(7)
     assert stacks == [1177]
     assert tested == [4818]

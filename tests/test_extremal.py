@@ -20,6 +20,7 @@ from hararyspec import (
     build_bundle,
     build_kite,
     canonical_form,
+    cli,
     complete,
     complete_bipartite,
     complete_multipartite,
@@ -447,6 +448,34 @@ def test_independence_verdict_checks_the_closed_form_bound(monkeypatch):
         monkeypatch.setattr(extremal, "independence_rho_bound", lambda n, k, a: bound)
         report = BUILD_REPORTS(6, 0.3)["independence-number", 2]
         assert (report.rho_max, report.verdict) == (rho, verdict), bound
+
+
+@pytest.mark.parametrize("constraint", list(extremal._SCANNED))
+def test_a_tie_that_leaves_out_the_prediction_is_refuted(capsys, monkeypatch, constraint):
+    # Two members of the class other than the prediction are raised to one
+    # radius above the rest, and the independence bound is moved to it, so
+    # only the verdict rule decides: refuted, as for a lone such maximizer.
+    n, alpha = 6, 0.3
+    positions, radii = _contender_radii(n, alpha)
+    masks, table = (array[positions] for array in _order(n)[:2])
+    column = table[:, list(extremal._SCANNED).index(constraint)]
+    build = extremal._SCANNED[constraint][3]
+    predicted = extremal._predicted(n)
+    value = next(v for v in range(n + 1) if (build, v) in predicted
+                 and np.sum((column == v) & (masks != predicted[build, v][0])) >= 2)
+    pair = np.flatnonzero((column == value) & (masks != predicted[build, value][0]))[:2]
+    radii = radii.copy()
+    radii[pair] = rho = float(radii.max()) + 1.0
+    monkeypatch.setattr(extremal, "_contender_radii", lambda n, alpha: (positions, radii))
+    monkeypatch.setattr(extremal, "independence_rho_bound", lambda n, k, a: rho)
+    monkeypatch.setattr(extremal, "_reports", lru_cache(maxsize=None)(BUILD_REPORTS))
+    report = extremal._reports(n, alpha)[constraint, value]
+    assert (report.rho_max, len(report.maximizers), report.verdict) == (rho, 2, "refuted")
+    assert report.predicted not in report.maximizers
+    argv = ["verify-extremal", "--n", str(n), "--constraint", constraint, "--value", str(value),
+            "--alpha", str(alpha)]
+    assert cli.main(argv) == 2
+    assert "refuted" in capsys.readouterr().out
 
 
 def test_cold_sweep_builds_no_graph_per_class(monkeypatch):

@@ -1,22 +1,36 @@
 """Matrix bundle construction and blend identities."""
 
+import importlib
 import math
+import pkgutil
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import hararyspec
 from hararyspec import (
     Graph,
     MatrixBundle,
     NotConnectedError,
+    alpha0_inertia,
+    bound_report,
     build_bundle,
     check_alpha,
     complete,
     cycle,
     disjoint_union,
     format_matrix,
+    graphs,
+    harary_index,
+    is_transmission_regular,
     path,
     rd_alpha,
+    rd_alpha_energy,
+    rq_relation_bounds,
+    spectral_radius,
+    spectrum_regular_diam2,
+    spectrum_twin_quotient,
     sym_eigen,
 )
 from hararyspec.extremal import _order
@@ -78,6 +92,30 @@ def test_bundle_cache_is_bounded(catalog):
     assert all(build_bundle(g) is b for g, b in zip(graphs[-_BUNDLES:], bundles[-_BUNDLES:]))
     assert build_bundle(graphs[0]) is not bundles[0]
     assert build_bundle.cache_info().currsize == _BUNDLES
+
+
+def test_per_graph_reads_share_one_distance_pass(monkeypatch):
+    # Every per-graph read of RD or RT goes through the cached bundle, so
+    # ten library calls on one graph run one distance pass, and the blend
+    # reads share their solves: the blend at 0.3 (read twice), the twin
+    # quotient, the adjacency spectrum, the blends at 0, 1/2 and 0.7 in one
+    # stack, and the inertia threshold's two.
+    counts = Counter()
+    solvers = [importlib.import_module(f"hararyspec.{info.name}")
+               for info in pkgutil.iter_modules(hararyspec.__path__)]
+    for module, name in [(graphs, "_distance_stack")] + [
+            (m, "_eigenvalues") for m in solvers if hasattr(m, "_eigenvalues")]:
+        monkeypatch.setattr(module, name, lambda *args, fn=getattr(module, name), name=name:
+                            counts.update([name]) or fn(*args))
+    g = cycle(5)
+    build_bundle(g)
+    harary_index(g)
+    is_transmission_regular(g)
+    for read in (spectral_radius, rd_alpha_energy, spectrum_twin_quotient, spectrum_regular_diam2,
+                 bound_report, rq_relation_bounds):
+        read(g, 0.3)
+    alpha0_inertia(g)
+    assert counts == {"_distance_stack": 1, "_eigenvalues": 6}
 
 
 def test_blend_endpoints_exact():

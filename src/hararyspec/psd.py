@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import _eigenvalues, sym_eigen
+from .eigen import _blend_values, _eigenvalues, sym_eigen
 from .graphs import complete_bipartite, wheel
 from .matrices import _blend, build_bundle, is_transmission_regular, rd_alpha
 
@@ -132,7 +132,7 @@ def _transmission_regular_formula(g):
     if bundle.n == 1:  # the 1x1 zero blend is PSD at every alpha
         return 0.0
     k = float(bundle.transmissions.mean())
-    lam_min = float(_eigenvalues(bundle.rd)[-1])
+    lam_min = float(_blend_values(bundle, [0.0])[0][-1])  # the blend at 0 is RD
     return -lam_min / (k - lam_min)
 
 

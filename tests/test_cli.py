@@ -3,12 +3,14 @@
 import json
 from functools import lru_cache
 from http import HTTPStatus  # an int subclass with its own repr
+from types import ModuleType
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hararyspec
 from hararyspec import (
     bipartite_bound,
     bipartition,
@@ -19,7 +21,6 @@ from hararyspec import (
     extremal,
     graphs,
     parse_graph6,
-    psd,
     rq_relation_bounds,
     to_graph6,
     wheel,
@@ -291,11 +292,11 @@ def test_bounds_command_builds_no_record_objects(capsys, monkeypatch, spec):
 
 
 def _count_work(monkeypatch):
-    """Wrap the one distance routine, ``graphs._distance_stack``, and both
-    eigensolver bindings, ``sym_eigen`` and the values-only ``_eigenvalues``,
-    in every module that solves for the CLI and the bounds (``eigen``, whose
-    ``_blend_values`` they read, and ``psd``); return the call counts and
-    the number of matrices solved."""
+    """Wrap the one distance routine, ``graphs._distance_stack``, and every
+    binding of both eigensolvers, ``sym_eigen`` and the values-only
+    ``_eigenvalues``, in every submodule that holds one (found by identity,
+    so ``closed_forms``'s quotient solves count too); return the call
+    counts and the number of matrices solved."""
     counts = {"bfs": 0, "solve": 0, "matrices": 0}
     bfs = graphs._distance_stack
 
@@ -311,9 +312,11 @@ def _count_work(monkeypatch):
         return counted_solve
 
     monkeypatch.setattr(graphs, "_distance_stack", counted_bfs)
-    for module in (eigen, psd):
-        for name in ("sym_eigen", "_eigenvalues"):
-            monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    solvers = (eigen.sym_eigen, eigen._eigenvalues)
+    for module in [m for m in vars(hararyspec).values() if isinstance(m, ModuleType)]:
+        for name, value in list(vars(module).items()):
+            if any(value is solve for solve in solvers):
+                monkeypatch.setattr(module, name, counted(value))
     return counts
 
 
@@ -330,6 +333,8 @@ def _count_work(monkeypatch):
         (("psd", "--construct", "wheel:6"), 2, 2),  # the wheel closed form is a formula
         (("psd", "--construct", "bipartite:3,3"), 2, 2),  # regular, but its family's formula comes first
         (("closed-form", "--construct", "wheel:6", "--alpha", "0,0.25,0.5,0.75"), 1, 4),
+        # the bundle's blends at 0 and 1/2, then two 3 x 3 twin-quotient solves
+        (("closed-form", "--construct", "multipartite:2,2,2", "--alpha", "0,0.5"), 3, 4),
     ],
 )
 def test_each_report_does_its_work_once(capsys, monkeypatch, argv, solves, matrices):
@@ -358,6 +363,20 @@ def test_second_report_of_a_graph_solves_only_unseen_weights(capsys, monkeypatch
         (("spectrum", "--graph6", "ExSG", "--alpha", "0.5,1"), {"bfs": 0, "solve": 1, "matrices": 1}),
     ]
     for argv, expected in reports:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        assert counts == expected, argv
+        counts.update(bfs=0, solve=0, matrices=0)
+
+
+def test_regular_psd_reads_the_solved_blend_at_zero(capsys, monkeypatch):
+    # the blend at 0 is RD, so the regular closed form reads lambda_min(RD)
+    # from the bundle's solved rows: psd adds only the threshold and its residual
+    counts = _count_work(monkeypatch)
+    for argv, expected in [
+        (("spectrum", "--construct", "cycle:9", "--alpha", "0"), {"bfs": 1, "solve": 1, "matrices": 1}),
+        (("psd", "--construct", "cycle:9"), {"bfs": 0, "solve": 2, "matrices": 2}),
+    ]:
         code, _, err = run(capsys, *argv)
         assert code == 0, err
         assert counts == expected, argv

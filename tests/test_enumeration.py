@@ -438,6 +438,24 @@ def test_order_seven_enumeration_work_counts(monkeypatch):
     assert not searches
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_candidates_are_the_twin_prefix_sets(monkeypatch, n):
+    # every (parent, S) handed to the deletion test, against the brute-force
+    # set: each nonempty S in which every vertex comes with all its lower twins
+    tested = []
+    deletable = enumeration._deletable
+    monkeypatch.setattr(enumeration, "_deletable", lambda adj, parent, nbrs:
+                        tested.extend(zip(parent.tolist(), nbrs.tolist())) or deletable(adj, parent, nbrs))
+    parents = _connected_classes(n)[1]
+    enumeration._extensions(parents)
+    expected = []
+    for p, row in enumerate(parents.tolist()):
+        lower = [twins & (1 << v) - 1 for v, twins in enumerate(reference_twins(row))]
+        expected += [(p, s) for s in range(1, 1 << n)
+                     if all(lower[v] & ~s == 0 for v in range(n) if s >> v & 1)]
+    assert sorted(tested) == expected
+
+
 def test_candidate_blocks_leave_the_children_unchanged(monkeypatch):
     # the parents of an order go in blocks of at most ``_CANDIDATES``
     # candidates; up to order 8 that is one block, so shrink it to split

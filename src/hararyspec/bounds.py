@@ -7,15 +7,17 @@ so downstream diffs never change shape.  The tables ``_BOUNDS`` and
 ``_RQ_BOUNDS`` are the one place a record's name, kind and regime live;
 the code behind each report computes only its values.
 
-The bound table is stack-native: ``_bound_table`` evaluates every row-sum
+The bound values are stack-native: ``_bound_values`` evaluates every row-sum
 and transmission bound of a ``(k, n, n)`` RD stack at several weights in one
-numpy pass, and one graph is a stack of one.  A report over several weights
-shares its work: ``_blend_radii`` reads every radius from the graph's solved
-blends (one stacked solve of the weights no earlier report solved), and
-``_bound_reports`` joins them.
-The code behind the reports builds each record once, as the plain dict
-row the ``bounds`` command prints, with ``BoundRecord``'s fields in field
-order; the public functions wrap those rows in ``BoundRecord``.
+numpy pass, as plain float rows, and one graph is a stack of one.  A report
+over several weights shares its work: ``_blend_radii`` reads every radius
+from the graph's solved blends (one stacked solve of the weights no earlier
+report solved), and ``_bound_reports`` joins them.
+A report is its values and its layout: one ``(name, kind, applicable,
+reason, tight)`` row per record, in value order (``_layout``, cached by
+which regimes hold, whether the graph is K_1 and the bipartite row, never by
+the weight).  The ``bounds`` command prints rows and values as they are; the
+public functions pair them into ``BoundRecord``s.
 """
 
 from __future__ import annotations
@@ -50,8 +52,10 @@ class BoundRecord:
     tight: bool | None = None
 
 
-# The row of every bound on K_1, less its name and kind: the blend is the 1x1 zero matrix.
-_TRIVIAL = dict(value=0.0, applicable=False, reason="single-vertex graph is trivial", tight=None)
+# The fields of a layout row: a record's, less its value.
+_ROW_FIELDS = ("name", "kind", "applicable", "reason", "tight")
+# The row of every bound on K_1, less its name and kind; the 1x1 zero blend gives 0.0.
+_TRIVIAL = (False, "single-vertex graph is trivial", None)
 
 # Regimes: the weights where a bound holds, and why it fails at the others.
 _ANY_ALPHA = (lambda a: True, "")
@@ -80,15 +84,31 @@ _RQ_BOUNDS = (
 )
 # The record of ``bipartite_bound``: (name, kind); it holds at every weight.
 _BIPARTITE = ("bipartite_upper", "upper")
+# Every regime of the tables: a layout depends on the weight only through these.
+_REGIMES = tuple(dict.fromkeys(regime for _, _, regime in _BOUNDS + _RQ_BOUNDS))
+# (regimes held, trivial, bipartite row) -> the layout of a ``bounds`` report
+_LAYOUTS = {}
 
 
-def _records(table, a, values):
-    """The record rows of ``table`` at weight ``a``, with ``values`` in table order."""
-    return [
-        {"name": name, "kind": kind, "value": value, "applicable": (ok := holds(a)),
-         "reason": "" if ok else reason, "tight": None}
-        for (name, kind, (holds, reason)), value in zip(table, values)
-    ]
+def _layout(a, trivial, bipartite):
+    """The layout rows of a ``bounds`` report at weight ``a``: ``_BOUNDS``'
+    rows (K_1's trivial rows when ``trivial``), then ``_RQ_BOUNDS``', then the
+    row ``bipartite`` unless it is None.  Cached by which regimes hold at
+    ``a``, so the cache stays small whatever weights callers pass."""
+    key = (tuple(holds(a) for holds, _ in _REGIMES), trivial, bipartite)
+    layout = _LAYOUTS.get(key)
+    if layout is None:
+        rows = [(name, kind, ok := holds(a), "" if ok else reason, None)
+                for name, kind, (holds, reason) in _BOUNDS + _RQ_BOUNDS]
+        if trivial:
+            rows[:len(_BOUNDS)] = [(name, kind, *_TRIVIAL) for name, kind, _ in _BOUNDS]
+        layout = _LAYOUTS[key] = tuple(rows) + (() if bipartite is None else (bipartite,))
+    return layout
+
+
+def _record(row, value):
+    """The ``BoundRecord`` of a layout row and its value."""
+    return BoundRecord(value=value, **dict(zip(_ROW_FIELDS, row)))
 
 
 def bound_report(g, alpha):
@@ -104,25 +124,25 @@ def bound_report(g, alpha):
     transmission alpha*RTr_max; and the plain maximum transmission
     upper bound.
     """
+    a = check_alpha(alpha)
     bundle = build_bundle(g)
-    rows = _bound_table(bundle.rd[None], bundle.transmissions[None], [check_alpha(alpha)])
-    return [BoundRecord(**row) for row in rows[0][0]]
+    values = _bound_values(bundle.rd[None], bundle.transmissions[None], [a])[0][0]
+    return list(map(_record, _layout(a, g.n == 1, None)[:len(_BOUNDS)], values))
 
 
-def _bound_table(rd, tr, alphas):
-    """``bound_report``'s record rows for each graph of a ``(k, n, n)`` RD stack
-    with ``(k, n)`` transmissions ``tr``, at each checked weight of ``alphas``:
-    per graph, one list of rows per weight.
+def _bound_values(rd, tr, alphas):
+    """``bound_report``'s values, in ``_BOUNDS`` order, for each graph of a
+    ``(k, n, n)`` RD stack with ``(k, n)`` transmissions ``tr``, at each
+    checked weight of ``alphas``: per graph, one list of 8 floats per weight.
 
     Each per-vertex expression is evaluated for every graph and weight at
     once, as a ``(k, len(alphas), n)`` array, in the same operation order as
     the scalar formula, so every value equals its one-graph, one-weight
-    evaluation bit for bit.
+    evaluation bit for bit.  On K_1 every value is 0.0.
     """
     k, n = tr.shape
     if n == 1:
-        return [[[{"name": name, "kind": kind, **_TRIVIAL} for name, kind, _ in _BOUNDS]
-                 for _ in alphas] for _ in range(k)]
+        return [[[0.0] * len(_BOUNDS) for _ in alphas] for _ in range(k)]
     a, t = np.array(alphas, dtype=float)[:, None], tr[:, None]  # t: (k, 1, n), for every weight
     a_tr, b, sqrt_t = a * t, 1.0 - a, np.sqrt(t)
     row_norm = (a_tr + b * np.sqrt((n - 1.0) * (rd * rd).sum(axis=1))[:, None]).max(axis=2)
@@ -131,7 +151,7 @@ def _bound_table(rd, tr, alphas):
     columns = (row_norm, weighted.min(axis=2), weighted.max(axis=2), ratio.max(axis=2),
                np.sqrt((tr * tr).sum(axis=1) / n), tr.sum(axis=1) / n, tr.max(axis=1))
     return [
-        [_records(_BOUNDS, x, (rn, w_lo, w_hi, rms, r_hi, harary, x * tr_max, tr_max))
+        [[rn, w_lo, w_hi, rms, r_hi, harary, x * tr_max, tr_max]
          for x, rn, w_lo, w_hi, r_hi in zip(alphas, *rows)]
         for *rows, rms, harary, tr_max in zip(*(c.tolist() for c in columns))
     ]
@@ -165,18 +185,18 @@ def rq_relation_bounds(g, alpha):
     radii come from one stacked solve (``_blend_radii``).
     """
     a = check_alpha(alpha)
-    bundle = build_bundle(g)
-    return [BoundRecord(**row) for row in _rq_records(a, _blend_radii(bundle, [a]))]
+    values = _rq_values(a, _blend_radii(build_bundle(g), [a]))
+    return list(map(_record, _layout(a, False, None)[len(_BOUNDS):], values))
 
 
-def _rq_records(a, radii):
-    """``rq_relation_bounds``' record rows at ``a`` from the ``_blend_radii``
-    of a set of weights holding it."""
+def _rq_values(a, radii):
+    """``rq_relation_bounds``' values at ``a``, in ``_RQ_BOUNDS`` order, from
+    the ``_blend_radii`` of a set of weights holding it."""
     rho_rd, rho_rq, rho_mirror, tr_max = radii[0.0], 2.0 * radii[0.5], radii[1.0 - a], radii[1.0]
     # The large-alpha pair is the small-alpha pair with its sides swapped.
     lower = (1.0 - a) * rho_rq + (2.0 * a - 1.0) * tr_max
     upper = a * rho_rq + (1.0 - 2.0 * a) * rho_rd
-    return _records(_RQ_BOUNDS, a, (lower, upper, upper, lower, rho_rq - rho_mirror))
+    return [lower, upper, upper, lower, rho_rq - rho_mirror]
 
 
 def bipartite_bound(g, alpha):
@@ -187,33 +207,35 @@ def bipartite_bound(g, alpha):
     is_bip, sizes = bipartition(g)
     if not is_bip:
         raise ValueError("graph is not bipartite")
-    return BoundRecord(**_bipartite_record(g, sizes, a))
+    return _record(*_bipartite(g, sizes, a))
 
 
-def _bipartite_record(g, sizes, a):
-    """``bipartite_bound``'s row for a connected bipartite g with part sizes ``sizes``."""
-    small, large = sizes
+def _bipartite(g, sizes, a):
+    """``bipartite_bound``'s layout row and value at ``a`` for a connected
+    bipartite g with part sizes ``sizes``."""
     name, kind = _BIPARTITE
     if g.n == 1:
-        return {"name": name, "kind": kind, **_TRIVIAL}
+        return (name, kind, *_TRIVIAL), 0.0
+    small, large = sizes
     # A connected bipartite graph with parts a, b is K_{a,b} iff it has all a*b edges.
     tight = g.edge_count == small * large
     value = _join_quadratic(small, 0, large, 0, a)[0]  # the radius of K_{small,large}
-    return {"name": name, "kind": kind, "value": value, "applicable": True, "reason": "",
-            "tight": tight}
+    return (name, kind, True, "", tight), value
 
 
 def _bound_reports(g, alphas):
-    """Yield (rho, rows), the ``bounds`` report of g, at each checked weight of
-    ``alphas``: ``bound_report``'s record rows, then ``rq_relation_bounds``',
-    then ``bipartite_bound``'s when g is bipartite, each a dict of
-    ``BoundRecord``'s fields.  One ``_blend_radii`` solve."""
+    """Yield (rho, values, layout), the ``bounds`` report of g, at each checked
+    weight of ``alphas``: ``bound_report``'s values, then
+    ``rq_relation_bounds``', then ``bipartite_bound``'s when g is bipartite,
+    with the layout rows that name them.  One ``_blend_radii`` solve."""
     bundle = build_bundle(g)
     is_bipartite, sizes = bipartition(g)
     radii = _blend_radii(bundle, alphas)
-    table = _bound_table(bundle.rd[None], bundle.transmissions[None], alphas)[0]
-    for a, records in zip(alphas, table):
-        records += _rq_records(a, radii)
+    table = _bound_values(bundle.rd[None], bundle.transmissions[None], alphas)[0]
+    row = None
+    for a, values in zip(alphas, table):
+        values += _rq_values(a, radii)
         if is_bipartite:
-            records.append(_bipartite_record(g, sizes, a))
-        yield radii[a], records
+            row, value = _bipartite(g, sizes, a)
+            values.append(value)
+        yield radii[a], values, _layout(a, g.n == 1, row)

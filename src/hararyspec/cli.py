@@ -20,17 +20,18 @@ and writes the text of ``json.dumps(..., indent=2, sort_keys=True)`` in one
 pass; table lines are built only for ``--format table``.  It finds each
 scalar's encoder by exact type, caches each dict layout's sorted encoded
 keys, and writes a float from its ``%.12g`` text (see ``_json_float``).
-``bounds`` JSON is the same text, written by ``_bounds_json``: a bound
-record's text changes between reports only in its value, so each record is
-its cached text, cut once from ``_json``'s, around ``_json_float(value)``.
+``bounds`` JSON is the same text, written by ``_bounds_json`` from each
+report's layout rows and float values: a record's text is the head its
+layout row fixes, cached per row, then ``_json_float(value)``.
 
 ``spectrum`` and ``closed-form`` read their eigenvalues from
 ``eigen._blend_values``, which blends the alphas no earlier report of the
 graph solved in one broadcast and solves them in one stacked call.
-``bounds`` writes the report that ``bounds._bound_reports`` assembles: every
-radius from the same solved blends and every record, already a dict row,
-from one numpy pass.  Reports of one graph in one process share its cached
-bundle (``matrices.build_bundle``), whatever input form named the graph.
+``bounds`` writes the reports that ``bounds._bound_reports`` assembles: every
+radius from the same solved blends, every value from one numpy pass, and the
+cached layout that names them.  Reports of one graph in one process share
+its cached bundle (``matrices.build_bundle``), whatever input form named the
+graph.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from . import closed_forms, extremal, psd
-from .bounds import _bound_reports
+from .bounds import _ROW_FIELDS, _bound_reports
 from .eigen import _blend_values, _energy
 from .errors import BudgetError, Graph6Error, NotConnectedError
 from .graph6 import _MAX_SHORT_N, load_graph6, parse_edge_list, parse_graph6, to_graph6
@@ -156,44 +157,34 @@ def _json(obj, indent="\n"):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-# A bound record's (name, kind, applicable, reason, tight) -> its JSON text before its value.
+# A bound layout row -> the JSON text of its record before the value.
 _RECORD_HEADS = {}
 _REPORT_INDENT = "\n    "  # the level of a ``bounds`` report's keys
 _RECORD_INDENT = _REPORT_INDENT + "  "  # the level of its records
 
 
 def _bounds_json(reports):
-    """``_json(reports)`` for the ``bounds`` payload, whose records are dicts
-    of ``BoundRecord``'s six fields.  ``value`` sorts last of them, so a
-    record's text is a head fixed by its other five fields, then
-    ``_json_float(value)`` and the closing brace.  Each head is cut from
-    ``_json``'s text of the first record with those fields, once that text
-    is checked to end with the value; a record whose value is not a float
-    is written by ``_json``."""
+    """JSON text of the ``bounds`` reports, as ``_json`` writes the same
+    reports with each record a dict of ``BoundRecord``'s fields: its layout
+    row's ``_ROW_FIELDS`` and its value.  ``value`` sorts last of those
+    fields, so a record's text is a head fixed by its layout row, cached per
+    row, then ``_json_float(value)`` and the closing brace."""
     texts = []
     for r in reports:
         items = []
-        for rec in r["records"]:
-            value = rec["value"]
-            if type(value) is not float:
-                items.append(_json(rec, _RECORD_INDENT))
-                continue
-            tail = _json_float(value) + _RECORD_INDENT + "}"
-            key = (rec["name"], rec["kind"], rec["applicable"], rec["reason"], rec["tight"])
-            head = _RECORD_HEADS.get(key)
+        for row, value in zip(r["layout"], r["values"]):
+            head = _RECORD_HEADS.get(row)
             if head is None:
-                text = _json(rec, _RECORD_INDENT)
-                if not text.endswith(tail):  # value is not the last key: nothing to cache
-                    items.append(text)
-                    continue
-                head = _RECORD_HEADS[key] = text[:-len(tail)]
-            items.append(head + tail)
-        records = ("[" + _RECORD_INDENT + ("," + _RECORD_INDENT).join(items) + _REPORT_INDENT + "]"
-                   if items else "[]")
+                head = _RECORD_HEADS[row] = "{" + "".join(
+                    f"{_RECORD_INDENT}  {encode_basestring_ascii(key)}: {_json(field)},"
+                    for key, field in sorted(zip(_ROW_FIELDS, row))
+                ) + _RECORD_INDENT + '  "value": '
+            items.append(head + _json_float(value) + _RECORD_INDENT + "}")
         texts.append(
             '{\n    "alpha": ' + _json(r["alpha"], _REPORT_INDENT)
             + ',\n    "n": ' + _json(r["n"], _REPORT_INDENT)
-            + ',\n    "records": ' + records
+            + ',\n    "records": [' + _RECORD_INDENT + ("," + _RECORD_INDENT).join(items)
+            + _REPORT_INDENT + "]"
             + ',\n    "rho": ' + _json(r["rho"], _REPORT_INDENT) + "\n  }"
         )
     return "[\n  " + ",\n  ".join(texts) + "\n]"
@@ -259,9 +250,11 @@ def cmd_spectrum(args):
     g = args.graph
     bundle = build_bundle(g)
     spectra = _blend_values(bundle, args.alphas)
+    total = float(bundle.transmissions.sum())
+    harary = total / 2.0
     reports = [
-        {"n": g.n, "alpha": a, "eigenvalues": values.tolist(), "harary": bundle.harary,
-         "energy": _energy(bundle, a, values)}
+        {"n": g.n, "alpha": a, "eigenvalues": values.tolist(), "harary": harary,
+         "energy": _energy(a, values, total, g.n)}
         for a, values in zip(args.alphas, spectra)
     ]
 
@@ -269,7 +262,7 @@ def cmd_spectrum(args):
         # graph6's short form stops at n = 62; past that the header names n alone.
         yield f"n = {g.n}, graph6 = {to_graph6(g)}" if g.n <= _MAX_SHORT_N else f"n = {g.n}"
         yield "transmissions: " + " ".join(_fmt(t) for t in bundle.transmissions)
-        yield f"harary index: {_fmt(bundle.harary)}"
+        yield f"harary index: {_fmt(harary)}"
         for r in reports:
             yield (f"alpha = {_fmt(r['alpha'])}: eigenvalues ["
                    + ", ".join(_fmt(v) for v in r["eigenvalues"])
@@ -282,17 +275,17 @@ def cmd_spectrum(args):
 def cmd_bounds(args):
     g = args.graph
     reports = [
-        {"n": g.n, "alpha": a, "rho": rho, "records": records}
-        for a, (rho, records) in zip(args.alphas, _bound_reports(g, args.alphas))
+        {"n": g.n, "alpha": a, "rho": rho, "values": values, "layout": layout}
+        for a, (rho, values, layout) in zip(args.alphas, _bound_reports(g, args.alphas))
     ]
 
     def table():
         for r in reports:
             yield f"alpha = {_fmt(r['alpha'])}: rho = {_fmt(r['rho'])}"
-            for rec in r["records"]:
-                status = "" if rec["applicable"] else f"  [not applicable: {rec['reason']}]"
-                tight = "  [tight]" if rec["tight"] else ""
-                yield f"  {rec['name']:<32} {rec['kind']:<5} {_fmt(rec['value']):>18}{tight}{status}"
+            for (name, kind, applicable, reason, tight), value in zip(r["layout"], r["values"]):
+                status = "" if applicable else f"  [not applicable: {reason}]"
+                mark = "  [tight]" if tight else ""
+                yield f"  {name:<32} {kind:<5} {_fmt(value):>18}{mark}{status}"
 
     _emit(args, reports, table(), _bounds_json)
     return EXIT_OK

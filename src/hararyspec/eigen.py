@@ -157,12 +157,13 @@ def rd_alpha_energy(g, alpha):
     """Sum of |lambda_i - 2*alpha*H/n| over the blend spectrum, H the Harary index."""
     a = check_alpha(alpha)
     bundle = build_bundle(g)
-    return _energy(bundle, a, _blend_values(bundle, [a])[0])
+    return _energy(a, _blend_values(bundle, [a])[0], float(bundle.transmissions.sum()), bundle.n)
 
 
-def _energy(bundle, a, values):
-    """Energy from blend eigenvalues already computed at weight ``a``."""
-    center = a * float(bundle.transmissions.sum()) / bundle.n
+def _energy(a, values, total, n):
+    """Energy from blend eigenvalues already computed at weight ``a`` of a
+    graph of order ``n`` whose transmissions sum to ``total``."""
+    center = a * total / n
     return float(np.abs(values - center).sum())
 
 

@@ -2,7 +2,7 @@
 
 import math
 import warnings
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -25,7 +25,14 @@ from hararyspec import (
     star,
     sym_eigen,
 )
-from hararyspec.bounds import BoundRecord, _blend_radii, _bound_reports, _bound_table
+from hararyspec.bounds import (
+    _BOUNDS,
+    _ROW_FIELDS,
+    _blend_radii,
+    _bound_reports,
+    _bound_values,
+    _record,
+)
 from hararyspec.eigen import _eigenvalues
 from hararyspec.extremal import _order
 
@@ -36,7 +43,6 @@ P3_RHO = 1.6861406616345072
 TABLE_ALPHAS = (0.0, 0.25, 0.3, 0.5, 0.9, 1.0, 0.25)
 # The weights of the stacked-table checks: both ends, the midpoint and an irregular weight.
 STACK_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0, 0.123456)
-FIELDS = [f.name for f in fields(BoundRecord)]
 
 
 def _applicable(records):
@@ -233,20 +239,21 @@ def test_blend_radii_match_separate_solves(catalog):
             assert radii[1.0 - a] == _radius(rd_alpha(b, 1.0 - a))
 
 
-def test_bound_table_matches_one_weight_records(catalog):
+def test_bound_values_match_one_weight_values(catalog):
     for entry in catalog.up_to(7):
         b = entry.bundle
         rd, tr = b.rd[None], b.transmissions[None]  # a stack of one
-        table = _bound_table(rd, tr, TABLE_ALPHAS)[0]
-        assert table == [_bound_table(rd, tr, [a])[0][0] for a in TABLE_ALPHAS]
-        # each record is a dict row of BoundRecord's fields, in field order
-        assert all(list(row) == FIELDS for rows in table for row in rows)
+        table = _bound_values(rd, tr, TABLE_ALPHAS)[0]
+        assert table == [_bound_values(rd, tr, [a])[0][0] for a in TABLE_ALPHAS]
+        # each weight's values are 8 plain floats, in ``_BOUNDS`` order
+        assert all(len(values) == len(_BOUNDS) and all(type(v) is float for v in values)
+                   for values in table)
         if b.n == 1:
             continue
         # and each per-vertex bound equals its scalar formula, bit for bit
         n, tr, rd = b.n, b.transmissions, b.rd
-        for a, records in zip(TABLE_ALPHAS, table):
-            values = {r["name"]: r["value"] for r in records}
+        for a, values in zip(TABLE_ALPHAS, table):
+            values = dict(zip((name for name, _, _ in _BOUNDS), values))
             row_norm = a * tr + (1.0 - a) * np.sqrt((n - 1.0) * (rd * rd).sum(axis=0))
             weighted = a * tr + (1.0 - a) * (rd @ tr) / tr
             ratio = a * tr + (1.0 - a) * (rd @ np.sqrt(tr)) / np.sqrt(tr)
@@ -258,27 +265,29 @@ def test_bound_table_matches_one_weight_records(catalog):
 
 
 @pytest.mark.parametrize("n", range(1, 8))
-def test_stacked_bound_table_is_its_stacks_of_one(n):
+def test_stacked_bound_values_are_their_stacks_of_one(n):
     # every class of order n in one call, against one call per class;
     # repr prints each float exactly, so equal text is equal bits
     _, _, rd, rt, _ = _order(n)
-    table = _bound_table(rd, rt, STACK_ALPHAS)
+    table = _bound_values(rd, rt, STACK_ALPHAS)
     assert len(table) == len(rd) and all(len(rows) == len(STACK_ALPHAS) for rows in table)
     for i, rows in enumerate(table):
-        assert repr(rows) == repr(_bound_table(rd[i:i + 1], rt[i:i + 1], STACK_ALPHAS)[0])
+        assert repr(rows) == repr(_bound_values(rd[i:i + 1], rt[i:i + 1], STACK_ALPHAS)[0])
 
 
-def test_bound_table_of_a_k1_stack():
-    # the trivial rows for every graph and weight, without dividing by a zero transmission
+def test_bound_values_of_a_k1_stack():
+    # zeros for every graph and weight, without dividing by a zero transmission
     rd, tr = np.zeros((3, 1, 1)), np.zeros((3, 1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        table = _bound_table(rd, tr, STACK_ALPHAS)
+        table = _bound_values(rd, tr, STACK_ALPHAS)
+    assert table == [[[0.0] * 8] * len(STACK_ALPHAS)] * 3
+    # each weight's list is its own, so a caller can extend it
+    assert len({id(values) for rows in table for values in rows}) == 3 * len(STACK_ALPHAS)
     rows = [asdict(r) for r in bound_report(Graph(1), 0.0)]
     assert len(rows) == 8
     assert all((r["value"], r["applicable"], r["tight"]) == (0.0, False, None) for r in rows)
     assert all(r["reason"] == "single-vertex graph is trivial" for r in rows)
-    assert table == [[rows] * len(STACK_ALPHAS)] * 3
 
 
 def test_bound_reports_join_the_library_reports(catalog):
@@ -288,10 +297,10 @@ def test_bound_reports_join_the_library_reports(catalog):
         is_bipartite = bipartition(g)[0]
         reports = list(_bound_reports(g, TABLE_ALPHAS))
         assert len(reports) == len(TABLE_ALPHAS)
-        for a, (rho, records) in zip(TABLE_ALPHAS, reports):
+        for a, (rho, values, layout) in zip(TABLE_ALPHAS, reports):
             expected = bound_report(g, a) + rq_relation_bounds(g, a)
             if is_bipartite:
                 expected.append(bipartite_bound(g, a))
-            assert all(list(row) == FIELDS for row in records)
-            assert [BoundRecord(**row) for row in records] == expected
+            assert all(len(row) == len(_ROW_FIELDS) for row in layout)
+            assert list(map(_record, layout, values)) == expected
             assert rho == _radius(rd_alpha(entry.bundle, a))

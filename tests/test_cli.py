@@ -1,5 +1,6 @@
 """Command-line interface: inputs, outputs, schemas and exit codes."""
 
+import hashlib
 import json
 from functools import lru_cache
 from http import HTTPStatus  # an int subclass with its own repr
@@ -77,26 +78,38 @@ def test_json_emitter_matches_json_dumps(payload):
 
 _ANY_FLOAT = st.one_of(
     st.floats(allow_subnormal=True),
+    st.floats(min_value=-2.3e-308, max_value=2.3e-308),  # subnormals and their neighbours
+    st.floats(min_value=1e12, max_value=1e16).flatmap(lambda x: st.sampled_from([x, -x])),
     st.sampled_from([-0.0, 5e-324, -5e-324, float("nan"), float("inf"), float("-inf")]),
 )
-_BOUND_RECORDS = st.fixed_dictionaries({
-    "name": st.text(), "kind": st.text(), "applicable": st.booleans(),
-    # the command's values are floats; any other scalar is written by ``_json``
-    "value": st.one_of(_ANY_FLOAT, st.floats().map(np.float64), st.integers(), st.none()),
-    "reason": st.text(), "tight": st.sampled_from([None, True, False]),
-})
-_BOUNDS_PAYLOADS = st.lists(
-    st.fixed_dictionaries({"n": st.integers(), "alpha": _ANY_FLOAT, "rho": _ANY_FLOAT,
-                           "records": st.lists(_BOUND_RECORDS, max_size=6)}),
+# A report's (n, alpha, rho, records), each record a (layout row, value) pair;
+# a layout is never empty.
+_BOUND_REPORTS = st.lists(
+    st.tuples(st.integers(), _ANY_FLOAT, _ANY_FLOAT, st.lists(st.tuples(
+        st.tuples(st.text(), st.text(), st.booleans(), st.text(), st.sampled_from([None, True, False])),
+        _ANY_FLOAT,
+    ), min_size=1, max_size=6)),
     min_size=1, max_size=4,
 )
 
 
+def _with_records(reports):
+    """The ``bounds`` payload with each record a dict of ``BoundRecord``'s
+    fields: the form whose ``json.dumps`` text the command writes."""
+    return [{"n": r["n"], "alpha": r["alpha"], "rho": r["rho"],
+             "records": [dict(zip(bounds._ROW_FIELDS, row), value=value)
+                         for row, value in zip(r["layout"], r["values"], strict=True)]}
+            for r in reports]
+
+
 @settings(max_examples=200, deadline=None)
-@given(_BOUNDS_PAYLOADS)
-def test_bounds_writer_matches_json_dumps(payload):
-    # the record cache persists across examples, so later ones reuse cached heads
-    assert cli._bounds_json(payload) == json.dumps(round12(payload), indent=2, sort_keys=True)
+@given(_BOUND_REPORTS)
+def test_bounds_writer_matches_json_dumps(reports):
+    # the head cache persists across examples, so later ones reuse cached heads
+    payload = [{"n": n, "alpha": a, "rho": rho, "values": [value for _, value in records],
+                "layout": tuple(row for row, _ in records)} for n, a, rho, records in reports]
+    expected = json.dumps(round12(_with_records(payload)), indent=2, sort_keys=True)
+    assert cli._bounds_json(payload) == expected
 
 
 def test_bounds_writer_matches_emitter_on_every_small_class(monkeypatch):
@@ -105,13 +118,27 @@ def test_bounds_writer_matches_emitter_on_every_small_class(monkeypatch):
     for n in range(1, 8):
         for g in enumerate_connected_graphs(n):
             for alphas in alpha_lists:
-                payload = [{"n": g.n, "alpha": a, "rho": rho, "records": records}
-                           for a, (rho, records) in zip(alphas, bounds._bound_reports(g, alphas))]
-                assert cli._bounds_json(payload) == cli._json(payload)
-    # One head per table row and applicability outcome (9 bound_report rows, 9
-    # rq_relation_bounds rows), per tight value of the bipartite row (2), and
-    # one per K_1 row (9).
+                payload = [{"n": g.n, "alpha": a, "rho": rho, "values": values, "layout": layout}
+                           for a, (rho, values, layout) in zip(alphas, bounds._bound_reports(g, alphas))]
+                assert cli._bounds_json(payload) == cli._json(_with_records(payload))
+    # One head per layout row: per table row and applicability outcome (9
+    # bound_report rows, 9 rq_relation_bounds rows), per tight value of the
+    # bipartite row (2), and one per K_1 row (9).
     assert len(cli._RECORD_HEADS) == 29
+
+
+def test_layout_cache_stays_at_its_regime_count(capsys, monkeypatch):
+    # 1,000 distinct weights meet the regimes in four ways: below 1/2, at 1/2,
+    # between 1/2 and 1, and at 1.  One layout per way and kind of graph: not
+    # bipartite (W_6), bipartite but not complete bipartite (P_5), and K_1.
+    monkeypatch.setattr(bounds, "_LAYOUTS", {})
+    weights = [i / 998 for i in range(999)] + [1 / 3]
+    assert len(set(weights)) == 1000 and {0.5, 1.0} <= set(weights)
+    for kinds, spec in enumerate(("wheel:6", "path:5", "complete:1"), start=1):
+        argv = ("bounds", "--construct", spec, "--alpha", ",".join(map(repr, weights)))
+        code, _, err = run(capsys, *argv, "--format", "json")
+        assert code == 0, err
+        assert len(bounds._LAYOUTS) == 4 * kinds
 
 
 def _float_by_repr(x):
@@ -283,7 +310,7 @@ def test_bounds_command_builds_no_record_objects(capsys, monkeypatch, spec):
     # the library calls still return BoundRecords, equal to the rows the command printed
     g = cli._parse_construct(spec)[2]
     is_bipartite = bipartition(g)[0]
-    for report, a in zip(payloads[0], (0.0, 0.3, 0.5, 1.0), strict=True):
+    for report, a in zip(_with_records(payloads[0]), (0.0, 0.3, 0.5, 1.0), strict=True):
         expected = bound_report(g, a) + rq_relation_bounds(g, a)
         if is_bipartite:
             expected.append(bipartite_bound(g, a))
@@ -539,6 +566,20 @@ def test_bounds_single_vertex_records_all_trivial(capsys):
         "  [not applicable: single-vertex graph is trivial]"
     )
     assert "tight" not in out
+
+
+def test_bounds_output_matches_the_pinned_hash(capsys):
+    # Both formats of every connected class with n <= 6, in enumeration order,
+    # then K_1, K_{3,3} and P_12.
+    digest = hashlib.sha256()
+    inputs = [("--graph6", to_graph6(g)) for n in range(1, 7) for g in enumerate_connected_graphs(n)]
+    inputs += [("--construct", spec) for spec in ("complete:1", "bipartite:3,3", "path:12")]
+    for source in inputs:
+        for fmt in ("json", "table"):
+            code, out, err = run(capsys, "bounds", *source, "--alpha", "0,0.3,0.5,0.7,1", "--format", fmt)
+            assert code == 0, err
+            digest.update(out.encode("utf-8"))
+    assert digest.hexdigest() == "4c890a7b86f30c1b21aea352d22095027ff5d5a78eab1c5df04e781d797fe43e"
 
 
 def test_closed_form_table(capsys):

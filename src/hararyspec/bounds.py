@@ -207,20 +207,22 @@ def bipartite_bound(g, alpha):
     is_bip, sizes = bipartition(g)
     if not is_bip:
         raise ValueError("graph is not bipartite")
-    return _record(*_bipartite(g, sizes, a))
+    return _record(_bipartite_row(g, sizes), _bipartite_value(sizes, a))
 
 
-def _bipartite(g, sizes, a):
-    """``bipartite_bound``'s layout row and value at ``a`` for a connected
-    bipartite g with part sizes ``sizes``."""
-    name, kind = _BIPARTITE
+def _bipartite_row(g, sizes):
+    """``bipartite_bound``'s layout row for g with part sizes ``sizes``, at every weight."""
     if g.n == 1:
-        return (name, kind, *_TRIVIAL), 0.0
+        return (*_BIPARTITE, *_TRIVIAL)
     small, large = sizes
     # A connected bipartite graph with parts a, b is K_{a,b} iff it has all a*b edges.
-    tight = g.edge_count == small * large
-    value = _join_quadratic(small, 0, large, 0, a)[0]  # the radius of K_{small,large}
-    return (name, kind, True, "", tight), value
+    return (*_BIPARTITE, True, "", g.edge_count == small * large)
+
+
+def _bipartite_value(sizes, a):
+    """``bipartite_bound``'s value at ``a``: the radius of K_{small,large}; 0.0 on K_{0,1} = K_1."""
+    small, large = sizes
+    return _join_quadratic(small, 0, large, 0, a)[0] if small else 0.0
 
 
 def _bound_reports(g, alphas):
@@ -232,10 +234,9 @@ def _bound_reports(g, alphas):
     is_bipartite, sizes = bipartition(g)
     radii = _blend_radii(bundle, alphas)
     table = _bound_values(bundle.rd[None], bundle.transmissions[None], alphas)[0]
-    row = None
+    row = _bipartite_row(g, sizes) if is_bipartite else None
     for a, values in zip(alphas, table):
         values += _rq_values(a, radii)
         if is_bipartite:
-            row, value = _bipartite(g, sizes, a)
-            values.append(value)
+            values.append(_bipartite_value(sizes, a))
         yield radii[a], values, _layout(a, g.n == 1, row)

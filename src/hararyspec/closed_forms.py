@@ -56,10 +56,6 @@ class ClosedFormSpectrum:
     pairs: tuple[tuple[float, int], ...]
     source: str
 
-    @property
-    def n(self):
-        return sum(m for _, m in self.pairs)
-
     def eigenvalues(self):
         """Expanded eigenvalue vector, descending."""
         vals = np.concatenate([np.full(m, v) for v, m in self.pairs])

@@ -27,13 +27,13 @@ GRAPH6_HEADER = ">>graph6<<"
 _MAX_SHORT_N = 62
 
 
-def _edge_mask(adj, order):
-    """Edge mask of ``adj`` relabelled so that vertex ``order[i]`` becomes i."""
+def _edge_mask(adj):
+    """Edge mask of the graph with adjacency rows ``adj``."""
     mask = 0
-    for j in range(1, len(order)):
-        row = adj[order[j]]
+    for j in range(1, len(adj)):
+        row = adj[j]
         for i in range(j):
-            mask = mask << 1 | row >> order[i] & 1
+            mask = mask << 1 | row >> i & 1
     return mask
 
 
@@ -108,7 +108,7 @@ def to_graph6(g):
     n = g.n
     if n > _MAX_SHORT_N:
         raise ValueError(f"graph6 short form limited to n <= {_MAX_SHORT_N}, got n={n}")
-    return _pack_graph6(n, _edge_mask(g.adj_bits, range(n)))
+    return _pack_graph6(n, _edge_mask(g.adj_bits))
 
 
 def load_graph6(path):

@@ -77,7 +77,8 @@ def triangle_pairs(n):
 
 
 class Graph:
-    """Immutable simple undirected graph on vertex set {0, ..., n-1}."""
+    """Simple undirected graph on vertex set {0, ..., n-1}.  It must not be mutated, though
+    its slots allow it: ``matrices.build_bundle`` caches bundles by its value (n, adj_bits)."""
 
     __slots__ = ("n", "adj_bits")
 
@@ -110,15 +111,6 @@ class Graph:
         """All edges as (u, v) pairs with u < v, lexicographically sorted."""
         return [(u, v) for u in range(self.n) for v in _bit_indices(self.adj_bits[u]) if u < v]
 
-    def has_edge(self, u, v):
-        return bool(self.adj_bits[u] >> v & 1)
-
-    def neighbors(self, v):
-        return tuple(_bit_indices(self.adj_bits[v]))
-
-    def degree(self, v):
-        return self.adj_bits[v].bit_count()
-
     def degrees(self):
         return tuple(a.bit_count() for a in self.adj_bits)
 
@@ -128,29 +120,6 @@ class Graph:
         for u, v in self.edges():
             a[u, v] = a[v, u] = 1.0
         return a
-
-    def with_edge(self, u, v):
-        """New graph with the edge {u, v} added (no-op edges are rejected)."""
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if self.has_edge(u, v):
-            raise ValueError(f"edge ({u}, {v}) already present")
-        adj = list(self.adj_bits)
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        return Graph._from_adj(self.n, adj)
-
-    def non_edges(self):
-        """All vertex pairs (u, v), u < v, that are not edges."""
-        return [(u, v) for (u, v) in triangle_pairs(self.n) if not self.has_edge(u, v)]
-
-    def permuted(self, perm):
-        """Relabel: vertex v becomes perm[v]."""
-        adj = [0] * self.n
-        for u, v in self.edges():
-            adj[perm[u]] |= 1 << perm[v]
-            adj[perm[v]] |= 1 << perm[u]
-        return Graph._from_adj(self.n, adj)
 
     def is_connected(self):
         seen = frontier = 1  # vertex 0
@@ -314,7 +283,7 @@ def reciprocal_transmissions(g):
 
 
 def pendant_counts(g):
-    """Number of degree-1 vertices and of their distinct neighbours (p, q)."""
-    pendants = [v for v in range(g.n) if g.degree(v) == 1]
-    quasi = {g.neighbors(v)[0] for v in pendants}
-    return len(pendants), len(quasi)
+    """Number of degree-1 vertices and of their distinct neighbours (p, q):
+    a pendant's adjacency row is the bit of its one neighbour."""
+    rows = [a for a in g.adj_bits if a.bit_count() == 1]
+    return len(rows), len(set(rows))

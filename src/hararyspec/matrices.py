@@ -78,9 +78,6 @@ class MatrixBundle:
     def rq(self):
         return np.diag(self.transmissions) + self.rd
 
-    @property
-    def harary(self):
-        return float(self.transmissions.sum() / 2.0)
 
 def _lock(a):
     a.setflags(write=False)
@@ -97,7 +94,7 @@ def build_bundle(g):
 
 def harary_index(g):
     """Sum of reciprocal distances over unordered vertex pairs."""
-    return build_bundle(g).harary
+    return float(build_bundle(g).transmissions.sum() / 2.0)
 
 
 def is_transmission_regular(g):

@@ -2,8 +2,12 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from functools import lru_cache
 from http import HTTPStatus  # an int subclass with its own repr
+from pathlib import Path
 from types import ModuleType
 
 import numpy as np
@@ -727,6 +731,27 @@ def test_verify_extremal_tie_exit_three(capsys, monkeypatch):
         "--alpha", "0",
     )
     assert code == 3
+
+
+VERDICT_ARGS = ("verify-extremal", "--constraint", "chromatic-number", "--alpha", "0.9")
+
+
+@pytest.mark.parametrize("argv, code, stream, text", [
+    (("spectrum", "--construct", "path:3"), 0, "stdout", "harary index: 2.5"),
+    (("spectrum", "--construct", "nosuch:3"), 1, "stderr", "unknown constructor 'nosuch'"),
+    ((*VERDICT_ARGS, "--n", "6", "--value", "2"), 2, "stdout", ": refuted (exploratory)"),
+    ((*VERDICT_ARGS, "--n", "7", "--value", "5"), 3, "stdout", "maximizers=['FF~~w', 'F]~~w']"),
+    (("verify-extremal", "--n", "9", "--constraint", "chromatic-number", "--value", "3"), 4,
+     "stderr", "budget exceeded"),
+])
+def test_exit_codes_at_the_process_boundary(argv, code, stream, text):
+    # The module entry point, console_entry's sys.exit included, in a fresh interpreter.
+    src = str(Path(hararyspec.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-m", "hararyspec.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == code, done.stderr
+    assert text in getattr(done, stream)
 
 
 def test_usage_errors_exit_one(capsys, tmp_path):

@@ -98,6 +98,11 @@ def _cases():
         for fmt in FORMATS:
             yield ("verify-extremal", "--n", "5", "--constraint", constraint, "--value", str(value),
                    "--alpha", "0,0.25,0.8", "--format", fmt)
+    # A refuted verdict (exit 2) and a tie (exit 3).
+    for n, value in (("6", "2"), ("7", "5")):
+        for fmt in FORMATS:
+            yield ("verify-extremal", "--n", n, "--constraint", "chromatic-number", "--value", value,
+                   "--alpha", "0.9", "--format", fmt)
     yield from USAGE
 
 
